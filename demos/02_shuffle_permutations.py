@@ -6,8 +6,8 @@ import numpy as np
 
 from shuffleformer import (Rng, Tensor, aligned_window_reverse,
                            apply_spatial_permutation_2d, invert_permutation,
-                           make_shuffle_permutation, shuffled_window_partition,
-                           window_partition)
+                           make_shuffle_permutation, shuffle_permutations,
+                           shuffled_window_partition, window_partition)
 
 print("=" * 64)
 print("1. The three shuffle families on a 12-token axis, window 3")
@@ -32,10 +32,9 @@ print("=" * 64)
 
 n, m = 8, 2
 x = np.arange(n * n, dtype=np.float32).reshape(1, 1, n, n)
-perms = (make_shuffle_permutation(n, m, "long-range"),
-         make_shuffle_permutation(n, m, "long-range"))
+perms = shuffle_permutations(n, n, m, "long-range")
 
-fused = shuffled_window_partition(Tensor(x), m, perms=perms)
+fused = shuffled_window_partition(Tensor(x), m, perms)
 unfused = window_partition(apply_spatial_permutation_2d(Tensor(x), *perms), m)
 print(f"fused output shape: {fused.shape} ({n * n // (m * m)} windows)")
 print(f"fused == shuffle-then-partition, bit for bit: "
@@ -51,11 +50,11 @@ print("=" * 64)
 print("3. Alignment restores the image exactly")
 print("=" * 64)
 
-restored = aligned_window_reverse(fused, m, n, n, perms=perms)
+restored = aligned_window_reverse(fused, m, n, n, perms)
 print(f"round trip identical: {np.array_equal(restored.data, x)}")
 
-rng = Rng(3)
-rand_wins = shuffled_window_partition(Tensor(x), m, "random", Rng(42))
-rand_back = aligned_window_reverse(rand_wins, m, n, n, "random", Rng(42))
-print(f"random mode round trip (same seed both ways): "
+rand_perms = shuffle_permutations(n, n, m, "random", Rng(42))
+rand_wins = shuffled_window_partition(Tensor(x), m, rand_perms)
+rand_back = aligned_window_reverse(rand_wins, m, n, n, rand_perms)
+print(f"random mode round trip (same permutations both ways): "
       f"{np.array_equal(rand_back.data, x)}")

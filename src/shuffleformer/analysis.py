@@ -11,10 +11,10 @@ input resolution.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
 from .model import ModelConfig
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
@@ -91,10 +91,9 @@ def _bn_params(channels: int) -> int:
     return 2 * channels
 
 
-def _block_rows(cfg: ModelConfig, stage: int, index: int, res: int | None) -> list[CostRow]:
+def _block_rows(cfg: ModelConfig, stage: int, index: int, hw: int) -> list[CostRow]:
     ch = cfg.stage_channels(stage)
     window = cfg.window
-    hw = 0 if res is None else res * res
     prefix = f"stage{stage}.block{index}"
     bias = 1 if cfg.attn_bias else 0
     rows = [
@@ -115,22 +114,14 @@ def _block_rows(cfg: ModelConfig, stage: int, index: int, res: int | None) -> li
 
 
 def _build_report(cfg: ModelConfig, resolution: int | None) -> CostReport:
+    """FLOP columns are zero when `resolution` is None."""
     rows: list[CostRow] = []
     half = cfg.channels // 2
-
-    def stage_res(stage: int) -> int | None:
-        if resolution is None:
-            return None
-        res = resolution // 4 // (2 ** stage)
-        if res % cfg.window:
-            raise InvalidConfigError(
-                f"stage {stage} resolution {res} not divisible by window {cfg.window}")
-        return res
-
-    if resolution is not None and resolution % 4:
-        raise InvalidConfigError(f"resolution {resolution} must be divisible by 4")
-    r1 = 0 if resolution is None else (resolution // 2) ** 2
-    r2 = 0 if resolution is None else (resolution // 4) ** 2
+    sized = resolution is not None
+    if sized:  # validates the resolution against the config's stages
+        cfg = dataclasses.replace(cfg, resolution=resolution)
+    r1 = (resolution // 2) ** 2 if sized else 0
+    r2 = (resolution // 4) ** 2 if sized else 0
     p, f = conv_cost(cfg.in_channels, half, 3, r1)
     rows.append(CostRow("embed.conv1", p, f))
     rows.append(CostRow("embed.bn1", _bn_params(half), 0))
@@ -139,13 +130,13 @@ def _build_report(cfg: ModelConfig, resolution: int | None) -> CostReport:
     rows.append(CostRow("embed.bn2", _bn_params(cfg.channels), 0))
 
     for stage in range(cfg.stages):
-        res = stage_res(stage)
+        hw = cfg.stage_resolution(stage) ** 2 if sized else 0
         if stage > 0:
             ch = cfg.stage_channels(stage)
-            p, f = conv_cost(ch // 2, ch, 2, 0 if res is None else res * res)
+            p, f = conv_cost(ch // 2, ch, 2, hw)
             rows.append(CostRow(f"stage{stage}.merge", p, f))
         for index in range(cfg.depths[stage]):
-            rows.extend(_block_rows(cfg, stage, index, res))
+            rows.extend(_block_rows(cfg, stage, index, hw))
 
     last = cfg.stage_channels(cfg.stages - 1)
     rows.append(CostRow("head.bn", _bn_params(last), 0))

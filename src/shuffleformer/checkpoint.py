@@ -21,12 +21,13 @@ byte-identical. Standalone tensors use {"kind": "tensor"} and one entry named
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, InvalidConfigError
 from .model import ModelConfig, ModelParams, init_model_params, named_buffers, named_parameters
 from .rng import Rng
 from .windowing import SpatialPermutation
@@ -35,6 +36,30 @@ MAGIC = b"SHFCONT1"
 VERSION = 1
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+
+
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (JSON booleans decode to bool, not int)."""
+    return type(value) is int and value >= 0
+
+
+def _checked_entries(path, header) -> list[dict]:
+    """The header's tensor entries, each with every key present and well-typed."""
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("tensors"), list)):
+        raise CheckpointError(f"{path}: header must be an object with 'meta' and 'tensors'")
+    for i, entry in enumerate(header["tensors"]):
+        if not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_KEYS):
+            raise CheckpointError(
+                f"{path}: tensor entry {i} must be an object with keys {list(_ENTRY_KEYS)}")
+        if not (isinstance(entry["name"], str) and isinstance(entry["dtype"], str)
+                and isinstance(entry["shape"], list) and all(map(_is_count, entry["shape"]))
+                and _is_count(entry["offset"]) and _is_count(entry["nbytes"])):
+            raise CheckpointError(
+                f"{path}: tensor entry {i} needs a string name and dtype and non-negative "
+                f"integer shape, offset and nbytes")
+    return header["tensors"]
 
 
 def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -74,7 +99,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     payload = raw[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
+    for entry in _checked_entries(path, header):
         name = entry["name"]
         if name in tensors:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
@@ -83,7 +108,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
         start, nbytes = entry["offset"], entry["nbytes"]
         shape = tuple(entry["shape"])
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected or start + nbytes > len(payload):
             raise CheckpointError(f"{path}: tensor {name!r} payload is truncated or mis-sized")
         arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape)
@@ -122,7 +147,10 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
     meta, tensors = read_container(path)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{path}: container holds {meta.get('kind')!r}, not a model")
-    cfg = ModelConfig.from_dict(meta["config"])
+    try:
+        cfg = ModelConfig.from_dict(meta.get("config"))
+    except InvalidConfigError as exc:
+        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
     params = init_model_params(cfg, Rng(0), dtype=dtype)
     expected = _state_dict(params)
     for name in expected:
@@ -138,6 +166,8 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
                 f"{path}: parameter {name!r} has shape {stored.shape}, expected {target.shape}")
         target[...] = stored.astype(target.dtype)
     stored_perms = meta.get("shuffle_perms", {})
+    if not isinstance(stored_perms, dict):
+        raise CheckpointError(f"{path}: shuffle_perms must be an object")
     for s, stage in enumerate(params.stages):
         for i, blk in enumerate(stage.blocks):
             key = f"stage{s}.block{i}"
@@ -145,14 +175,24 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
                 continue
             if key not in stored_perms:
                 raise CheckpointError(f"{path}: missing frozen permutations for {key}")
-            entry = stored_perms[key]
-            n = len(entry["h"])
-            blk.shuffle_perms = (
-                SpatialPermutation(n, np.asarray(entry["h"], np.int64), entry["mode"]),
-                SpatialPermutation(len(entry["w"]), np.asarray(entry["w"], np.int64),
-                                   entry["mode"]),
-            )
+            blk.shuffle_perms = _stored_perms(path, key, stored_perms[key], blk.shuffle_perms)
     return params, cfg, meta
+
+
+def _stored_perms(path, key: str, entry, built) -> tuple[SpatialPermutation, SpatialPermutation]:
+    """One block's frozen (h, w) permutations, each checked to be a permutation
+    of the same length as the freshly `built` one."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("mode"), str):
+        raise CheckpointError(f"{path}: frozen permutations for {key} lack a string mode")
+    perms = []
+    for axis, perm in zip(("h", "w"), built):
+        values = entry.get(axis)
+        if not (isinstance(values, list) and all(type(v) is int for v in values)
+                and sorted(values) == list(range(perm.n))):
+            raise CheckpointError(
+                f"{path}: frozen {axis!r} map for {key} is not a permutation of range({perm.n})")
+        perms.append(SpatialPermutation(perm.n, np.asarray(values, np.int64), entry["mode"]))
+    return perms[0], perms[1]
 
 
 def save_tensor(path, array: np.ndarray, extra_meta: dict | None = None) -> None:

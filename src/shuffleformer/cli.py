@@ -26,12 +26,12 @@ from . import __version__
 from .analysis import count_flops
 from .checkpoint import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 from .errors import InvalidConfigError, ShuffleFormerError, TrainingDivergedError
-from .model import (NWC_POSITIONS, SHUFFLE_MODES, ModelConfig, build_variant,
-                    model_forward)
+from .model import NWC_POSITIONS, ModelConfig, build_variant, model_forward
 from .reachability import (PROBE_EPSILON, PROBE_SEEDS, PROBE_THRESHOLD,
                            BlockSpec, dump_report, reachability_report, render_mask)
 from .tensor import Tensor
 from .train import ToyTrainConfig, train_toy
+from .windowing import SHUFFLE_MODES
 
 SEED_ENV = "SHUFFLE_FORMER_SEED"
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stack", default=None,
                    help="comma list of block[+nwc] / shuffle-block[+nwc]")
     p.add_argument("--shuffle-mode", dest="shuffle_mode", default=None,
-                   choices=["long-range", "short-range", "random"])
+                   choices=[m for m in SHUFFLE_MODES if m != "none"])
     p.add_argument("--nwc-position", dest="nwc_position", default=None,
                    choices=["A", "B", "C"])
     p.add_argument("--probe", default=None, help="h,w (default: grid center)")

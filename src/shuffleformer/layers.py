@@ -2,9 +2,8 @@
 
 Window attention: per window, split heads, softmax(Q Kᵀ / sqrt(head_dim)) V,
 merge heads, output projection. All four projections are 1x1 convolutions.
-There is no positional term by default, so attention output is equivariant
-under permutations of the tokens inside a window; an optional additive bias
-table can be attached for experiments.
+There is no positional term, so attention output is equivariant under
+permutations of the tokens inside a window.
 
 Neighbor-window connection: a residual depth-wise convolution whose kernel
 extent equals the window size. The MLP is two 1x1 convolutions around an
@@ -39,7 +38,6 @@ class WmsaParams:
     bk: Tensor | None = None
     bv: Tensor | None = None
     bo: Tensor | None = None
-    pos_bias: Tensor | None = None  # optional (heads, m*m, m*m) additive table
 
     @property
     def channels(self) -> int:
@@ -47,7 +45,7 @@ class WmsaParams:
 
 
 def init_wmsa(channels: int, heads: int, rng: Rng, bias: bool = True,
-              dtype=np.float32, pos_bias_tokens: int | None = None) -> WmsaParams:
+              dtype=np.float32) -> WmsaParams:
     if channels % heads:
         raise InvalidConfigError(f"{heads} heads do not divide {channels} channels")
 
@@ -58,11 +56,7 @@ def init_wmsa(channels: int, heads: int, rng: Rng, bias: bool = True,
     def b():
         return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
 
-    pos = None
-    if pos_bias_tokens is not None:
-        pos = Tensor(np.zeros((heads, pos_bias_tokens, pos_bias_tokens), dtype=dtype),
-                     requires_grad=True)
-    return WmsaParams(heads, w(), w(), w(), w(), b(), b(), b(), b(), pos)
+    return WmsaParams(heads, w(), w(), w(), w(), b(), b(), b(), b())
 
 
 def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
@@ -85,13 +79,7 @@ def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
     k = reshape_permute(k, (bw, p.heads, head_dim, tokens))
     v = reshape_permute(v, (bw, p.heads, head_dim, tokens), (0, 1, 3, 2))
 
-    logits = scale(matmul(q, k), 1.0 / math.sqrt(head_dim))
-    if p.pos_bias is not None:
-        if p.pos_bias.shape != (p.heads, tokens, tokens):
-            raise InvalidConfigError(
-                f"positional table {p.pos_bias.shape} does not match {(p.heads, tokens, tokens)}")
-        logits = add(logits, reshape_permute(p.pos_bias, (1, p.heads, tokens, tokens)))
-    attn = softmax_lastdim(logits)
+    attn = softmax_lastdim(scale(matmul(q, k), 1.0 / math.sqrt(head_dim)))
     out = matmul(attn, v)
     out = reshape_permute(out, (bw, p.heads, tokens, head_dim), (0, 1, 3, 2))
     out = reshape_permute(out, (bw, c, m, m))
@@ -125,18 +113,13 @@ def init_nwc(channels: int, window: int, rng: Rng | None = None,
                      Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
 
 
-def nwc_padding(extent: int, even_pad: str | None = None) -> tuple[int, int]:
-    """Per-axis (before, after) padding that keeps the resolution."""
-    if extent % 2:
-        half = (extent - 1) // 2
-        return half, half
-    if even_pad != "floor":
-        raise InvalidConfigError(
-            f"even kernel extent {extent} needs even_pad='floor' ((k-1)//2 before, k//2 after)")
+def nwc_padding(extent: int) -> tuple[int, int]:
+    """Per-axis (before, after) padding that keeps the resolution; an even
+    extent puts the extra row/column after."""
     return (extent - 1) // 2, extent // 2
 
 
-def nwc_forward(x: Tensor, p: NwcParams, even_pad: str | None = None) -> Tensor:
+def nwc_forward(x: Tensor, p: NwcParams) -> Tensor:
     """x + depthwise(x); output resolution equals input resolution."""
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
@@ -144,7 +127,7 @@ def nwc_forward(x: Tensor, p: NwcParams, even_pad: str | None = None) -> Tensor:
         raise InvalidConfigError(f"params built for {p.channels} channels, input has {x.shape[1]}")
     if p.kernel.shape[2] != p.kernel.shape[3]:
         raise InvalidConfigError(f"kernel must be square, got {p.kernel.shape}")
-    pad = nwc_padding(p.extent, even_pad)
+    pad = nwc_padding(p.extent)
     local = conv2d(x, p.kernel, p.bias, stride=1, padding=(pad, pad), groups=p.channels)
     return add(x, local)
 
@@ -176,8 +159,7 @@ def init_mlp(channels: int, hidden: int, rng: Rng, dtype=np.float32) -> MlpParam
     )
 
 
-def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None,
-                even_pad: str | None = None) -> Tensor:
+def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> Tensor:
     """conv1x1 -> GELU -> conv1x1, optionally with a residual depth-wise
     convolution on the hidden activation (the inside-the-MLP placement)."""
     if x.ndim != 4:
@@ -189,5 +171,5 @@ def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None,
             f"second projection {p.w2.shape} inconsistent with first {p.w1.shape}")
     h = gelu(conv2d(x, p.w1, p.b1))
     if inner_nwc is not None:
-        h = nwc_forward(h, inner_nwc, even_pad)
+        h = nwc_forward(h, inner_nwc)
     return conv2d(h, p.w2, p.b2)

@@ -16,6 +16,7 @@ the shuffled one. The model is token embedding, four stages of blocks with
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,22 @@ from .layers import (INIT_STD, MlpParams, NwcParams, WmsaParams, init_mlp,
                      init_nwc, init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng
 from .tensor import Tensor, add, gelu, matmul, mean_pool_hw
-from .windowing import (SpatialPermutation, aligned_window_reverse,
-                        make_shuffle_permutation, shuffled_window_partition)
+from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
+                        shuffle_permutations, shuffled_window_partition)
 
-SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
 NWC_POSITIONS = ("A", "B", "C", "none")
-EVEN_PAD = "floor"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_placement(cfg) -> None:
+    """Shared by BlockConfig and ModelConfig: the shuffle mode and NWC position."""
+    if cfg.shuffle_mode not in SHUFFLE_MODES:
+        raise InvalidConfigError(f"shuffle_mode {cfg.shuffle_mode!r} not in {SHUFFLE_MODES}")
+    if cfg.nwc_position not in NWC_POSITIONS:
+        raise InvalidConfigError(f"nwc_position {cfg.nwc_position!r} not in {NWC_POSITIONS}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +54,7 @@ class BlockConfig:
     nwc_position: str = "B"
 
     def __post_init__(self):
-        if self.shuffle_mode not in SHUFFLE_MODES:
-            raise InvalidConfigError(
-                f"shuffle_mode {self.shuffle_mode!r} not in {SHUFFLE_MODES}")
-        if self.nwc_position not in NWC_POSITIONS:
-            raise InvalidConfigError(
-                f"nwc_position {self.nwc_position!r} not in {NWC_POSITIONS}")
+        _check_placement(self)
         if self.channels % self.heads:
             raise InvalidConfigError(
                 f"{self.heads} heads do not divide {self.channels} channels")
@@ -61,7 +67,8 @@ class BlockParams:
     bn2: BnParams
     mlp: MlpParams
     nwc: NwcParams | None = None
-    # frozen at construction; required (and only used) for random shuffle mode
+    # frozen at construction for random shuffle mode; when set, block_forward
+    # uses these instead of building the mode's permutations
     shuffle_perms: tuple[SpatialPermutation, SpatialPermutation] | None = None
 
 
@@ -82,7 +89,16 @@ class ModelConfig:
     attn_bias: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.depths, (list, tuple)) or not all(map(_is_int, self.depths)):
+            raise InvalidConfigError(
+                f"stage depths must be a list of integers, got {self.depths!r}")
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
+        sizes = [f.name for f in dataclasses.fields(self) if f.type in ("int", int)]
+        bad = [n for n in sizes if not _is_int(getattr(self, n)) or getattr(self, n) < 1]
+        if bad:
+            raise InvalidConfigError(f"expected positive integers for {', '.join(bad)}")
+        if not isinstance(self.attn_bias, bool):
+            raise InvalidConfigError(f"attn_bias must be true or false, got {self.attn_bias!r}")
         if not self.depths or any(d < 2 or d % 2 for d in self.depths):
             raise InvalidConfigError(f"stage depths must be positive and even, got {self.depths}")
         if self.channels % 2:
@@ -90,12 +106,7 @@ class ModelConfig:
         if self.channels % self.head_dim:
             raise InvalidConfigError(
                 f"head_dim {self.head_dim} does not divide base width {self.channels}")
-        if self.shuffle_mode not in SHUFFLE_MODES:
-            raise InvalidConfigError(
-                f"shuffle_mode {self.shuffle_mode!r} not in {SHUFFLE_MODES}")
-        if self.nwc_position not in NWC_POSITIONS:
-            raise InvalidConfigError(
-                f"nwc_position {self.nwc_position!r} not in {NWC_POSITIONS}")
+        _check_placement(self)
         if self.resolution % 4:
             raise InvalidConfigError(
                 f"input resolution {self.resolution} must be divisible by 4 for embedding")
@@ -117,8 +128,6 @@ class ModelConfig:
 
     def stage_resolution(self, stage: int) -> int:
         res = self.resolution // 4
-        if res * 4 != self.resolution:
-            raise InvalidConfigError(f"resolution {self.resolution} not divisible by 4")
         for s in range(stage):
             if res % 2:
                 raise InvalidConfigError(
@@ -144,7 +153,16 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**{k: (tuple(v) if k == "depths" else v) for k, v in d.items()})
+        """Inverse of `to_dict`; unknown or missing keys raise InvalidConfigError."""
+        if not isinstance(d, dict):
+            raise InvalidConfigError(f"model config must be a mapping, got {type(d).__name__}")
+        fields = dataclasses.fields(ModelConfig)
+        unknown = sorted(set(d) - {f.name for f in fields})
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+        if unknown or missing:
+            raise InvalidConfigError(
+                f"model config has unknown keys {unknown} and lacks required keys {missing}")
+        return ModelConfig(**d)
 
 
 _VARIANTS = {
@@ -217,8 +235,7 @@ def init_block_params(cfg: BlockConfig, rng: Rng, mlp_ratio: int = 4,
     if cfg.shuffle_mode == "random":
         if resolution is None:
             raise InvalidConfigError("random shuffle mode needs the stage resolution")
-        perms = (make_shuffle_permutation(resolution, cfg.window, "random", rng),
-                 make_shuffle_permutation(resolution, cfg.window, "random", rng))
+        perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
     return BlockParams(
         bn1=BnParams.identity(cfg.channels, dtype),
         attn=init_wmsa(cfg.channels, cfg.heads, rng, bias=attn_bias, dtype=dtype),
@@ -289,8 +306,6 @@ def named_parameters(params: ModelParams):
                 bias = getattr(blk.attn, f"b{proj}")
                 if bias is not None:
                     yield f"{p}.attn.b{proj}", bias
-            if blk.attn.pos_bias is not None:
-                yield f"{p}.attn.pos_bias", blk.attn.pos_bias
             if blk.nwc is not None:
                 yield f"{p}.nwc.kernel", blk.nwc.kernel
                 if blk.nwc.bias is not None:
@@ -330,21 +345,6 @@ def parameter_list(params: ModelParams) -> list[Tensor]:
 # forward passes
 
 
-def _block_perms(cfg: BlockConfig, params: BlockParams, height: int, width: int):
-    if cfg.shuffle_mode == "none":
-        return None
-    if cfg.shuffle_mode == "random":
-        if params.shuffle_perms is None:
-            raise InvalidConfigError("random shuffle mode needs frozen permutations")
-        ph, pw = params.shuffle_perms
-        if ph.n != height or pw.n != width:
-            raise InvalidShapeError(
-                f"frozen permutations built for {(ph.n, pw.n)}, input is {(height, width)}")
-        return ph, pw
-    return (make_shuffle_permutation(height, cfg.window, cfg.shuffle_mode),
-            make_shuffle_permutation(width, cfg.window, cfg.shuffle_mode))
-
-
 def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
                   training: bool = False) -> Tensor:
     """One (Shuffle-)WMSA block with the NWC at its configured position."""
@@ -355,22 +355,19 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
         raise InvalidConfigError(f"block built for {cfg.channels} channels, input has {c}")
     if cfg.nwc_position != "none" and params.nwc is None:
         raise InvalidConfigError(f"nwc_position={cfg.nwc_position} but no NWC parameters")
-    perms = _block_perms(cfg, params, height, width)
+    perms = params.shuffle_perms or shuffle_permutations(height, width, cfg.window,
+                                                          cfg.shuffle_mode)
 
     zn = apply_bn(z, params.bn1, training)
     if cfg.nwc_position == "A":
-        zn = nwc_forward(zn, params.nwc, EVEN_PAD)
-    wins = shuffled_window_partition(zn, cfg.window, perms=perms) if perms is not None \
-        else shuffled_window_partition(zn, cfg.window)
-    wins = wmsa_forward(wins, params.attn)
-    att = aligned_window_reverse(wins, cfg.window, height, width, perms=perms) \
-        if perms is not None else aligned_window_reverse(wins, cfg.window, height, width)
-    x = add(att, z)
+        zn = nwc_forward(zn, params.nwc)
+    wins = wmsa_forward(shuffled_window_partition(zn, cfg.window, perms), params.attn)
+    x = add(aligned_window_reverse(wins, cfg.window, height, width, perms), z)
 
-    y = nwc_forward(x, params.nwc, EVEN_PAD) if cfg.nwc_position == "B" else x
+    y = nwc_forward(x, params.nwc) if cfg.nwc_position == "B" else x
     yn = apply_bn(y, params.bn2, training)
     inner = params.nwc if cfg.nwc_position == "C" else None
-    return add(mlp_forward(yn, params.mlp, inner_nwc=inner, even_pad=EVEN_PAD), y)
+    return add(mlp_forward(yn, params.mlp, inner_nwc=inner), y)
 
 
 def block_pair_forward(z: Tensor, params_pair, cfgs, training: bool = False) -> Tensor:

@@ -15,6 +15,7 @@ means a bug in one of the two routes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ from .layers import MlpParams, NwcParams, WmsaParams, nwc_padding
 from .model import BlockConfig, BlockParams, block_forward
 from .rng import Rng
 from .tensor import Tensor
-from .windowing import SpatialPermutation, invert_permutation, make_shuffle_permutation
+from .windowing import (SHUFFLE_MODES, SpatialPermutation, invert_permutation,
+                        shuffle_permutations)
 
 PROBE_THRESHOLD = 1e-9
 PROBE_EPSILON = 1e-4
@@ -46,8 +48,9 @@ class BlockSpec:
     perm_seed: int = 0  # only read in random mode; shared by probe and oracle
 
     def __post_init__(self):
-        if self.shuffle not in ("none", "long-range", "short-range", "random"):
-            raise InvalidConfigError(f"unknown shuffle mode {self.shuffle!r}")
+        if self.shuffle not in SHUFFLE_MODES:
+            raise InvalidConfigError(
+                f"unknown shuffle mode {self.shuffle!r}; expected one of {SHUFFLE_MODES}")
         if self.nwc_position not in ("A", "B", "C"):
             raise InvalidConfigError(f"unknown NWC position {self.nwc_position!r}")
 
@@ -91,17 +94,6 @@ class ReachabilitySet:
                                tuple(seeds), method)
 
 
-def _spec_perms(spec: BlockSpec, height: int, width: int):
-    if spec.shuffle == "none":
-        return None
-    if spec.shuffle == "random":
-        rng = Rng(spec.perm_seed)
-        return (make_shuffle_permutation(height, spec.window, "random", rng),
-                make_shuffle_permutation(width, spec.window, "random", rng))
-    return (make_shuffle_permutation(height, spec.window, spec.shuffle),
-            make_shuffle_permutation(width, spec.window, spec.shuffle))
-
-
 def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[BlockConfig, BlockParams]:
     """One-channel block with dense random weights (zeros would mask reachability)."""
     dt = np.float64
@@ -126,7 +118,8 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
                     weight((1, hidden, 1, 1)), weight((1,)))
     params = BlockParams(BnParams.identity(1, dt, trainable=False), attn,
                          BnParams.identity(1, dt, trainable=False), mlp, nwc,
-                         _spec_perms(spec, height, width))
+                         shuffle_permutations(height, width, spec.window, spec.shuffle,
+                                              Rng(spec.perm_seed)))
     return cfg, params
 
 
@@ -176,9 +169,6 @@ def _axis_sources(perm: SpatialPermutation, m: int) -> np.ndarray:
 
 
 def _apply_wmsa(mask: np.ndarray, perms, m: int) -> np.ndarray:
-    height, width = mask.shape
-    if perms is None:
-        perms = (SpatialPermutation.identity(height), SpatialPermutation.identity(width))
     src_h = _axis_sources(perms[0], m)
     src_w = _axis_sources(perms[1], m)
     out = mask.copy()  # residual path keeps every current position
@@ -188,7 +178,7 @@ def _apply_wmsa(mask: np.ndarray, perms, m: int) -> np.ndarray:
 
 
 def _apply_nwc(mask: np.ndarray, extent: int) -> np.ndarray:
-    pad_before, _ = nwc_padding(extent, "floor")
+    pad_before, _ = nwc_padding(extent)
     offsets = np.arange(extent) - pad_before
     height, width = mask.shape
     out = mask.copy()
@@ -201,36 +191,27 @@ def _apply_nwc(mask: np.ndarray, extent: int) -> np.ndarray:
     return out
 
 
-def _expand_relations(stack, height: int, width: int) -> list:
-    relations = []
-    for spec in stack:
-        if not isinstance(spec, BlockSpec):
-            raise InvalidConfigError(f"unknown stack element {spec!r}")
-        wmsa = ("wmsa", _spec_perms(spec, height, width), spec.window)
-        if not spec.nwc:
-            relations.append(wmsa)
-        elif spec.nwc_position == "A":
-            relations.extend([("nwc", spec.window), wmsa])
-        else:
-            relations.extend([wmsa, ("nwc", spec.window)])
-    return relations
-
-
 def symbolic_reachability(stack, grid, probe) -> ReachabilitySet:
-    """Exact reachability of `probe` via set composition of the layer relations."""
+    """Exact reachability of `probe` via set composition of the layer relations,
+    walking the stack from its last layer back to its input."""
     height, width = grid
     ph, pw = probe
     if not (0 <= ph < height and 0 <= pw < width):
         raise InvalidConfigError(f"probe {probe} outside grid {grid}")
+    for spec in stack:
+        if not isinstance(spec, BlockSpec):
+            raise InvalidConfigError(f"unknown stack element {spec!r}")
     mask = np.zeros((height, width), dtype=bool)
     mask[ph, pw] = True
-    for relation in reversed(_expand_relations(stack, height, width)):
-        if relation[0] == "wmsa":
-            mask = _apply_wmsa(mask, relation[1], relation[2])
-        elif relation[0] == "nwc":
-            mask = _apply_nwc(mask, relation[1])
-        else:
-            raise InvalidConfigError(f"unknown layer kind {relation[0]!r}")
+    for spec in reversed(stack):
+        perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
+                                     Rng(spec.perm_seed))
+        nwc_before_attn = spec.nwc and spec.nwc_position == "A"
+        if spec.nwc and not nwc_before_attn:
+            mask = _apply_nwc(mask, spec.window)
+        mask = _apply_wmsa(mask, perms, spec.window)
+        if nwc_before_attn:
+            mask = _apply_nwc(mask, spec.window)
     return ReachabilitySet.from_mask(mask, probe)
 
 
@@ -252,9 +233,7 @@ def reachability_report(stack, grid, probe, seeds=PROBE_SEEDS,
     fd = reachability_probe(stack, grid, probe, seeds, epsilon, threshold)
     sym = symbolic_reachability(stack, grid, probe)
     return {
-        "stack": [{"window": s.window, "shuffle": s.shuffle, "nwc": s.nwc,
-                   "nwc_position": s.nwc_position, "perm_seed": s.perm_seed}
-                  for s in stack],
+        "stack": [dataclasses.asdict(s) for s in stack],
         "fd": fd.to_json(),
         "symbolic": sym.to_json(),
         "agree": fd.members == sym.members,

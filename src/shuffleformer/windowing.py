@@ -21,7 +21,8 @@ from .errors import InvalidConfigError, InvalidShapeError, PartitionError
 from .rng import Rng
 from .tensor import Tensor, gather_hw, reshape_permute, result_of
 
-MODES = ("identity", "long-range", "short-range", "random")
+# the one vocabulary for shuffle modes; configs and checkpoints store "none"
+SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SpatialPermutation:
 
     @staticmethod
     def identity(n: int) -> "SpatialPermutation":
-        return SpatialPermutation(n, np.arange(n, dtype=np.int64), "identity")
+        return SpatialPermutation(n, np.arange(n, dtype=np.int64), "none")
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.map, np.arange(self.n)))
@@ -54,15 +55,16 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
                              rng: Rng | None = None) -> SpatialPermutation:
     """Build the shuffle permutation for an axis of `n` tokens, window size `m`.
 
-    long-range: reshape to (m, n/m), transpose, flatten, i.e.
-    map[g*m + j] = j*(n/m) + g. short-range: reshape to (n/(2m), m, 2),
+    none: the identity. long-range: reshape to (m, n/m), transpose, flatten,
+    i.e. map[g*m + j] = j*(n/m) + g. short-range: reshape to (n/(2m), m, 2),
     transpose the last two axes, flatten. random: a uniform draw from `rng`.
     """
-    if mode not in MODES:
-        raise InvalidConfigError(f"unknown shuffle mode {mode!r}; expected one of {MODES}")
+    if mode not in SHUFFLE_MODES:
+        raise InvalidConfigError(
+            f"unknown shuffle mode {mode!r}; expected one of {SHUFFLE_MODES}")
     if n < 1 or m < 1:
         raise InvalidConfigError(f"extents must be positive, got n={n}, m={m}")
-    if mode == "identity":
+    if mode == "none":
         return SpatialPermutation.identity(n)
     if mode == "long-range":
         if n % m:
@@ -77,6 +79,14 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
     if rng is None:
         raise InvalidConfigError("random mode needs an explicit Rng")
     return SpatialPermutation(n, rng.permutation(n), "random")
+
+
+def shuffle_permutations(height: int, width: int, m: int, mode: str,
+                         rng: Rng | None = None) -> tuple[SpatialPermutation, SpatialPermutation]:
+    """Row and column permutations of an (height, width) grid; random mode
+    draws the row map from `rng` first, then the column map."""
+    return (make_shuffle_permutation(height, m, mode, rng),
+            make_shuffle_permutation(width, m, mode, rng))
 
 
 def invert_permutation(p: SpatialPermutation) -> SpatialPermutation:
@@ -120,10 +130,6 @@ class WindowGrid:
     def intra_of(self, h: int, w: int) -> tuple[int, int]:
         return h % self.m, w % self.m
 
-    def position_of(self, window: int, ih: int, iw: int) -> tuple[int, int]:
-        wh, ww = divmod(window, self.gw)
-        return wh * self.m + ih, ww * self.m + iw
-
 
 def window_partition(x: Tensor, m: int) -> Tensor:
     """(B, C, H, W) -> (B*gh*gw, C, m, m), lossless regrouping."""
@@ -135,8 +141,9 @@ def window_partition(x: Tensor, m: int) -> Tensor:
     return reshape_permute(t, (b * grid.windows, c, m, m))
 
 
-def window_reverse(wins: Tensor, m: int, height: int, width: int) -> Tensor:
-    """Exact inverse of `window_partition`."""
+def _window_batch(wins: Tensor, m: int, height: int,
+                  width: int) -> tuple[WindowGrid, int, int]:
+    """Grid, image count and channels of a (B*gh*gw, C, m, m) window stack."""
     if wins.ndim != 4 or wins.shape[2:] != (m, m):
         raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
     grid = WindowGrid.for_extents(height, width, m)
@@ -144,7 +151,12 @@ def window_reverse(wins: Tensor, m: int, height: int, width: int) -> Tensor:
     if bw % grid.windows:
         raise InvalidShapeError(
             f"{bw} windows is not a multiple of the {grid.windows} per image")
-    b = bw // grid.windows
+    return grid, bw // grid.windows, c
+
+
+def window_reverse(wins: Tensor, m: int, height: int, width: int) -> Tensor:
+    """Exact inverse of `window_partition`."""
+    grid, b, c = _window_batch(wins, m, height, width)
     t = reshape_permute(wins, (b, grid.gh, grid.gw, c, m, m), (0, 3, 1, 4, 2, 5))
     return reshape_permute(t, (b, c, height, width))
 
@@ -161,67 +173,54 @@ def apply_spatial_permutation_2d(x: Tensor, ph: SpatialPermutation,
     return gather_hw(x, ph.map, pw.map)
 
 
-def _resolve_perms(height: int, width: int, m: int, mode, rng,
-                   perms) -> tuple[SpatialPermutation, SpatialPermutation]:
-    if perms is not None:
-        ph, pw = perms
-        if ph.n != height or pw.n != width:
-            raise InvalidShapeError(
-                f"permutation lengths ({ph.n}, {pw.n}) do not match grid ({height}, {width})")
-        return ph, pw
-    return (make_shuffle_permutation(height, m, mode, rng),
-            make_shuffle_permutation(width, m, mode, rng))
+def _window_index(grid: WindowGrid, perms) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) fancy index that reads the grid in (gh, gw, m, m) window
+    order through the (ph, pw) permutations."""
+    ph, pw = perms
+    height, width = grid.gh * grid.m, grid.gw * grid.m
+    if ph.n != height or pw.n != width:
+        raise InvalidShapeError(
+            f"permutation lengths ({ph.n}, {pw.n}) do not match grid ({height}, {width})")
+    src_h = ph.map.reshape(grid.gh, grid.m)
+    src_w = pw.map.reshape(grid.gw, grid.m)
+    return src_h[:, None, :, None], src_w[None, :, None, :]
 
 
-def shuffled_window_partition(x: Tensor, m: int, mode: str = "identity",
-                              rng: Rng | None = None, perms=None) -> Tensor:
+def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
     """Window partition with the spatial shuffle folded into the gather.
 
     Equals window_partition(apply_spatial_permutation_2d(x, ph, pw), m) value
-    for value. Pass `perms` to reuse frozen permutations (required to pair a
-    random-mode partition with its aligned reverse).
+    for value, where `perms` is the (ph, pw) pair from `shuffle_permutations`.
     """
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     b, c, h, w = x.shape
     grid = WindowGrid.for_extents(h, w, m)
-    ph, pw = _resolve_perms(h, w, m, mode, rng, perms)
-    src_h = ph.map.reshape(grid.gh, m)
-    src_w = pw.map.reshape(grid.gw, m)
-    gathered = x.data[:, :, src_h[:, None, :, None], src_w[None, :, None, :]]
+    rows, cols = _window_index(grid, perms)
+    gathered = x.data[:, :, rows, cols]
     out = gathered.transpose(0, 2, 3, 1, 4, 5).reshape(b * grid.windows, c, m, m)
 
     def vjp(g):
         gtmp = g.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
         gx = np.empty_like(x.data)
-        gx[:, :, src_h[:, None, :, None], src_w[None, :, None, :]] = gtmp
+        gx[:, :, rows, cols] = gtmp
         return (gx,)
 
     return result_of(np.ascontiguousarray(out), (x,), vjp)
 
 
 def aligned_window_reverse(wins: Tensor, m: int, height: int, width: int,
-                           mode: str = "identity", rng: Rng | None = None,
-                           perms=None) -> Tensor:
+                           perms) -> Tensor:
     """Exact inverse of `shuffled_window_partition` for the same permutations."""
-    if wins.ndim != 4 or wins.shape[2:] != (m, m):
-        raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
-    grid = WindowGrid.for_extents(height, width, m)
-    bw, c = wins.shape[:2]
-    if bw % grid.windows:
-        raise InvalidShapeError(
-            f"{bw} windows is not a multiple of the {grid.windows} per image")
-    b = bw // grid.windows
-    ph, pw = _resolve_perms(height, width, m, mode, rng, perms)
-    src_h = ph.map.reshape(grid.gh, m)
-    src_w = pw.map.reshape(grid.gw, m)
+    grid, b, c = _window_batch(wins, m, height, width)
+    rows, cols = _window_index(grid, perms)
     blocks = wins.data.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
     out = np.empty((b, c, height, width), dtype=wins.dtype)
-    out[:, :, src_h[:, None, :, None], src_w[None, :, None, :]] = blocks
+    out[:, :, rows, cols] = blocks
 
     def vjp(g):
-        gtmp = g[:, :, src_h[:, None, :, None], src_w[None, :, None, :]]
-        gwins = gtmp.transpose(0, 2, 3, 1, 4, 5).reshape(bw, c, m, m)
+        gtmp = g[:, :, rows, cols]
+        gwins = gtmp.transpose(0, 2, 3, 1, 4, 5).reshape(wins.shape)
         return (np.ascontiguousarray(gwins),)
 
     return result_of(out, (wins,), vjp)

@@ -64,7 +64,7 @@ def test_criterion_1_permutation_algebra():
 def test_criterion_2_fused_equals_unfused():
     m = 2
     for n in (4, 6, 8):
-        for mode in ("identity", "long-range", "short-range", "random"):
+        for mode in ("none", "long-range", "short-range", "random"):
             if mode == "short-range" and n % (2 * m):
                 continue
             if mode == "random":

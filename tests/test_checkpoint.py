@@ -60,6 +60,102 @@ class TestContainer:
             read_container(path)
 
 
+def write_raw(path, header, payload=b""):
+    """A container with an arbitrary JSON header, bypassing write_container."""
+    text = json.dumps(header).encode()
+    path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text + payload)
+    return path
+
+
+GOOD_ENTRY = {"name": "a", "dtype": "float32", "shape": [4], "offset": 0, "nbytes": 16}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("header", [
+        {"meta": {}},
+        [GOOD_ENTRY],
+        {"meta": [], "tensors": [GOOD_ENTRY]},
+        {"meta": {}, "tensors": [{k: v for k, v in GOOD_ENTRY.items() if k != "name"}]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, offset=-4)]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[-1], nbytes=-4)]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[4.0])]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, offset=True)]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, dtype=["float32"])]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, name=7)]},
+        {"meta": {}, "tensors": ["a"]},
+    ], ids=["no-tensors", "list-header", "list-meta", "no-name", "negative-offset",
+            "negative-shape", "float-dim", "bool-offset", "list-dtype", "int-name",
+            "string-entry"])
+    def test_rejected_with_checkpoint_error(self, tmp_path, header):
+        path = write_raw(tmp_path / "bad.sfc", header, b"\x00" * 16)
+        with pytest.raises(CheckpointError):
+            read_container(path)
+
+    def test_well_formed_raw_header_reads(self, tmp_path):
+        path = write_raw(tmp_path / "ok.sfc", {"meta": {}, "tensors": [GOOD_ENTRY]},
+                         np.arange(4, dtype="<f4").tobytes())
+        meta, tensors = read_container(path)
+        assert meta == {}
+        assert tensors["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+class TestMalformedModelMeta:
+    def _rewrite(self, saved, tmp_path, edit):
+        path, _, _ = saved
+        meta, tensors = read_container(path)
+        edit(meta)
+        bad = tmp_path / "bad_meta.sfc"
+        write_container(bad, tensors, meta)
+        return bad
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["config"].update(sneaky=1),
+        lambda m: m["config"].update(depths=5),
+        lambda m: m["config"].update(depths=["2"]),
+        lambda m: m["config"].update(window=0),
+        lambda m: m["config"].update(shuffle_mode="identity"),
+        lambda m: m["config"].pop("channels"),
+        lambda m: m.pop("config"),
+        lambda m: m.update(config=[1, 2]),
+    ], ids=["unknown-key", "int-depths", "string-depths", "zero-window",
+            "identity-mode", "no-channels", "no-config", "list-config"])
+    def test_bad_config_rejected(self, saved, tmp_path, edit):
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(self._rewrite(saved, tmp_path, edit))
+        assert "config" in str(err.value)
+
+    @pytest.fixture
+    def saved_random(self, tmp_path):
+        cfg = small_config(shuffle_mode="random")
+        params = init_model_params(cfg, Rng(3))
+        path = tmp_path / "rand.sfc"
+        save_checkpoint(path, params, cfg)
+        return path, params, cfg
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update({"stage0.block1": [0, 1, 2, 3]}),
+        lambda p: p["stage0.block1"].pop("h"),
+        lambda p: p["stage0.block1"].pop("mode"),
+        lambda p: p["stage0.block1"].update(h=[0, 0, 1, 2]),
+        lambda p: p["stage0.block1"].update(h=[0, 1, 2]),
+        lambda p: p["stage0.block1"].update(w=[0, 1, 2, 3, 4, 5, 6, 7]),
+        lambda p: p["stage0.block1"].update(w=["0", "1", "2", "3"]),
+        lambda p: p["stage0.block1"].update(w=[True, False, 2, 3]),
+        lambda p: p["stage0.block1"].update(h=[2 ** 70, 1, 2, 3]),
+    ], ids=["list-entry", "no-h", "no-mode", "repeat", "short", "long", "strings",
+            "bools", "huge"])
+    def test_bad_shuffle_perms_rejected(self, saved_random, tmp_path, edit):
+        bad = self._rewrite(saved_random, tmp_path, lambda m: edit(m["shuffle_perms"]))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(bad)
+        assert "stage0.block1" in str(err.value)
+
+    def test_shuffle_perms_must_be_an_object(self, saved_random, tmp_path):
+        bad = self._rewrite(saved_random, tmp_path, lambda m: m.update(shuffle_perms=[]))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, saved, tmp_path):
         path, params, cfg = saved

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from shuffleformer import Rng, load_tensor, read_container, save_tensor
+from shuffleformer import Rng, load_tensor, read_container, save_tensor, write_container
 from shuffleformer.cli import load_config_file, main
 
 
@@ -234,6 +234,21 @@ class TestInfer:
                             "--output", str(tmp_path / "o.sfc")], capsys)
         assert code == 1
         assert "magic" in err or "checkpoint" in err.lower()
+
+    @pytest.mark.parametrize("config_edit", [{"sneaky": 1}, {"depths": 5}],
+                             ids=["unknown-key", "int-depths"])
+    def test_bad_config_in_checkpoint_exit_one(self, trained, tmp_path, capsys, config_edit):
+        meta, tensors = read_container(trained)
+        meta["config"].update(config_edit)
+        bad = tmp_path / "bad_config.sfc"
+        write_container(bad, tensors, meta)
+        xin = tmp_path / "input.sfc"
+        save_tensor(xin, Rng(0).normal((1, 3, 16, 16), dtype=np.float32))
+        code, _, err = run(["infer", "--checkpoint", str(bad), "--input", str(xin),
+                            "--output", str(tmp_path / "o.sfc")], capsys)
+        assert code == 1
+        assert err.startswith("ERROR:") and "config" in err
+        assert "Traceback" not in err
 
 
 def test_config_file_parser(tmp_path):

@@ -68,19 +68,6 @@ class TestWmsa:
         out_permuted = wmsa_forward(Tensor(permuted), p).data.reshape(1, 4, 4)
         assert np.abs(out_permuted - out_direct[:, :, perm]).max() < 1e-12
 
-    def test_positional_table_breaks_equivariance_when_enabled(self):
-        p = _random_wmsa(2, 1, seed=10)
-        table = Rng(11).normal((1, 4, 4), dtype=np.float64)
-        biased = WmsaParams(p.heads, p.wq, p.wk, p.wv, p.wo, p.bq, p.bk, p.bv,
-                            p.bo, Tensor(table))
-        rng = Rng(12)
-        x = rng.normal((1, 2, 2, 2), dtype=np.float64)
-        perm = np.array([1, 0, 3, 2])
-        permuted = x.reshape(1, 2, 4)[:, :, perm].reshape(1, 2, 2, 2)
-        out_direct = wmsa_forward(Tensor(x), biased).data.reshape(1, 2, 4)
-        out_permuted = wmsa_forward(Tensor(permuted), biased).data.reshape(1, 2, 4)
-        assert np.abs(out_permuted - out_direct[:, :, perm]).max() > 1e-6
-
     def test_channel_head_mismatch(self):
         p = _wmsa(4, 2)
         with pytest.raises(InvalidConfigError):
@@ -137,12 +124,16 @@ class TestNwc:
         assert np.abs(out[0, 1] - base[0, 1]).max() > 1e-6
 
     def test_even_kernel_needs_pad_rule(self):
+        # even extent k pads (k-1)//2 before and k//2 after: a 2x2 ones kernel
+        # sums each pixel with its right, lower and lower-right neighbours
         p = NwcParams(Tensor(np.ones((1, 1, 2, 2))), None)
-        with pytest.raises(InvalidConfigError):
-            nwc_forward(Tensor(np.zeros((1, 1, 4, 4))), p)
-        out = nwc_forward(Tensor(np.zeros((1, 1, 4, 4))), p, even_pad="floor")
-        assert out.shape == (1, 1, 4, 4)
-        assert nwc_padding(2, "floor") == (0, 1)
+        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+        out = nwc_forward(Tensor(x), p).data
+        padded = np.pad(x[0, 0], ((0, 1), (0, 1)))
+        window_sums = padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:]
+        assert np.array_equal(out[0, 0], x[0, 0] + window_sums)
+        assert nwc_padding(2) == (0, 1)
+        assert nwc_padding(4) == (1, 2)
         assert nwc_padding(7) == (3, 3)
 
     def test_resolution_preserved(self):

@@ -8,7 +8,7 @@ from shuffleformer import (InvalidConfigError, InvalidShapeError,
                            WindowGrid, aligned_window_reverse,
                            apply_spatial_permutation_2d, backward, compose,
                            invert_permutation, make_shuffle_permutation, mul,
-                           shuffled_window_partition, sum_all,
+                           shuffle_permutations, shuffled_window_partition, sum_all,
                            window_partition, window_reverse)
 
 from oracles import gather_2d, window_index_oracle
@@ -93,7 +93,7 @@ class TestPermutations:
 
     def test_non_bijection_rejected(self):
         with pytest.raises(InvalidConfigError):
-            SpatialPermutation(3, np.array([0, 0, 2]), "identity")
+            SpatialPermutation(3, np.array([0, 0, 2]), "none")
 
 
 class TestWindowPartition:
@@ -194,7 +194,7 @@ def _perms_for(mode, n, m, seed=0):
 
 class TestFusedShuffleWindows:
     @pytest.mark.parametrize("n", [4, 6, 8])
-    @pytest.mark.parametrize("mode", ["identity", "long-range", "short-range", "random"])
+    @pytest.mark.parametrize("mode", ["none", "long-range", "short-range", "random"])
     def test_fused_equals_unfused(self, n, mode):
         if mode == "short-range" and n % 4:
             pytest.skip("short-range needs 2m | n")
@@ -202,25 +202,27 @@ class TestFusedShuffleWindows:
         rng = Rng(9)
         x = rng.normal((2, 3, n, n), dtype=np.float32)
         perms = _perms_for(mode, n, m)
-        fused = shuffled_window_partition(Tensor(x), m, perms=perms)
+        fused = shuffled_window_partition(Tensor(x), m, perms)
         unfused = window_partition(
             apply_spatial_permutation_2d(Tensor(x), *perms), m)
         assert fused.data.tobytes() == unfused.data.tobytes()
-        restored = aligned_window_reverse(fused, m, n, n, perms=perms)
+        restored = aligned_window_reverse(fused, m, n, n, perms)
         assert restored.data.tobytes() == x.tobytes()
 
     def test_identity_mode_equals_plain_partition(self):
         rng = Rng(10)
         x = rng.normal((1, 2, 6, 6), dtype=np.float64)
-        fused = shuffled_window_partition(Tensor(x), 2)
+        fused = shuffled_window_partition(Tensor(x), 2, shuffle_permutations(6, 6, 2, "none"))
         plain = window_partition(Tensor(x), 2)
         assert np.array_equal(fused.data, plain.data)
 
     def test_random_mode_with_rng_argument(self):
         rng = Rng(11)
         x = rng.normal((1, 1, 8, 8), dtype=np.float64)
-        wins = shuffled_window_partition(Tensor(x), 2, "random", Rng(3))
-        back = aligned_window_reverse(wins, 2, 8, 8, "random", Rng(3))
+        wins = shuffled_window_partition(
+            Tensor(x), 2, shuffle_permutations(8, 8, 2, "random", Rng(3)))
+        back = aligned_window_reverse(
+            wins, 2, 8, 8, shuffle_permutations(8, 8, 2, "random", Rng(3)))
         assert np.array_equal(back.data, x)
 
     def test_gradient_round_trips_through_fusion(self):
@@ -228,7 +230,7 @@ class TestFusedShuffleWindows:
         perms = _perms_for("long-range", 4, 2)
         x = Tensor(rng.normal((1, 1, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((4, 1, 2, 2), dtype=np.float64))
-        wins = shuffled_window_partition(x, 2, perms=perms)
+        wins = shuffled_window_partition(x, 2, perms)
         loss = sum_all(mul(wins, w))
         backward(loss)
         # adjoint of a pure permutation is the inverse permutation of the grad
