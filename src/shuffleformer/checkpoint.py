@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import count_params
 from .errors import CheckpointError, InvalidConfigError
 from .model import ModelConfig, ModelParams, init_model_params, named_buffers, named_parameters
-from .rng import Rng
 from .windowing import SpatialPermutation
 
 MAGIC = b"SHFCONT1"
@@ -37,6 +37,9 @@ VERSION = 1
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+# load_checkpoint allocates no skeleton with more parameters than this many
+# times the values the file stores
+_SKELETON_SLACK = 2
 
 
 def _is_count(value) -> bool:
@@ -87,7 +90,10 @@ def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container (bad magic)")
     version, header_len = struct.unpack("<II", raw[8:16])
@@ -143,7 +149,8 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, dict]:
-    """Rebuild parameters from a container, validating every name and shape."""
+    """Rebuild parameters from a container, validating every name and shape.
+    Nothing is drawn at random: stored values fill a zero skeleton."""
     meta, tensors = read_container(path)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{path}: container holds {meta.get('kind')!r}, not a model")
@@ -151,47 +158,55 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
         cfg = ModelConfig.from_dict(meta.get("config"))
     except InvalidConfigError as exc:
         raise CheckpointError(f"{path}: bad model config: {exc}") from exc
-    params = init_model_params(cfg, Rng(0), dtype=dtype)
+    # Size the config in closed form before allocating. Every block stores
+    # tensors, so the first test bounds the ledger's loop; the slack lets a
+    # file that lacks a few tensors reach the check that names them.
+    held = sum(t.size for t in tensors.values())
+    if sum(cfg.depths) > len(tensors) or count_params(cfg).total_params > _SKELETON_SLACK * held:
+        raise CheckpointError(f"{path}: config needs far more than the {held} values stored")
+    params = init_model_params(cfg, None, dtype=dtype)
     expected = _state_dict(params)
-    for name in expected:
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing parameter {name!r}")
-    for name in tensors:
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r}")
+    missing = [name for name in expected if name not in tensors]
+    unexpected = [name for name in tensors if name not in expected]
+    if missing or unexpected:
+        raise CheckpointError(
+            f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
     for name, target in expected.items():
         stored = tensors[name]
         if stored.shape != target.shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {stored.shape}, expected {target.shape}")
-        target[...] = stored.astype(target.dtype)
+        target[...] = stored
     stored_perms = meta.get("shuffle_perms", {})
     if not isinstance(stored_perms, dict):
         raise CheckpointError(f"{path}: shuffle_perms must be an object")
     for s, stage in enumerate(params.stages):
         for i, blk in enumerate(stage.blocks):
-            key = f"stage{s}.block{i}"
-            if blk.shuffle_perms is None:
+            if cfg.block_config(s, i).shuffle_mode != "random":
                 continue
+            key = f"stage{s}.block{i}"
             if key not in stored_perms:
                 raise CheckpointError(f"{path}: missing frozen permutations for {key}")
-            blk.shuffle_perms = _stored_perms(path, key, stored_perms[key], blk.shuffle_perms)
+            blk.shuffle_perms = _stored_perms(path, key, stored_perms[key],
+                                              cfg.stage_resolution(s))
     return params, cfg, meta
 
 
-def _stored_perms(path, key: str, entry, built) -> tuple[SpatialPermutation, SpatialPermutation]:
+def _stored_perms(path, key: str, entry, side: int) -> tuple[SpatialPermutation,
+                                                              SpatialPermutation]:
     """One block's frozen (h, w) permutations, each checked to be a permutation
-    of the same length as the freshly `built` one."""
+    of range(side); the length is checked before range(side) is built."""
     if not isinstance(entry, dict) or not isinstance(entry.get("mode"), str):
         raise CheckpointError(f"{path}: frozen permutations for {key} lack a string mode")
     perms = []
-    for axis, perm in zip(("h", "w"), built):
+    for axis in ("h", "w"):
         values = entry.get(axis)
-        if not (isinstance(values, list) and all(type(v) is int for v in values)
-                and sorted(values) == list(range(perm.n))):
+        if not (isinstance(values, list) and len(values) == side
+                and all(type(v) is int for v in values)
+                and sorted(values) == list(range(side))):
             raise CheckpointError(
-                f"{path}: frozen {axis!r} map for {key} is not a permutation of range({perm.n})")
-        perms.append(SpatialPermutation(perm.n, np.asarray(values, np.int64), entry["mode"]))
+                f"{path}: frozen {axis!r} map for {key} is not a permutation of range({side})")
+        perms.append(SpatialPermutation(side, np.asarray(values, np.int64), entry["mode"]))
     return perms[0], perms[1]
 
 

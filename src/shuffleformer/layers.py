@@ -44,14 +44,20 @@ class WmsaParams:
         return self.wq.shape[0]
 
 
-def init_wmsa(channels: int, heads: int, rng: Rng, bias: bool = True,
+def init_weight(shape, rng: Rng | None, dtype=np.float32) -> Tensor:
+    """A trainable truncated-normal weight, or zeros when `rng` is None."""
+    data = (np.zeros(shape, dtype=dtype) if rng is None
+            else rng.trunc_normal(shape, INIT_STD, dtype=dtype))
+    return Tensor(data, requires_grad=True)
+
+
+def init_wmsa(channels: int, heads: int, rng: Rng | None, bias: bool = True,
               dtype=np.float32) -> WmsaParams:
     if channels % heads:
         raise InvalidConfigError(f"{heads} heads do not divide {channels} channels")
 
     def w():
-        return Tensor(rng.trunc_normal((channels, channels, 1, 1), INIT_STD, dtype=dtype),
-                      requires_grad=True)
+        return init_weight((channels, channels, 1, 1), rng, dtype)
 
     def b():
         return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
@@ -105,11 +111,7 @@ class NwcParams:
 def init_nwc(channels: int, window: int, rng: Rng | None = None,
              dtype=np.float32) -> NwcParams:
     """Zero-initialized by default so the residual connection starts as identity."""
-    if rng is None:
-        kernel = np.zeros((channels, 1, window, window), dtype=dtype)
-    else:
-        kernel = rng.trunc_normal((channels, 1, window, window), INIT_STD, dtype=dtype)
-    return NwcParams(Tensor(kernel, requires_grad=True),
+    return NwcParams(init_weight((channels, 1, window, window), rng, dtype),
                      Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
 
 
@@ -150,11 +152,11 @@ class MlpParams:
         return self.w1.shape[0]
 
 
-def init_mlp(channels: int, hidden: int, rng: Rng, dtype=np.float32) -> MlpParams:
+def init_mlp(channels: int, hidden: int, rng: Rng | None, dtype=np.float32) -> MlpParams:
     return MlpParams(
-        Tensor(rng.trunc_normal((hidden, channels, 1, 1), INIT_STD, dtype=dtype), requires_grad=True),
+        init_weight((hidden, channels, 1, 1), rng, dtype),
         Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-        Tensor(rng.trunc_normal((channels, hidden, 1, 1), INIT_STD, dtype=dtype), requires_grad=True),
+        init_weight((channels, hidden, 1, 1), rng, dtype),
         Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
     )
 

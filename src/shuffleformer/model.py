@@ -23,8 +23,8 @@ import numpy as np
 
 from .conv import BnParams, apply_bn, conv2d
 from .errors import InvalidConfigError, InvalidShapeError
-from .layers import (INIT_STD, MlpParams, NwcParams, WmsaParams, init_mlp,
-                     init_nwc, init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
+from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
+                     init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng
 from .tensor import Tensor, add, gelu, matmul, mean_pool_hw
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
@@ -227,12 +227,12 @@ def _nwc_channels(cfg: BlockConfig, mlp_ratio: int) -> int | None:
     return cfg.channels * mlp_ratio if cfg.nwc_position == "C" else cfg.channels
 
 
-def init_block_params(cfg: BlockConfig, rng: Rng, mlp_ratio: int = 4,
+def init_block_params(cfg: BlockConfig, rng: Rng | None, mlp_ratio: int = 4,
                       resolution: int | None = None, dtype=np.float32,
                       attn_bias: bool = True) -> BlockParams:
     nwc_ch = _nwc_channels(cfg, mlp_ratio)
     perms = None
-    if cfg.shuffle_mode == "random":
+    if cfg.shuffle_mode == "random" and rng is not None:
         if resolution is None:
             raise InvalidConfigError("random shuffle mode needs the stage resolution")
         perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
@@ -246,12 +246,15 @@ def init_block_params(cfg: BlockConfig, rng: Rng, mlp_ratio: int = 4,
     )
 
 
-def init_model_params(cfg: ModelConfig, rng: Rng, dtype=np.float32) -> ModelParams:
-    """Draw all weights in a fixed traversal order from one seeded stream."""
+def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> ModelParams:
+    """Draw all weights in a fixed traversal order from one seeded stream.
+
+    With `rng=None` nothing is drawn: every weight is zero and random-mode
+    blocks get no frozen permutations, a skeleton for a loader to fill."""
     half = cfg.channels // 2
 
     def conv_t(shape):
-        return Tensor(rng.trunc_normal(shape, INIT_STD, dtype=dtype), requires_grad=True)
+        return init_weight(shape, rng, dtype)
 
     def zeros_t(n):
         return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)

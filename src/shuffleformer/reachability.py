@@ -129,14 +129,25 @@ def _stack_forward(x: Tensor, blocks) -> Tensor:
     return x
 
 
+def _check_query(stack, grid, probe) -> None:
+    """The checks both routes make before building anything: every stack
+    element is a BlockSpec and the probe is an (h, w) pair inside the grid."""
+    for spec in stack:
+        if not isinstance(spec, BlockSpec):
+            raise InvalidConfigError(f"unknown stack element {spec!r}")
+    if not (len(grid) == len(probe) == 2 and all(0 <= p < g for p, g in zip(probe, grid))):
+        raise InvalidConfigError(f"probe {probe} outside grid {grid}")
+
+
 def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
                        epsilon: float = PROBE_EPSILON,
                        threshold: float = PROBE_THRESHOLD) -> ReachabilitySet:
     """Finite-difference reachability of `probe` through a stack of `BlockSpec`s."""
+    _check_query(stack, grid, probe)
+    if len(seeds) == 0:
+        raise InvalidConfigError("the probe needs at least one weight seed")
     height, width = grid
     ph, pw = probe
-    if not (0 <= ph < height and 0 <= pw < width):
-        raise InvalidConfigError(f"probe {probe} outside grid {grid}")
     union = np.zeros((height, width), dtype=bool)
     n = height * width
     for seed in seeds:
@@ -194,15 +205,10 @@ def _apply_nwc(mask: np.ndarray, extent: int) -> np.ndarray:
 def symbolic_reachability(stack, grid, probe) -> ReachabilitySet:
     """Exact reachability of `probe` via set composition of the layer relations,
     walking the stack from its last layer back to its input."""
+    _check_query(stack, grid, probe)
     height, width = grid
-    ph, pw = probe
-    if not (0 <= ph < height and 0 <= pw < width):
-        raise InvalidConfigError(f"probe {probe} outside grid {grid}")
-    for spec in stack:
-        if not isinstance(spec, BlockSpec):
-            raise InvalidConfigError(f"unknown stack element {spec!r}")
     mask = np.zeros((height, width), dtype=bool)
-    mask[ph, pw] = True
+    mask[probe[0], probe[1]] = True
     for spec in reversed(stack):
         perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
                                      Rng(spec.perm_seed))

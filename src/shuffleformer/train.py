@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import InvalidConfigError, TrainingDivergedError
 from .model import ModelConfig, ModelParams, init_model_params, model_forward, parameter_list
 from .optim import AdamW, Optimizer
 from .rng import Rng
@@ -35,6 +35,12 @@ class ToyTrainConfig:
     weight_decay: float = 0.0
     seed: int = 0
     target_accuracy: float | None = None  # stop early once reached
+
+    def __post_init__(self):
+        bad = [name for name in ("samples", "classes", "steps") if getattr(self, name) < 1]
+        if bad:
+            raise InvalidConfigError(f"{', '.join(bad)} must be positive")
+        self.model_config()  # checks the architecture fields
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(channels=self.channels, depths=tuple(self.depths),

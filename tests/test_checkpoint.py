@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from shuffleformer import (CheckpointError, ModelConfig, Rng, Tensor,
+from shuffleformer import (SHUFFLE_MODES, CheckpointError, ModelConfig, Rng, Tensor,
                            load_checkpoint, load_tensor, model_forward,
                            named_parameters, read_container, save_checkpoint,
                            save_tensor, write_container, init_model_params)
@@ -155,6 +155,26 @@ class TestMalformedModelMeta:
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
 
+    def test_frozen_map_checked_against_stage_side_before_building(self, saved_random,
+                                                                   tmp_path):
+        # a stage side of 2**40 costs nothing in parameters; the short stored
+        # maps must be rejected without building anything that long
+        bad = self._rewrite(saved_random, tmp_path,
+                            lambda m: m["config"].update(resolution=2 ** 42))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(bad)
+        assert "stage0.block1" in str(err.value)
+
+    def test_small_file_cannot_request_a_large_skeleton(self, tmp_path):
+        config = small_config(channels=2 ** 20, head_dim=32, nwc_position="none",
+                              attn_bias=False).to_dict()
+        path = write_raw(tmp_path / "huge.sfc",
+                         {"meta": {"kind": "model", "config": config}, "tensors": []})
+        assert path.stat().st_size < 300
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert "values" in str(err.value)
+
 
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, saved, tmp_path):
@@ -219,6 +239,26 @@ class TestCheckpoint:
         a = model_forward(x, params, cfg).data
         b = model_forward(x, loaded, cfg2).data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", SHUFFLE_MODES)
+    def test_load_draws_nothing_and_round_trips(self, mode, tmp_path, monkeypatch):
+        cfg = small_config(shuffle_mode=mode)
+        first = tmp_path / "first.sfc"
+        save_checkpoint(first, init_model_params(cfg, Rng(5)), cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from an Rng")
+
+        for method in ("normal", "trunc_normal", "uniform", "integers", "permutation"):
+            monkeypatch.setattr(Rng, method, no_draws)
+        params, loaded_cfg, _ = load_checkpoint(first)
+        second = tmp_path / "second.sfc"
+        save_checkpoint(second, params, loaded_cfg)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_file_is_a_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            read_container(tmp_path / "absent.sfc")
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "t.sfc"

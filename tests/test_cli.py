@@ -1,11 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shuffleformer import Rng, load_tensor, read_container, save_tensor, write_container
-from shuffleformer.cli import load_config_file, main
+from shuffleformer import (InvalidConfigError, ModelConfig, Rng, init_model_params,
+                           load_tensor, read_container, save_checkpoint, save_tensor,
+                           write_container)
+from shuffleformer.cli import build_parser, load_config_file, main, parse_args
 
 
 def run(argv, capsys):
@@ -261,3 +271,182 @@ def test_missing_subcommand_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# hostile input: every row exits 1 with an ERROR or usage line, no traceback
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _text_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return str(path)
+
+
+def _small_checkpoint(tmp_path):
+    cfg = ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16, window=2,
+                      head_dim=4)
+    save_checkpoint(tmp_path / "small.sfc", init_model_params(cfg, Rng(0)), cfg)
+    save_tensor(tmp_path / "x.sfc", Rng(1).normal((1, 3, 16, 16), dtype=np.float32))
+    return str(tmp_path / "small.sfc"), str(tmp_path / "x.sfc")
+
+
+def _huge_channels_checkpoint(tmp_path):
+    """A model header asking for 2**20 base channels and storing no tensors."""
+    config = dict(channels=2**20, depths=[2], num_classes=2, resolution=16, window=2,
+                  head_dim=32, mlp_ratio=4, in_channels=3, shuffle_mode="none",
+                  nwc_position="none", attn_bias=False)
+    text = json.dumps({"meta": {"kind": "model", "config": config}, "tensors": []}).encode()
+    path = tmp_path / "huge.sfc"
+    path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
+    return str(path)
+
+
+def _infer_argv(tmp_path, checkpoint=None, tensor=None, output=None):
+    ck, x = _small_checkpoint(tmp_path)
+    return ["infer", "--checkpoint", checkpoint or ck, "--input", tensor or x,
+            "--output", output or str(tmp_path / "o.sfc")]
+
+
+REACH = ["reach", "--grid", "4", "--quiet"]
+TOY = ["train-toy", "--res", "16", "--window", "2", "--steps", "1"]
+
+HOSTILE = {
+    "config-steps-abc": lambda t: ["train-toy", "--config", _text_file(t, "steps = abc\n")],
+    "config-quiet-maybe": lambda t: ["reach", "--grid", "4", "--out", str(t / "r.json"),
+                                     "--config", _text_file(t, "quiet = maybe\n")],
+    "config-reach-shuffle-none": lambda t: [
+        "reach", "--grid", "4", "--quiet", "--out", str(t / "r.json"),
+        "--config", _text_file(t, "shuffle_mode = none\n")],
+    "config-missing": lambda t: ["train-toy", "--config", str(t / "absent.cfg")],
+    "config-not-utf8": lambda t: ["stats", "--config", _text_file(t, b"res = \xff\xfe\n")],
+    "infer-missing-checkpoint": lambda t: _infer_argv(t, checkpoint=str(t / "absent.sfc")),
+    "infer-missing-input": lambda t: _infer_argv(t, tensor=str(t / "absent.sfc")),
+    "infer-huge-channels": lambda t: _infer_argv(t, checkpoint=_huge_channels_checkpoint(t)),
+    "infer-unwritable-output": lambda t: _infer_argv(t, output=str(t / "no" / "o.sfc")),
+    "stats-unwritable-out-dir": lambda t: ["stats", "--out-dir",
+                                           str(Path(_text_file(t, "")) / "sub")],
+    "reach-unwritable-out": lambda t: REACH + ["--out", str(t / "no" / "r.json")],
+    "ablate-unwritable-out": lambda t: ["ablate", "--modes", "none", "--positions", "none",
+                                        "--out", str(t / "no" / "a.csv")],
+    "train-toy-unwritable-out-dir": lambda t: TOY + ["--out-dir", _text_file(t, "")],
+    "reach-probe-one-number": lambda t: REACH + ["--probe", "1", "--out", str(t / "r.json")],
+    "reach-negative-seed": lambda t: REACH + ["--seed", "-1", "--out", str(t / "r.json")],
+    "train-toy-zero-steps": lambda t: ["train-toy", "--res", "16", "--window", "2",
+                                       "--steps", "0", "--out-dir", str(t / "run")],
+    "ablate-negative-toy-steps": lambda t: ["ablate", "--modes", "none", "--positions", "none",
+                                            "--toy-steps", "-1", "--out", str(t / "a.csv")],
+    "env-seed-not-integer": lambda t: TOY + ["--out-dir", str(t / "run")],
+    "env-seed-negative": lambda t: TOY + ["--out-dir", str(t / "run")],
+}
+HOSTILE_SEED_ENV = {"env-seed-not-integer": "x", "env-seed-negative": "-1"}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_one_without_traceback(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHUFFLE_FORMER_SEED", raising=False)
+    if case in HOSTILE_SEED_ENV:
+        monkeypatch.setenv("SHUFFLE_FORMER_SEED", HOSTILE_SEED_ENV[case])
+    argv = HOSTILE[case](tmp_path)
+    capsys.readouterr()
+    code = exit_code(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "ERROR:" in err or "usage:" in err
+    assert "Traceback" not in err
+
+
+def test_quiet_accepts_bare_flag_and_file_booleans(tmp_path):
+    base = ["reach", "--grid", "4"]
+    assert parse_args(base).quiet is False
+    assert parse_args(base + ["--quiet"]).quiet is True
+    for text, value in (("true", True), ("off", False), ("YES", True), ("0", False)):
+        cfg = _text_file(tmp_path, f"quiet = {text}\n")
+        assert parse_args(base + ["--config", cfg]).quiet is value
+
+
+def test_env_seed_recorded_in_reach_run_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHUFFLE_FORMER_SEED", "5")
+    out = tmp_path / "r.json"
+    assert main(REACH + ["--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["run_config"]["options"]["seed"] == 5
+
+
+# ---------------------------------------------------------------------------
+# one parser for flags and config files
+
+
+SUBCOMMANDS = ("stats", "reach", "train-toy", "ablate", "infer")
+NOT_OPTIONS = ("func", "subcommand", "config")
+# values without '#', line breaks or surrounding spaces; a few valid ones mixed in
+VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2,2", "0.5", "true", "off", "T", "none,B",
+                     "long-range", "A", "", "nan", "1e-3"]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"),
+            max_size=10).filter(lambda v: v == v.strip()),
+)
+
+
+def _options(subcommand):
+    return sorted(k for k in vars(parse_args([subcommand])) if k not in NOT_OPTIONS)
+
+
+@st.composite
+def invocations(draw):
+    subcommand = draw(st.sampled_from(SUBCOMMANDS))
+    pairs = draw(st.dictionaries(st.sampled_from(_options(subcommand)), VALUES, max_size=4))
+    return subcommand, pairs
+
+
+def _outcome(argv):
+    """The parsed options, or 'exit 1' when parsing fails."""
+    try:
+        args = vars(parse_args(argv))
+    except SystemExit as exc:
+        return f"exit {exc.code}"
+    except InvalidConfigError:
+        return "exit 1"
+    return repr({k: v for k, v in args.items() if k != "config"})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(invocations())
+def test_config_file_equals_flags(invocation):
+    subcommand, pairs = invocation
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in pairs.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+        with contextlib.redirect_stderr(io.StringIO()):
+            from_file = _outcome([subcommand, "--config", str(cfg)])
+            from_flags = _outcome([subcommand, *flags])
+    assert from_file == from_flags
+
+
+def test_flag_beats_file_beats_default(tmp_path):
+    cfg = _text_file(tmp_path, "steps = 9\nlr = 0.5\n")
+    args = parse_args(["train-toy", "--config", cfg, "--steps", "2"])
+    assert (args.steps, args.lr, args.window) == (2, 0.5, 7)
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_help_prints_every_default(subcommand, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a default
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = [a for a in sub.choices[subcommand]._actions if a.default is not argparse.SUPPRESS]
+    assert declared
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for action in declared:
+        assert f"(default: {action.default})" in text, action.dest

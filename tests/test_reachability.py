@@ -90,6 +90,27 @@ class TestSymbolicRelations:
             symbolic_reachability([BlockSpec(2)], (4, 4), (4, 0))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("route", [reachability_probe, symbolic_reachability,
+                                       reachability_report])
+    @pytest.mark.parametrize("stack, probe", [
+        ([BlockSpec(2), "block"], (1, 1)),
+        ([BlockSpec(2)], (1,)),
+        ([BlockSpec(2)], (1, 1, 1)),
+    ], ids=["string-element", "short-probe", "long-probe"])
+    def test_rejected_before_either_route_runs(self, route, stack, probe):
+        with pytest.raises(InvalidConfigError):
+            route(stack, (4, 4), probe)
+
+    def test_probe_needs_a_seed(self):
+        with pytest.raises(InvalidConfigError):
+            reachability_probe([BlockSpec(2)], (4, 4), (1, 1), seeds=())
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            reachability_probe([BlockSpec(2)], (4, 4), (1, 1), seeds=(-1,))
+
+
 def random_stack(rng, grid):
     windows = [m for m in (2, 3, 4) if grid % m == 0]
     depth = int(rng.integers(1, 4))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shuffleformer import (Rng, ToyTrainConfig, TrainingDivergedError,
+from shuffleformer import (InvalidConfigError, Rng, ToyTrainConfig, TrainingDivergedError,
                            parameter_list, synthetic_dataset, train_toy,
                            window_means)
 
@@ -72,6 +72,19 @@ def test_divergence_raises_with_step_index():
             train_toy(fast_config(steps=10, lr=1e9))
     assert err.value.step >= 1
     assert "step" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["samples", "classes", "steps"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_counts_rejected(field, value):
+    with pytest.raises(InvalidConfigError) as err:
+        fast_config(**{field: value})
+    assert field in str(err.value)
+
+
+def test_bad_architecture_rejected_at_construction():
+    with pytest.raises(InvalidConfigError):
+        fast_config(window=3)
 
 
 def test_window_means_tail():
