@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,10 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
     _check_query(stack, grid, probe)
     if len(seeds) == 0:
         raise InvalidConfigError("the probe needs at least one weight seed")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidConfigError(f"epsilon must be positive and finite, got {epsilon}")
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise InvalidConfigError(f"threshold must be non-negative and finite, got {threshold}")
     height, width = grid
     ph, pw = probe
     union = np.zeros((height, width), dtype=bool)

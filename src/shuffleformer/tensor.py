@@ -256,14 +256,24 @@ def softmax_lastdim(t: Tensor) -> Tensor:
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
+    """Gaussian error linear unit, exact erf form, computed in the input's dtype."""
     x = t.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    out = (x * cdf).astype(x.dtype)
+    const = x.dtype.type
+    cdf = erf(x * const(1.0 / np.sqrt(2.0)))
+    cdf += const(1.0)
+    cdf *= const(0.5)
+    out = x * cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return ((g * (cdf + x * pdf)).astype(x.dtype),)
+        # g * (cdf + x * pdf), built in place in one buffer
+        grad = x * x
+        grad *= const(-0.5)
+        np.exp(grad, out=grad)
+        grad *= const(1.0 / np.sqrt(2.0 * np.pi))
+        grad *= x
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return result_of(out, (t,), vjp)
 

@@ -339,6 +339,14 @@ HOSTILE = {
     "train-toy-unwritable-out-dir": lambda t: TOY + ["--out-dir", _text_file(t, "")],
     "reach-probe-one-number": lambda t: REACH + ["--probe", "1", "--out", str(t / "r.json")],
     "reach-negative-seed": lambda t: REACH + ["--seed", "-1", "--out", str(t / "r.json")],
+    "reach-zero-epsilon": lambda t: REACH + ["--epsilon", "0", "--out", str(t / "r.json")],
+    "reach-negative-epsilon": lambda t: REACH + ["--epsilon", "-1", "--out", str(t / "r.json")],
+    "reach-nan-epsilon": lambda t: REACH + ["--epsilon", "nan", "--out", str(t / "r.json")],
+    "reach-inf-epsilon": lambda t: REACH + ["--epsilon", "inf", "--out", str(t / "r.json")],
+    "reach-negative-threshold": lambda t: REACH + ["--threshold", "-1",
+                                                   "--out", str(t / "r.json")],
+    "reach-nan-threshold": lambda t: REACH + ["--threshold", "nan", "--out", str(t / "r.json")],
+    "reach-inf-threshold": lambda t: REACH + ["--threshold", "inf", "--out", str(t / "r.json")],
     "train-toy-zero-steps": lambda t: ["train-toy", "--res", "16", "--window", "2",
                                        "--steps", "0", "--out-dir", str(t / "run")],
     "ablate-negative-toy-steps": lambda t: ["ablate", "--modes", "none", "--positions", "none",

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from shuffleformer import (BnParams, DegenerateBatchError, InvalidConfigError,
-                           InvalidShapeError, Rng, RunningStats, Tensor,
-                           apply_bn, batchnorm2d, conv2d, mul, sum_all)
+                           InvalidShapeError, ModelConfig, Rng, RunningStats, Tensor,
+                           apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits,
+                           init_model_params, model_forward, mul, sum_all)
+from shuffleformer import conv
+from shuffleformer.layers import nwc_padding
 
 from gradcheck import check_gradients
 from oracles import naive_conv2d, naive_matmul
@@ -57,6 +60,14 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))),
                    groups=2)
 
+    @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1), (1, ((0, 1), (-1, 0)))],
+                             ids=["zero-stride", "negative-stride", "negative-padding",
+                                  "negative-left-padding"])
+    def test_bad_stride_or_padding_raises(self, stride, padding):
+        with pytest.raises(InvalidConfigError):
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))),
+                   stride=stride, padding=padding, groups=2)
+
     def test_kernel_channel_mismatch_raises(self):
         with pytest.raises(InvalidConfigError):
             conv2d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))))
@@ -74,6 +85,90 @@ class TestConv2d:
         b = Tensor(rng.normal((4,), dtype=np.float64), requires_grad=True)
         check_gradients(lambda: sum_all(conv2d(x, w, b, stride, padding, groups)),
                         [x, w, b])
+
+
+def _check_against_oracle(x, w, b, padding=0, groups=1):
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), 1, padding, groups).data
+    want = naive_conv2d(x, w, b, 1, padding, groups)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-10
+
+
+class TestDepthwiseKernel:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("pad_rule", ["symmetric", "nwc", "wider-than-kernel"])
+    def test_against_seven_loop_oracle(self, kernel, channels, pad_rule):
+        rng = Rng(10 + kernel)
+        x = rng.normal((2, channels, 7, 6), dtype=np.float64)
+        w = rng.normal((channels, 1, kernel, kernel), dtype=np.float64)
+        b = rng.normal((channels,), dtype=np.float64)
+        padding = {"symmetric": kernel // 2,
+                   "nwc": (nwc_padding(kernel), nwc_padding(kernel)),
+                   "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
+        _check_against_oracle(x, w, b, padding, groups=channels)
+
+    def test_row_chunks_match_oracle(self, monkeypatch):
+        # a few padded rows per chunk, so chunk edges fall inside images
+        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 200)
+        rng = Rng(20)
+        x = rng.normal((3, 5, 6, 6), dtype=np.float64)
+        w = rng.normal((5, 1, 4, 4), dtype=np.float64)
+        b = rng.normal((5,), dtype=np.float64)
+        _check_against_oracle(x, w, b, (nwc_padding(4), nwc_padding(4)), groups=5)
+
+    @pytest.mark.parametrize("kernel, chunk", [(3, None), (4, None), (4, 150)])
+    def test_gradients(self, kernel, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(conv, "_CHUNK_ELEMS", chunk)
+        rng = Rng(21)
+        x = Tensor(rng.normal((2, 3, 5, 4), dtype=np.float64), requires_grad=True)
+        w = Tensor(rng.normal((3, 1, kernel, kernel), dtype=np.float64), requires_grad=True)
+        b = Tensor(rng.normal((3,), dtype=np.float64), requires_grad=True)
+        weight = Tensor(rng.normal((2, 3, 5, 4), dtype=np.float64))
+        pad = (nwc_padding(kernel), nwc_padding(kernel))
+        check_gradients(lambda: sum_all(mul(conv2d(x, w, b, 1, pad, 3), weight)), [x, w, b])
+
+
+class TestPointwiseKernel:
+    @pytest.mark.parametrize("cin, cout", [(3, 5), (5, 3), (1, 4), (4, 1), (1, 1)])
+    def test_against_seven_loop_oracle(self, cin, cout):
+        rng = Rng(30 + cin)
+        x = rng.normal((2, cin, 3, 5), dtype=np.float64)
+        w = rng.normal((cout, cin, 1, 1), dtype=np.float64)
+        b = rng.normal((cout,), dtype=np.float64)
+        _check_against_oracle(x, w, b)
+
+    @pytest.mark.parametrize("cin, cout", [(2, 3), (1, 2), (3, 1)])
+    def test_gradients(self, cin, cout):
+        rng = Rng(31)
+        x = Tensor(rng.normal((2, cin, 3, 2), dtype=np.float64), requires_grad=True)
+        w = Tensor(rng.normal((cout, cin, 1, 1), dtype=np.float64), requires_grad=True)
+        b = Tensor(rng.normal((cout,), dtype=np.float64), requires_grad=True)
+        weight = Tensor(rng.normal((2, cout, 3, 2), dtype=np.float64))
+        check_gradients(lambda: sum_all(mul(conv2d(x, w, b), weight)), [x, w, b])
+
+
+def test_model_step_never_lowers_pointwise_or_depthwise_to_im2col(monkeypatch):
+    general = conv._grouped_im2col
+    seen = []
+
+    def guarded(x, w, stride, pads, groups, out_hw):
+        cout, _, kh, kw = w.shape
+        if (kh == kw == 1 and groups == 1) or groups == x.shape[1] == cout:
+            raise AssertionError(f"{w.shape} kernel with groups={groups} reached im2col")
+        seen.append(w.shape)
+        return general(x, w, stride, pads, groups, out_hw)
+
+    monkeypatch.setattr(conv, "_grouped_im2col", guarded)
+    cfg = ModelConfig(channels=8, depths=(2, 2), num_classes=3, resolution=32, window=2,
+                      head_dim=4, shuffle_mode="long-range", nwc_position="C")
+    rng = Rng(40)
+    params = init_model_params(cfg, rng)
+    logits = model_forward(Tensor(rng.normal((2, 3, 32, 32), dtype=np.float32)), params, cfg,
+                           training=True)
+    backward(cross_entropy_logits(logits, np.array([0, 2])))
+    assert len(seen) == 3  # the two embed convs and the one merge
 
 
 class TestBatchNorm:

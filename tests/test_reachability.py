@@ -110,6 +110,20 @@ class TestInputChecks:
         with pytest.raises(InvalidConfigError):
             reachability_probe([BlockSpec(2)], (4, 4), (1, 1), seeds=(-1,))
 
+    @pytest.mark.parametrize("epsilon, threshold", [
+        (0.0, 1e-9), (-1e-4, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9),
+        (1e-4, -1.0), (1e-4, float("nan")), (1e-4, float("inf")),
+    ], ids=["zero-epsilon", "negative-epsilon", "nan-epsilon", "inf-epsilon",
+            "negative-threshold", "nan-threshold", "inf-threshold"])
+    def test_difference_step_and_threshold_checked(self, epsilon, threshold):
+        with pytest.raises(InvalidConfigError):
+            reachability_probe([BlockSpec(2)], (4, 4), (1, 1), epsilon=epsilon,
+                               threshold=threshold)
+
+    def test_zero_threshold_accepted(self):
+        fd = reachability_probe([BlockSpec(2)], (4, 4), (1, 1), threshold=0.0)
+        assert fd.members == symbolic_reachability([BlockSpec(2)], (4, 4), (1, 1)).members
+
 
 def random_stack(rng, grid):
     windows = [m for m in (2, 3, 4) if grid % m == 0]
