@@ -1,18 +1,15 @@
 """2-D convolution and batch normalization as differentiable primitives.
 
-`conv2d` picks one kernel per kernel kind, each with its own forward and
-vector-Jacobian product, all computed in the input's dtype:
+`conv2d` has one kernel per kernel family, each computed in the input's dtype:
 
-- pointwise (1x1, one group, stride 1, no padding): a channel matmul on
-  (B, C, H*W), with no padding and no copies of the input;
+- dense (one group: the 1x1 projections and MLP, the strided embed and merge
+  convs): one (Cout, Cin) @ (Cin, oh*ow) channel matmul per kernel tap on a
+  strided view of the input; its vjp adds the transposed matmul into the same
+  views of a gradient buffer and reduces the kernel gradient per tap;
 - depth-wise (one channel per group, stride 1): a shift-and-accumulate over
-  the kernel taps on zero-padded rows flattened per (image, channel), so
-  that every tap is one slice of each row; the input gradient is the
-  transposed tap scatter and the kernel gradient one channel reduction per
-  tap;
-- anything else (the strided embed and merge convs): im2col + a per-group
-  BLAS matmul, whose input-gradient path scatters columns back with one
-  strided slice-add per kernel tap.
+  the taps on zero-padded rows flattened per (image, channel), so every tap
+  is one slice of each row; its vjp is the transposed tap scatter plus one
+  channel reduction per tap.
 
 Padding may be asymmetric, which even kernel extents need to keep resolution.
 """
@@ -22,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError
 from .tensor import Tensor, _check_same_dtype, result_of
@@ -31,22 +27,26 @@ from .tensor import Tensor, _check_same_dtype, result_of
 # row is larger, its three chunk buffers take at most 1.5 MiB in float64
 _CHUNK_ELEMS = 1 << 16
 
+# batch-norm running-statistics momentum and variance floor
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        a, b = v
-        return int(a), int(b)
-    return int(v), int(v)
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _pad_spec(padding) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Normalize padding to ((top, bottom), (left, right))."""
-    if isinstance(padding, (tuple, list)) and len(padding) == 2 \
-            and all(isinstance(p, (tuple, list)) for p in padding):
-        (pt, pb), (pl, pr) = padding
-        return (int(pt), int(pb)), (int(pl), int(pr))
-    ph, pw = _pair(padding)
-    return (ph, ph), (pw, pw)
+    """Normalize an int or ((top, bottom), (left, right)) to the pair form."""
+    if _is_int(padding):
+        padding = ((padding, padding),) * 2
+    if not (isinstance(padding, tuple) and len(padding) == 2 and all(
+            isinstance(p, tuple) and len(p) == 2 and all(map(_is_int, p)) for p in padding)
+            ) or min(map(min, padding)) < 0:
+        raise InvalidConfigError(f"padding {padding!r} must be a non-negative int "
+                                 f"or ((top, bottom), (left, right))")
+    (pt, pb), (pl, pr) = padding
+    return (int(pt), int(pb)), (int(pl), int(pr))
 
 
 def conv_output_extent(extent: int, kernel: int, stride: int, pad_before: int,
@@ -54,10 +54,12 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad_before: int,
     return (extent + pad_before + pad_after - kernel) // stride + 1
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding=0, groups: int = 1) -> Tensor:
     """Cross-correlate (B, Cin, H, W) with (Cout, Cin/groups, kh, kw).
 
+    `stride` is a positive int, `padding` a non-negative int or ((top, bottom),
+    (left, right)), `groups` 1 or, at stride 1, Cin == Cout (depth-wise).
     Output extent per axis: floor((in + pad_before + pad_after - k)/stride) + 1.
     Differentiable w.r.t. x, w, and bias.
     """
@@ -68,29 +70,28 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     _check_same_dtype(x, w, *([bias] if bias is not None else []))
     _, cin, h_in, w_in = x.shape
     cout, cin_g, kh, kw = w.shape
-    if groups < 1 or cin % groups or cout % groups:
-        raise InvalidConfigError(f"groups={groups} must divide channels {cin}->{cout}")
+    if not (_is_int(stride) and stride >= 1):
+        raise InvalidConfigError(f"stride {stride!r} must be a positive int")
+    pads = _pad_spec(padding)
+    depthwise = groups == cin == cout and stride == 1
+    if not (_is_int(groups) and (groups == 1 or depthwise)):
+        raise InvalidConfigError(f"groups={groups!r} on {cin}->{cout} channels at stride "
+                                 f"{stride}: only 1, or Cin == Cout at stride 1")
     if cin_g != cin // groups:
         raise InvalidConfigError(
             f"kernel expects {cin_g} channels per group, input provides {cin // groups}")
     if bias is not None and bias.shape != (cout,):
         raise InvalidShapeError(f"bias shape {bias.shape} != ({cout},)")
-    stride = _pair(stride)
-    pads = _pad_spec(padding)
-    if min(stride) < 1 or min(min(pads)) < 0:
-        raise InvalidConfigError(f"stride {stride} must be positive, padding {pads} non-negative")
-    oh = conv_output_extent(h_in, kh, stride[0], *pads[0])
-    ow = conv_output_extent(w_in, kw, stride[1], *pads[1])
+    oh = conv_output_extent(h_in, kh, stride, *pads[0])
+    ow = conv_output_extent(w_in, kw, stride, *pads[1])
     if oh < 1 or ow < 1:
         raise InvalidShapeError(f"kernel {kh}x{kw} does not fit input {h_in}x{w_in} with padding")
 
-    unit_stride = stride == (1, 1)
-    if unit_stride and kh == kw == 1 and groups == 1 and pads == ((0, 0), (0, 0)):
-        out, vjp_xw = _pointwise(x.data, w.data)
-    elif unit_stride and groups == cin == cout:
+    # with one channel both kernels apply: 1x1 is a channel matmul
+    if depthwise and (groups > 1 or kh * kw > 1):
         out, vjp_xw = _depthwise(x.data, w.data, pads, (oh, ow))
     else:
-        out, vjp_xw = _grouped_im2col(x.data, w.data, stride, pads, groups, (oh, ow))
+        out, vjp_xw = _dense(x.data, w.data, stride, pads, (oh, ow))
     if bias is None:
         return result_of(out, (x, w), vjp_xw)
     out += bias.data[None, :, None, None]
@@ -101,21 +102,46 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride=1,
     return result_of(out, (x, w, bias), vjp)
 
 
-def _pointwise(x: np.ndarray, w: np.ndarray):
-    """1x1 conv as out[b] = W @ x[b] on (B, C, H*W); returns (out, vjp)."""
+def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
+    """One-group conv as one channel matmul per kernel tap; returns (out, vjp).
+
+    Tap (u, v) adds W[:, :, u, v] @ xp[:, :, u::stride, v::stride] (cut to
+    oh x ow) on (B, Cin, oh*ow), xp being x zero-padded only if padding is
+    non-zero. A 1x1 tap at stride 1 covers all of xp: its view is xp itself and
+    its input gradient is written, not added into a zero-filled buffer.
+    """
     batch, cin, h, wd = x.shape
-    cout = w.shape[0]
-    x3 = x.reshape(batch, cin, h * wd)
-    wm = w.reshape(cout, cin)
-    out = np.matmul(wm, x3).reshape(batch, cout, h, wd)
+    cout, _, kh, kw = w.shape
+    (pt, pb), (pl, pr) = pads
+    oh, ow = out_hw
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
+    taps = [(u, v, np.ascontiguousarray(w[:, :, u, v])) for u in range(kh) for v in range(kw)]
+    whole = kh * kw == 1 and (oh, ow) == xp.shape[2:]
+
+    def at(a: np.ndarray, u: int, v: int) -> np.ndarray:
+        return a[:, :, u:u + (oh - 1) * stride + 1:stride, v:v + (ow - 1) * stride + 1:stride]
+
+    def cols(u: int, v: int) -> np.ndarray:
+        return at(xp, u, v).reshape(batch, cin, oh * ow)
+
+    out = np.matmul(taps[0][2], cols(0, 0))
+    for u, v, wt in taps[1:]:
+        out += np.matmul(wt, cols(u, v))
 
     def vjp(g):
-        g3 = g.reshape(batch, cout, h * wd)
-        gx = np.matmul(wm.T, g3).reshape(x.shape)
-        gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        return gx, gw
+        g3 = g.reshape(batch, cout, oh * ow)
+        gw = np.empty(w.shape, x.dtype)
+        gxp = None if whole else np.zeros(xp.shape, x.dtype)
+        for u, v, wt in taps:
+            gw[:, :, u, v] = np.matmul(g3, cols(u, v).transpose(0, 2, 1)).sum(axis=0)
+            gt = np.matmul(wt.T, g3)
+            if whole:
+                gxp = gt.reshape(xp.shape)
+            else:
+                at(gxp, u, v)[...] += gt.reshape(batch, cin, oh, ow)
+        return np.ascontiguousarray(gxp[:, :, pt:pt + h, pl:pl + wd]), gw
 
-    return out, vjp
+    return out.reshape(batch, cout, oh, ow), vjp
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
@@ -181,41 +207,6 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     return out.reshape(batch, chans, oh, ow), vjp
 
 
-def _grouped_im2col(x: np.ndarray, w: np.ndarray, stride, pads, groups: int, out_hw):
-    """General grouped conv as im2col + a per-group matmul; returns (out, vjp)."""
-    batch, cin, h_in, w_in = x.shape
-    cout, cin_g, kh, kw = w.shape
-    sh, sw = stride
-    (pt, pb), (pl, pr) = pads
-    oh, ow = out_hw
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    og = cout // groups
-    # (groups, batch*oh*ow, cin_g*kh*kw), group-major channel layout
-    cols = win.reshape(batch, groups, cin_g, oh, ow, kh, kw)
-    lhs = np.ascontiguousarray(cols.transpose(1, 0, 3, 4, 2, 5, 6)
-                               ).reshape(groups, batch * oh * ow, cin_g * kh * kw)
-    wm = w.reshape(groups, og, cin_g * kh * kw)
-    out = np.matmul(lhs, wm.transpose(0, 2, 1))
-    out = out.reshape(groups, batch, oh, ow, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out).reshape(batch, cout, oh, ow)
-
-    def vjp(g):
-        gm = g.reshape(batch, groups, og, oh, ow).transpose(1, 0, 3, 4, 2)
-        gm = np.ascontiguousarray(gm).reshape(groups, batch * oh * ow, og)
-        gw = np.matmul(gm.transpose(0, 2, 1), lhs).reshape(w.shape)
-        gcols = np.matmul(gm, wm)  # (groups, batch*oh*ow, cin_g*kh*kw)
-        gcols = gcols.reshape(groups, batch, oh, ow, cin_g, kh, kw)
-        gcols = gcols.transpose(1, 0, 4, 2, 3, 5, 6).reshape(batch, cin, oh, ow, kh, kw)
-        gxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u:u + oh * sh:sh, v:v + ow * sw:sw] += gcols[:, :, :, :, u, v]
-        return np.ascontiguousarray(gxp[:, :, pt:pt + h_in, pl:pl + w_in]), gw
-
-    return out, vjp
-
-
 @dataclass
 class RunningStats:
     """Exponential-moving-average channel statistics used in eval mode."""
@@ -232,7 +223,7 @@ class RunningStats:
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel normalization of a (B, C, H, W) map.
 
     Training mode normalizes by the batch statistics over (B, H, W), then
@@ -255,12 +246,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                 f"training-mode batchnorm needs >=2 elements per channel, got {n_red}")
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = gam * xhat + bet
-        running.mean[...] = (1.0 - momentum) * running.mean + momentum * mean
-        running.var[...] = (1.0 - momentum) * running.var \
-            + momentum * var * (n_red / max(n_red - 1, 1))
+        running.mean[...] = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean
+        running.var[...] = (1.0 - BN_MOMENTUM) * running.var \
+            + BN_MOMENTUM * var * (n_red / max(n_red - 1, 1))
 
         def vjp(g):
             ghat = g * gam
@@ -271,7 +262,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                     (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype),
                     g.sum(axis=(0, 2, 3)).astype(x.dtype))
     else:
-        inv_std = 1.0 / np.sqrt(running.var + eps)
+        inv_std = 1.0 / np.sqrt(running.var + BN_EPS)
         xhat = (x.data - running.mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = gam * xhat + bet
 
@@ -301,6 +292,5 @@ class BnParams:
                         Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable))
 
 
-def apply_bn(x: Tensor, p: BnParams, training: bool, momentum: float = 0.1,
-             eps: float = 1e-5) -> Tensor:
-    return batchnorm2d(x, p.gamma, p.beta, p.running, training, momentum, eps)
+def apply_bn(x: Tensor, p: BnParams, training: bool) -> Tensor:
+    return batchnorm2d(x, p.gamma, p.beta, p.running, training)

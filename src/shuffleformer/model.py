@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BnParams, apply_bn, conv2d
+from .conv import BnParams, _is_int, apply_bn, conv2d
 from .errors import InvalidConfigError, InvalidShapeError
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
@@ -31,10 +31,6 @@ from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_revers
                         shuffle_permutations, shuffled_window_partition)
 
 NWC_POSITIONS = ("A", "B", "C", "none")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_placement(cfg) -> None:

@@ -244,13 +244,16 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, computed with max subtraction."""
     if _validation and not np.isfinite(t.data).all():
         raise NumericsError("softmax input contains non-finite values")
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = t.data - t.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        # out * (g - sum(g * out)), built in one buffer
+        gx = np.multiply(g, out)
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= out
+        return (gx,)
 
     return result_of(out, (t,), vjp)
 
@@ -337,18 +340,23 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer `labels` under row-wise softmax of `logits`."""
     if logits.ndim != 2:
         raise InvalidShapeError(f"expected (batch, classes) logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
+    if n == 0:
+        raise InvalidShapeError("cross-entropy needs a non-empty batch")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise InvalidCallError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (n,):
         raise InvalidShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= k:
         raise InvalidCallError("label out of range")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
+    top = logits.data.max(axis=1, keepdims=True)
+    probs = np.exp(logits.data - top)
+    total = probs.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + top[:, 0]
     picked = logits.data[np.arange(n), labels]
     out = np.asarray((lse - picked).mean(), dtype=logits.dtype)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= total
 
     def vjp(g):
         gl = probs.copy()

@@ -1,8 +1,13 @@
+import functools
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuffleformer import (SHUFFLE_MODES, CheckpointError, ModelConfig, Rng, Tensor,
                            load_checkpoint, load_tensor, model_forward,
@@ -280,3 +285,90 @@ class TestTensorIO:
         path, _, _ = saved
         with pytest.raises(CheckpointError):
             load_tensor(path)
+
+
+@functools.cache
+def _mutation_base() -> tuple[bytes, int, list]:
+    """A small saved random-mode checkpoint, its header length and JSON paths."""
+    cfg = ModelConfig(channels=4, depths=(2,), num_classes=2, resolution=16, window=2,
+                      head_dim=4, shuffle_mode="random")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.sfc"
+        save_checkpoint(path, init_model_params(cfg, Rng(9)), cfg)
+        raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[12:16])[0]
+    return raw, header_len, list(_json_paths(json.loads(raw[16:16 + header_len])))[1:]
+
+
+def _json_paths(node, path=()):
+    """Every position in a JSON document, as a key/index path from the root."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**40, 2**40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _mutations():
+    """Header-value and header-text edits, byte flips, header lengths, truncations."""
+    raw, header_len, paths = _mutation_base()
+    return st.one_of(
+        st.tuples(st.just("header-value"), st.integers(0, len(paths) - 1), JSON_VALUES),
+        st.tuples(st.just("header-splice"), st.integers(0, header_len), st.integers(0, 8),
+                  st.binary(max_size=8)),
+        st.tuples(st.just("byte-flip"),
+                  st.integers(0, len(raw) - 1) | st.integers(16 + header_len, len(raw) - 1),
+                  st.integers(1, 255)),
+        st.tuples(st.just("header-length"),
+                  st.integers(0, header_len + 64) | st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("truncate"), st.integers(0, len(raw) - 1)))
+
+
+def _mutate(mutation) -> bytes:
+    raw, header_len, paths = _mutation_base()
+    kind, *args = mutation
+    header, payload = raw[16:16 + header_len], raw[16 + header_len:]
+    if kind == "header-value":
+        index, value = args
+        doc = json.loads(header)
+        *parents, last = paths[index]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    elif kind == "header-splice":
+        start, length, text = args
+        header = header[:start] + text + header[start + length:]
+    elif kind == "byte-flip":
+        index, mask = args
+        return raw[:index] + bytes([raw[index] ^ mask]) + raw[index + 1:]
+    elif kind == "header-length":
+        return raw[:12] + struct.pack("<I", args[0]) + raw[16:]
+    else:
+        return raw[:args[0]]
+    return raw[:12] + struct.pack("<I", len(header)) + header + payload
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_round_trips_or_is_rejected(data):
+    mutation = data.draw(_mutations(), label="mutation")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, once, twice = (Path(tmp) / name for name in ("in.sfc", "once.sfc", "twice.sfc"))
+        path.write_bytes(_mutate(mutation))
+        try:
+            params, cfg, _ = load_checkpoint(path)
+        except CheckpointError:
+            return
+        save_checkpoint(once, params, cfg)
+        params, cfg, _ = load_checkpoint(once)
+        save_checkpoint(twice, params, cfg)
+        assert once.read_bytes() == twice.read_bytes()

@@ -7,6 +7,7 @@ from shuffleformer import (BnParams, DegenerateBatchError, InvalidConfigError,
                            init_model_params, model_forward, mul, sum_all)
 from shuffleformer import conv
 from shuffleformer.layers import nwc_padding
+from shuffleformer.reachability import PROBE_SEEDS, BlockSpec, reachability_probe
 
 from gradcheck import check_gradients
 from oracles import naive_conv2d, naive_matmul
@@ -40,7 +41,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,padding,groups,kernel,cin,cout", [
         (1, 0, 1, 3, 2, 4),
         (2, 1, 1, 3, 3, 2),
-        (1, 1, 2, 2, 4, 6),
+        (1, 1, 1, 2, 4, 6),
         (1, ((0, 1), (0, 1)), 4, 2, 4, 4),
         (2, 2, 1, 5, 1, 3),
     ])
@@ -68,13 +69,31 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))),
                    stride=stride, padding=padding, groups=2)
 
+    @pytest.mark.parametrize("x_shape, w_shape, kwargs", [
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(stride=(1, 2, 3))),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(stride=1.0)),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(padding="a")),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(padding=1.5)),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(padding=((1, 2), (3,)))),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(padding=(1, 1))),
+        ((1, 2, 4, 4), (2, 2, 3, 3), dict(padding=((0, 1), (1, -1)))),
+        ((1, 4, 5, 5), (6, 2, 3, 3), dict(padding=1, groups=2)),
+        ((1, 4, 5, 5), (4, 2, 3, 3), dict(padding=1, groups=2.0)),
+        ((1, 3, 6, 6), (3, 1, 3, 3), dict(stride=2, padding=1, groups=3)),
+    ], ids=["stride-triple", "stride-float", "padding-text", "padding-float",
+            "padding-ragged", "padding-pair", "negative-right-padding", "groups-2-on-4-to-6",
+            "groups-float", "depthwise-stride-2"])
+    def test_unsupported_arguments_rejected(self, x_shape, w_shape, kwargs):
+        with pytest.raises(InvalidConfigError):
+            conv2d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), **kwargs)
+
     def test_kernel_channel_mismatch_raises(self):
         with pytest.raises(InvalidConfigError):
             conv2d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))))
 
     @pytest.mark.parametrize("groups,kernel,stride,padding", [
         (1, 3, 1, 1),
-        (2, 2, 2, 0),
+        (1, 2, 2, 0),
         (4, 3, 1, ((0, 1), (1, 0))),
     ])
     def test_gradients(self, groups, kernel, stride, padding):
@@ -149,26 +168,108 @@ class TestPointwiseKernel:
         check_gradients(lambda: sum_all(mul(conv2d(x, w, b), weight)), [x, w, b])
 
 
-def test_model_step_never_lowers_pointwise_or_depthwise_to_im2col(monkeypatch):
-    general = conv._grouped_im2col
-    seen = []
+class TestDenseKernel:
+    # (kernel, stride, padding, cin, cout): the embed convs, the merge and
+    # asymmetric padding; TestPointwiseKernel covers unpadded 1x1 convs
+    CASES = {
+        "k3-s2-p1": (3, 2, 1, 3, 5),
+        "k2-s2-p0": (2, 2, 0, 4, 6),
+        "k1-padded": (1, 1, 1, 2, 3),
+        "k2-asymmetric": (2, 1, ((0, 1), (1, 0)), 3, 2),
+        "k3-s2-asymmetric": (3, 2, ((2, 0), (1, 3)), 2, 4),
+    }
 
-    def guarded(x, w, stride, pads, groups, out_hw):
-        cout, _, kh, kw = w.shape
-        if (kh == kw == 1 and groups == 1) or groups == x.shape[1] == cout:
-            raise AssertionError(f"{w.shape} kernel with groups={groups} reached im2col")
-        seen.append(w.shape)
-        return general(x, w, stride, pads, groups, out_hw)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_against_seven_loop_oracle(self, case):
+        kernel, stride, padding, cin, cout = self.CASES[case]
+        rng = Rng(30 + cin)
+        x = rng.normal((2, cin, 7, 6), dtype=np.float64)
+        w = rng.normal((cout, cin, kernel, kernel), dtype=np.float64)
+        b = rng.normal((cout,), dtype=np.float64)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding).data
+        want = naive_conv2d(x, w, b, stride, padding)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-10
 
-    monkeypatch.setattr(conv, "_grouped_im2col", guarded)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients(self, case):
+        kernel, stride, padding, cin, cout = self.CASES[case]
+        rng = Rng(31)
+        x = Tensor(rng.normal((2, cin, 5, 4), dtype=np.float64), requires_grad=True)
+        w = Tensor(rng.normal((cout, cin, kernel, kernel), dtype=np.float64),
+                   requires_grad=True)
+        b = Tensor(rng.normal((cout,), dtype=np.float64), requires_grad=True)
+        out_shape = conv2d(x, w, b, stride, padding).shape
+        weight = Tensor(rng.normal(out_shape, dtype=np.float64))
+        check_gradients(lambda: sum_all(mul(conv2d(x, w, b, stride, padding), weight)),
+                        [x, w, b])
+
+    def test_one_by_one_neither_copies_input_nor_zero_fills(self, monkeypatch):
+        rng = Rng(32)
+        x = Tensor(rng.normal((2, 3, 4, 5), dtype=np.float64), requires_grad=True)
+        w = Tensor(rng.normal((6, 3, 1, 1), dtype=np.float64), requires_grad=True)
+        g = rng.normal((2, 6, 4, 5), dtype=np.float64)
+        operands = []
+        matmul = np.matmul
+
+        def spy(a, b):
+            operands.append(b)
+            return matmul(a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("1x1 conv padded or zero-filled a buffer")
+
+        monkeypatch.setattr(np, "matmul", spy)
+        monkeypatch.setattr(np, "pad", refuse)
+        monkeypatch.setattr(np, "zeros", refuse)
+        out = conv2d(x, w)
+        gx, gw = out._vjp(g)
+        assert np.shares_memory(operands[0], x.data)
+        assert np.abs(gx - np.einsum("oc,bohw->bchw", w.data[:, :, 0, 0], g)).max() < 1e-12
+        assert np.abs(gw[:, :, 0, 0] - np.einsum("bohw,bchw->oc", g, x.data)).max() < 1e-12
+
+
+def _routed_convs(monkeypatch, run):
+    """Run `run()` and return (kernel name, weight shape) for every conv call."""
+    calls = []
+    for name in ("_dense", "_depthwise"):
+        def spy(x, w, *args, _kernel=getattr(conv, name), _name=name):
+            calls.append((_name, w.shape))
+            return _kernel(x, w, *args)
+        monkeypatch.setattr(conv, name, spy)
+    run()
+    return calls
+
+
+def test_model_step_routes_each_conv_to_its_kernel(monkeypatch):
     cfg = ModelConfig(channels=8, depths=(2, 2), num_classes=3, resolution=32, window=2,
                       head_dim=4, shuffle_mode="long-range", nwc_position="C")
     rng = Rng(40)
     params = init_model_params(cfg, rng)
-    logits = model_forward(Tensor(rng.normal((2, 3, 32, 32), dtype=np.float32)), params, cfg,
-                           training=True)
-    backward(cross_entropy_logits(logits, np.array([0, 2])))
-    assert len(seen) == 3  # the two embed convs and the one merge
+    image = Tensor(rng.normal((2, 3, 32, 32), dtype=np.float32))
+
+    def step():
+        logits = model_forward(image, params, cfg, training=True)
+        backward(cross_entropy_logits(logits, np.array([0, 2])))
+
+    calls = _routed_convs(monkeypatch, step)
+    for name, (cout, cin_g, kh, kw) in calls:
+        assert name == ("_depthwise" if cin_g == 1 and kh * kw > 1 else "_dense")
+    # per block six 1x1 convs and one NWC; two embed convs and one merge
+    assert sum(name == "_dense" for name, _ in calls) == 4 * 6 + 3
+    assert sum(name == "_depthwise" for name, _ in calls) == 4
+
+
+def test_probe_stack_routes_each_conv_to_its_kernel(monkeypatch):
+    stack = [BlockSpec(2, nwc=True, nwc_position="A"),
+             BlockSpec(2, "long-range", nwc=True, nwc_position="C")]
+    calls = _routed_convs(monkeypatch, lambda: reachability_probe(stack, (4, 4), (1, 2)))
+    seeds = len(PROBE_SEEDS)
+    # one channel: the 2x2 NWC stays depth-wise, the 1x1 projections are dense
+    assert sorted(set(calls)) == [("_dense", (1, 1, 1, 1)), ("_dense", (1, 2, 1, 1)),
+                                  ("_dense", (2, 1, 1, 1)), ("_depthwise", (1, 1, 2, 2)),
+                                  ("_depthwise", (2, 1, 2, 2))]
+    assert len(calls) == seeds * 2 * (6 + 1)
 
 
 class TestBatchNorm:
@@ -202,7 +303,7 @@ class TestBatchNorm:
         running = RunningStats.neutral(2, np.float64)
         gamma = Tensor(np.ones(2, dtype=np.float64))
         beta = Tensor(np.zeros(2, dtype=np.float64))
-        batchnorm2d(Tensor(x), gamma, beta, running, training=True, momentum=0.1)
+        batchnorm2d(Tensor(x), gamma, beta, running, training=True)
         batch_mean = x.mean(axis=(0, 2, 3))
         n = 4 * 3 * 3
         batch_var = x.var(axis=(0, 2, 3)) * n / (n - 1)

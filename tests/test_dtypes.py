@@ -10,10 +10,10 @@ of the same weights and input.
 import numpy as np
 import pytest
 
-from shuffleformer import (ModelConfig, RunningStats, Tensor, add, aligned_window_reverse,
-                           batchnorm2d, conv2d, cross_entropy_logits, gather_hw, gelu,
-                           init_model_params, matmul, mean_all, mean_pool_hw, model_forward,
-                           mul, reshape_permute, scale, shuffle_permutations,
+from shuffleformer import (InvalidConfigError, ModelConfig, RunningStats, Tensor, add,
+                           aligned_window_reverse, batchnorm2d, conv2d, cross_entropy_logits,
+                           gather_hw, gelu, init_model_params, matmul, mean_all, mean_pool_hw,
+                           model_forward, mul, reshape_permute, scale, shuffle_permutations,
                            shuffled_window_partition, softmax_lastdim, sum_all)
 from shuffleformer.rng import Rng
 
@@ -52,8 +52,7 @@ OPS = {
     "conv2d-depthwise": (lambda x, w, b: conv2d(x, w, b, 1, ((1, 2), (1, 2)), 3),
                          [(2, 3, 5, 5), (3, 1, 4, 4), (3,)]),
     "conv2d-dense": (lambda x, w, b: conv2d(x, w, b, 2, 1), [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
-    "conv2d-grouped": (lambda x, w, b: conv2d(x, w, b, 1, 1, 2),
-                       [(2, 4, 5, 5), (6, 2, 3, 3), (6,)]),
+    "conv2d-merge": (lambda x, w, b: conv2d(x, w, b, 2, 0), [(2, 4, 6, 6), (6, 4, 2, 2), (6,)]),
     "batchnorm2d-train": (_bn(True), [(2, 3, 4, 4), (3,), (3,)]),
     "batchnorm2d-eval": (_bn(False), [(2, 3, 4, 4), (3,), (3,)]),
     "shuffled_window_partition": (lambda x: shuffled_window_partition(x, 2, PERMS),
@@ -61,6 +60,15 @@ OPS = {
     "aligned_window_reverse": (lambda w: aligned_window_reverse(w, 2, 4, 4, PERMS),
                                [(8, 3, 2, 2)]),
 }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_grouped_conv2d_rejected(dtype):
+    # only groups=1 and depth-wise (groups == Cin == Cout) convs exist
+    x = Tensor(np.ones((2, 4, 5, 5), dtype=dtype))
+    w = Tensor(np.ones((6, 2, 3, 3), dtype=dtype))
+    with pytest.raises(InvalidConfigError):
+        conv2d(x, w, None, 1, 1, 2)
 
 
 def saved_float_arrays(fn, seen=None):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,32 @@ class TestSoftmax:
         w = Tensor(rng.normal((2, 5), dtype=np.float64))
         check_gradients(lambda: sum_all(mul(softmax_lastdim(t), w)), [t])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_result_and_gradient_each_built_in_one_buffer(self, dtype):
+        # rows of four, like the reachability probe's attention scores
+        rng = Rng(10)
+        x = rng.normal((4096, 1, 4, 4), 3.0, dtype=dtype)
+        g = rng.normal(x.shape, dtype=dtype)
+        t = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = softmax_lastdim(t)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            (gx,) = out._vjp(g)
+            vjp_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one full-size buffer plus the per-row max or dot (a quarter here)
+        assert forward_peak < 1.5 * x.nbytes
+        assert vjp_peak < 1.5 * x.nbytes
+        # the same values as the textbook expressions, bit for bit
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(gx, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+
 
 class TestElementwise:
     def test_gelu_at_zero(self):
@@ -222,6 +250,25 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidCallError):
             cross_entropy_logits(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+    @pytest.mark.parametrize("logits_shape, labels, error", [
+        ((2, 3), np.array([0.5, 1.7]), InvalidCallError),
+        ((2, 3), np.array([0.0, 1.0]), InvalidCallError),
+        ((2, 3), np.array(["0", "1"]), InvalidCallError),
+        ((0, 3), np.array([], dtype=np.int64), InvalidShapeError),
+        ((0, 3), [], InvalidShapeError),
+    ], ids=["non-integral", "integral-floats", "text", "empty-batch", "empty-list"])
+    def test_bad_labels_or_batch_rejected(self, logits_shape, labels, error):
+        with pytest.raises(error):
+            cross_entropy_logits(Tensor(np.zeros(logits_shape)), labels)
+
+    def test_value_matches_log_softmax(self):
+        rng = Rng(15)
+        logits = rng.normal((6, 5), 4.0, dtype=np.float64)
+        labels = np.array([0, 4, 2, 2, 1, 3])
+        rows = [np.log(closed_form_softmax(row)[c]) for row, c in zip(logits, labels)]
+        got = float(cross_entropy_logits(Tensor(logits), labels).data)
+        assert abs(got + np.mean(rows)) < 1e-12
 
     def test_gradient(self):
         rng = Rng(16)
