@@ -16,6 +16,11 @@ store every parameter and batch-norm running statistic exactly once, in the
 `named_parameters`/`named_buffers` order, so save -> load -> save is
 byte-identical. Standalone tensors use {"kind": "tensor"} and one entry named
 "data".
+
+`load_checkpoint` returns frozen parameters: none has `requires_grad` set, so
+a forward through them records no autograd graph. To fine-tune a loaded
+model, set `requires_grad = True` on the parameters to train (`requires_grad`
+is not stored, so this does not change what a later save writes).
 """
 
 from __future__ import annotations
@@ -66,18 +71,16 @@ def _checked_entries(path, header) -> list[dict]:
 
 
 def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write the header, then each tensor's bytes straight from its array."""
+    arrays = [(name, np.ascontiguousarray(arr)) for name, arr in tensors.items()]
     entries = []
     offset = 0
-    blobs = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
+    for name, arr in arrays:
         if arr.dtype.name not in _DTYPES:
             raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype.name}")
-        blob = arr.astype(_DTYPES[arr.dtype.name], copy=False).tobytes()
         entries.append({"name": name, "dtype": arr.dtype.name,
-                        "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
+                        "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "tensors": entries},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -85,8 +88,8 @@ def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for _, arr in arrays:
+            fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).data)
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -103,7 +106,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    payload = raw[16 + header_len:]
+    payload = memoryview(raw)[16 + header_len:]
     tensors: dict[str, np.ndarray] = {}
     for entry in _checked_entries(path, header):
         name = entry["name"]
@@ -150,7 +153,8 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, dict]:
     """Rebuild parameters from a container, validating every name and shape.
-    Nothing is drawn at random: stored values fill a zero skeleton."""
+    Nothing is drawn at random: stored values fill a zero skeleton. The
+    parameters come back frozen (`requires_grad` False)."""
     meta, tensors = read_container(path)
     if meta.get("kind") != "model":
         raise CheckpointError(f"{path}: container holds {meta.get('kind')!r}, not a model")
@@ -172,11 +176,13 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
         raise CheckpointError(
             f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
     for name, target in expected.items():
-        stored = tensors[name]
+        stored = tensors.pop(name)
         if stored.shape != target.shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {stored.shape}, expected {target.shape}")
         target[...] = stored
+    for _, param in named_parameters(params):
+        param.requires_grad = False
     stored_perms = meta.get("shuffle_perms", {})
     if not isinstance(stored_perms, dict):
         raise CheckpointError(f"{path}: shuffle_perms must be an object")

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError
-from .tensor import Tensor, _check_same_dtype, result_of
-
-# padded values per chunk of rows in the depth-wise kernel: unless a single
-# row is larger, its three chunk buffers take at most 1.5 MiB in float64
-_CHUNK_ELEMS = 1 << 16
+from .tensor import _CHUNK_ELEMS, Tensor, _check_same_dtype, result_of
 
 # batch-norm running-statistics momentum and variance floor
 BN_MOMENTUM = 0.1
@@ -236,10 +232,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
     batch, channels, height, width = x.shape
     if gamma.shape != (channels,) or beta.shape != (channels,):
         raise InvalidShapeError(f"affine params must have shape ({channels},)")
-    gam = gamma.data[None, :, None, None]
-    bet = beta.data[None, :, None, None]
-
     if training:
+        gam = gamma.data[None, :, None, None]
         n_red = batch * height * width
         if n_red < 2:
             raise DegenerateBatchError(
@@ -248,7 +242,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         var = x.data.var(axis=(0, 2, 3))
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gam * xhat + bet
+        out = gam * xhat + beta.data[None, :, None, None]
         running.mean[...] = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean
         running.var[...] = (1.0 - BN_MOMENTUM) * running.var \
             + BN_MOMENTUM * var * (n_red / max(n_red - 1, 1))
@@ -262,16 +256,20 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                     (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype),
                     g.sum(axis=(0, 2, 3)).astype(x.dtype))
     else:
-        inv_std = 1.0 / np.sqrt(running.var + BN_EPS)
-        xhat = (x.data - running.mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gam * xhat + bet
+        # one pass over x: out = x * sc + sh per channel
+        mean, inv_std = running.mean.copy(), 1.0 / np.sqrt(running.var + BN_EPS)
+        sc = (gamma.data * inv_std).astype(x.dtype, copy=False)
+        sh = (beta.data - mean * sc).astype(x.dtype, copy=False)
+        out = x.data * sc[None, :, None, None]
+        out += sh[None, :, None, None]
 
         def vjp(g):
-            return ((g * gam * inv_std[None, :, None, None]).astype(x.dtype),
-                    (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype),
-                    g.sum(axis=(0, 2, 3)).astype(x.dtype))
+            xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            return (g * sc[None, :, None, None],
+                    (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype, copy=False),
+                    g.sum(axis=(0, 2, 3)))
 
-    return result_of(out.astype(x.dtype), (x, gamma, beta), vjp)
+    return result_of(out.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 @dataclass

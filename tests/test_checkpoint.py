@@ -2,6 +2,7 @@ import functools
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,23 @@ def small_config(**overrides):
                 window=2, head_dim=4)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def _wide_model():
+    """T-stage width, so the payload (~5 MB) outweighs the header."""
+    cfg = ModelConfig(channels=96, depths=(2, 2), num_classes=10, resolution=32,
+                      window=4, head_dim=32)
+    return init_model_params(cfg, Rng(0)), cfg
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -196,6 +214,27 @@ class TestCheckpoint:
         a = model_forward(x, params, cfg).data
         b = model_forward(x, loaded, cfg2).data
         assert a.tobytes() == b.tobytes()
+
+    def test_loaded_parameters_are_frozen(self, saved):
+        path, _, _ = saved
+        loaded, cfg, _ = load_checkpoint(path)
+        assert all(p.requires_grad is False for _, p in named_parameters(loaded))
+        logits = model_forward(Tensor(Rng(5).normal((2, 3, 16, 16), dtype=np.float32)),
+                               loaded, cfg, training=False)
+        assert not logits.requires_grad and logits._parents == ()
+
+    def test_save_holds_no_copy_of_the_payload(self, tmp_path):
+        params, cfg = _wide_model()
+        path = tmp_path / "wide.sfc"
+        peak = _traced_peak(lambda: save_checkpoint(path, params, cfg))
+        assert peak <= 0.1 * path.stat().st_size
+
+    def test_load_copies_the_payload_once(self, tmp_path):
+        params, cfg = _wide_model()
+        path = tmp_path / "wide.sfc"
+        save_checkpoint(path, params, cfg)
+        # the file's bytes plus the filled skeleton, and no second payload copy
+        assert _traced_peak(lambda: load_checkpoint(path)) <= 2.2 * path.stat().st_size
 
     def test_tampered_shape_rejected_with_name(self, saved, tmp_path):
         path, _, _ = saved

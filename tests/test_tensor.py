@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from shuffleformer import (InvalidCallError, InvalidShapeError, NumericsError,
                            Rng, Tensor, add, backward, cross_entropy_logits,
@@ -187,6 +188,25 @@ class TestElementwise:
         t = Tensor(rng.normal((4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((4, 4), dtype=np.float64))
         check_gradients(lambda: sum_all(mul(gelu(t), w)), [t])
+
+    def test_float32_gelu_matches_exact_gelu(self):
+        # a dense grid whose length is not a multiple of the kernel's block
+        x = np.linspace(-10.0, 10.0, 3 * (1 << 16) + 1234).astype(np.float32)
+        got = gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        x64 = x.astype(np.float64)
+        want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+        assert np.abs(got - want).max() <= 1e-6
+
+    def test_float32_gelu_special_values_match_erf_form(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20], np.float32)
+        with np.errstate(invalid="ignore"):  # -inf * 0 is nan in both forms
+            cdf = erf(x * np.float32(1.0 / np.sqrt(2.0)))
+            cdf += np.float32(1.0)
+            cdf *= np.float32(0.5)
+            want = x * cdf
+            got = gelu(Tensor(x)).data
+        assert got.tobytes() == want.tobytes()
 
     def test_mean_pool_gradient(self):
         rng = Rng(13)
