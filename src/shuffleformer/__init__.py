@@ -15,11 +15,11 @@ from .errors import (CheckpointError, DegenerateBatchError, InvalidCallError,
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .model import (BlockConfig, BlockParams, ModelConfig, ModelParams,
-                    block_forward, block_pair_forward, build_variant,
+                    block_forward, build_variant,
                     init_block_params, init_model_params, model_forward,
                     named_buffers, named_parameters, parameter_list,
-                    token_embed, token_merge, zero_block_weights)
-from .optim import AdamW, Optimizer, OptimizerState, SgdMomentum, optimizer_step
+                    token_embed, token_merge)
+from .optim import AdamW, Optimizer
 from .reachability import (BlockSpec, ReachabilitySet, reachability_probe,
                            reachability_report, render_mask, symbolic_reachability)
 from .rng import Rng
@@ -29,7 +29,7 @@ from .tensor import (Tensor, add, backward, cross_entropy_logits, gather_hw,
                      zero_grads)
 from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy, window_means
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, WindowGrid,
-                        aligned_window_reverse, apply_spatial_permutation_2d, compose,
+                        aligned_window_reverse, apply_spatial_permutation_2d,
                         invert_permutation, make_shuffle_permutation,
                         shuffle_permutations, shuffled_window_partition,
-                        window_partition, window_reverse)
+                        window_partition)

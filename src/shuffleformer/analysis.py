@@ -43,9 +43,6 @@ class CostReport:
     def total_flops(self) -> int:
         return sum(r.flops for r in self.rows)
 
-    def find(self, prefix: str) -> list[CostRow]:
-        return [r for r in self.rows if r.name.startswith(prefix)]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(f"# convention: {self.convention}\n")
@@ -71,8 +68,9 @@ class CostReport:
 
 
 def conv_cost(cin: int, cout: int, kernel: int, out_hw: int,
-              groups: int = 1, bias: bool = True) -> tuple[int, int]:
-    params = kernel * kernel * cin * cout // groups + (cout if bias else 0)
+              groups: int = 1) -> tuple[int, int]:
+    """(parameters with the bias, MACs) of a square-kernel convolution."""
+    params = kernel * kernel * cin * cout // groups + cout
     flops = kernel * kernel * cin * cout * out_hw // groups
     return params, flops
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -92,37 +92,67 @@ def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
             fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).data)
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    if len(raw) < 16 or raw[:8] != MAGIC:
+def _read_header(fh, path) -> tuple[dict, list[dict]]:
+    """Meta and tensor entries of an open container. Every entry is checked,
+    its payload against the file size, before anything is allocated; its
+    offset is made relative to the start of the file."""
+    head = fh.read(16)
+    if len(head) < 16 or head[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint container (bad magic)")
-    version, header_len = struct.unpack("<II", raw[8:16])
+    version, header_len = struct.unpack("<II", head[8:])
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
+    size = os.fstat(fh.fileno()).st_size
     try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
+        header = json.loads(fh.read(min(header_len, size - 16)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    payload = memoryview(raw)[16 + header_len:]
-    tensors: dict[str, np.ndarray] = {}
+    payload_len = max(size - 16 - header_len, 0)
+    names = set()
     for entry in _checked_entries(path, header):
         name = entry["name"]
-        if name in tensors:
+        if name in names:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+        names.add(name)
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        shape = tuple(entry["shape"])
-        expected = math.prod(shape) * dtype.itemsize
-        if nbytes != expected or start + nbytes > len(payload):
+        if entry["nbytes"] != math.prod(entry["shape"]) * dtype.itemsize \
+                or entry["offset"] + entry["nbytes"] > payload_len:
             raise CheckpointError(f"{path}: tensor {name!r} payload is truncated or mis-sized")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape)
-        tensors[name] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
-    return header["meta"], tensors
+        entry["offset"] += 16 + header_len
+    return header["meta"], header["tensors"]
+
+
+def _read_into(fh, path, entry: dict, out: np.ndarray) -> None:
+    """Read one checked entry's payload into `out`, an array of its shape;
+    only a dtype conversion goes through a temporary."""
+    stored = _DTYPES[entry["dtype"]]
+    buf = out if out.dtype == stored else np.empty(out.shape, stored)
+    fh.seek(entry["offset"])
+    if fh.readinto(buf.reshape(-1).view(np.uint8)) != entry["nbytes"]:
+        raise CheckpointError(f"{path}: tensor {entry['name']!r} payload is truncated")
+    if buf is not out:
+        out[...] = buf
+
+
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
+def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Meta and every tensor of a container, each read into a fresh array."""
+    with _open(path) as fh:
+        meta, entries = _read_header(fh, path)
+        tensors = {}
+        for entry in entries:
+            arr = np.empty(entry["shape"], _DTYPES[entry["dtype"]].newbyteorder("="))
+            _read_into(fh, path, entry, arr)
+            tensors[entry["name"]] = arr
+    return meta, tensors
 
 
 def _state_dict(params: ModelParams) -> dict[str, np.ndarray]:
@@ -153,34 +183,38 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, dict]:
     """Rebuild parameters from a container, validating every name and shape.
-    Nothing is drawn at random: stored values fill a zero skeleton. The
-    parameters come back frozen (`requires_grad` False)."""
-    meta, tensors = read_container(path)
-    if meta.get("kind") != "model":
-        raise CheckpointError(f"{path}: container holds {meta.get('kind')!r}, not a model")
-    try:
-        cfg = ModelConfig.from_dict(meta.get("config"))
-    except InvalidConfigError as exc:
-        raise CheckpointError(f"{path}: bad model config: {exc}") from exc
-    # Size the config in closed form before allocating. Every block stores
-    # tensors, so the first test bounds the ledger's loop; the slack lets a
-    # file that lacks a few tensors reach the check that names them.
-    held = sum(t.size for t in tensors.values())
-    if sum(cfg.depths) > len(tensors) or count_params(cfg).total_params > _SKELETON_SLACK * held:
-        raise CheckpointError(f"{path}: config needs far more than the {held} values stored")
-    params = init_model_params(cfg, None, dtype=dtype)
-    expected = _state_dict(params)
-    missing = [name for name in expected if name not in tensors]
-    unexpected = [name for name in tensors if name not in expected]
-    if missing or unexpected:
-        raise CheckpointError(
-            f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
-    for name, target in expected.items():
-        stored = tensors.pop(name)
-        if stored.shape != target.shape:
+    Nothing is drawn at random: each stored tensor is read straight into its
+    slot of a zero skeleton. The parameters come back frozen (`requires_grad`
+    False)."""
+    with _open(path) as fh:
+        meta, entries = _read_header(fh, path)
+        if meta.get("kind") != "model":
+            raise CheckpointError(f"{path}: container holds {meta.get('kind')!r}, not a model")
+        try:
+            cfg = ModelConfig.from_dict(meta.get("config"))
+        except InvalidConfigError as exc:
+            raise CheckpointError(f"{path}: bad model config: {exc}") from exc
+        # Size the config in closed form before allocating. Every block stores
+        # tensors, so the first test bounds the ledger's loop; the slack lets a
+        # file that lacks a few tensors reach the check that names them.
+        held = sum(math.prod(entry["shape"]) for entry in entries)
+        if sum(cfg.depths) > len(entries) \
+                or count_params(cfg).total_params > _SKELETON_SLACK * held:
+            raise CheckpointError(f"{path}: config needs far more than the {held} values stored")
+        params = init_model_params(cfg, None, dtype=dtype)
+        expected = _state_dict(params)
+        stored = {entry["name"]: entry for entry in entries}
+        missing = [name for name in expected if name not in stored]
+        unexpected = [name for name in stored if name not in expected]
+        if missing or unexpected:
             raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {stored.shape}, expected {target.shape}")
-        target[...] = stored
+                f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
+        for name, target in expected.items():
+            shape = tuple(stored[name]["shape"])
+            if shape != target.shape:
+                raise CheckpointError(
+                    f"{path}: parameter {name!r} has shape {shape}, expected {target.shape}")
+            _read_into(fh, path, stored[name], target)
     for _, param in named_parameters(params):
         param.requires_grad = False
     stored_perms = meta.get("shuffle_perms", {})

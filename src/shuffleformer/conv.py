@@ -16,7 +16,7 @@ Padding may be asymmetric, which even kernel extents need to keep resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,9 +214,6 @@ class RunningStats:
     def neutral(channels: int, dtype=np.float32) -> "RunningStats":
         return RunningStats(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                 training: bool) -> Tensor:
@@ -278,16 +275,13 @@ class BnParams:
 
     gamma: Tensor
     beta: Tensor
-    running: RunningStats = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.running is None:
-            self.running = RunningStats.neutral(self.gamma.size, self.gamma.dtype)
+    running: RunningStats
 
     @staticmethod
     def identity(channels: int, dtype=np.float32, trainable: bool = True) -> "BnParams":
-        return BnParams(Tensor(np.ones(channels, dtype=dtype), requires_grad=trainable),
-                        Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable))
+        gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=trainable)
+        return BnParams(gamma, Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable),
+                        RunningStats.neutral(channels, gamma.dtype))
 
 
 def apply_bn(x: Tensor, p: BnParams, training: bool) -> Tensor:

@@ -138,14 +138,9 @@ class ModelConfig:
                            self.window, mode, self.nwc_position)
 
     def to_dict(self) -> dict:
-        return {
-            "channels": self.channels, "depths": list(self.depths),
-            "num_classes": self.num_classes, "resolution": self.resolution,
-            "window": self.window, "head_dim": self.head_dim,
-            "mlp_ratio": self.mlp_ratio, "in_channels": self.in_channels,
-            "shuffle_mode": self.shuffle_mode, "nwc_position": self.nwc_position,
-            "attn_bias": self.attn_bias,
-        }
+        """JSON-ready field values, with the stage depths as a list."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {**d, "depths": list(self.depths)}
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -369,16 +364,6 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
     return add(mlp_forward(yn, params.mlp, inner_nwc=inner), y)
 
 
-def block_pair_forward(z: Tensor, params_pair, cfgs, training: bool = False) -> Tensor:
-    """Two consecutive blocks: plain partition first, shuffled partition second."""
-    first, second = params_pair
-    cfg1, cfg2 = cfgs
-    if cfg1.shuffle_mode != "none":
-        raise InvalidConfigError("first block of a pair must not shuffle")
-    z = block_forward(z, first, cfg1, training)
-    return block_forward(z, second, cfg2, training)
-
-
 def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> Tensor:
     """Two stride-2 3x3 convolutions with BN and GELU: (B,3,H,W) -> (B,C,H/4,W/4)."""
     if image.ndim != 4:
@@ -419,18 +404,3 @@ def model_forward(image: Tensor, params: ModelParams, cfg: ModelConfig,
     x = apply_bn(x, params.head.bn, training)
     pooled = mean_pool_hw(x)
     return add(matmul(pooled, params.head.weight), params.head.bias)
-
-
-def zero_block_weights(params: ModelParams) -> None:
-    """Zero every block's learnable weights in place; blocks become identities."""
-    for stage in params.stages:
-        for blk in stage.blocks:
-            for t in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo,
-                      blk.attn.bq, blk.attn.bk, blk.attn.bv, blk.attn.bo,
-                      blk.mlp.w1, blk.mlp.b1, blk.mlp.w2, blk.mlp.b2):
-                if t is not None:
-                    t.data[...] = 0.0
-            if blk.nwc is not None:
-                blk.nwc.kernel.data[...] = 0.0
-                if blk.nwc.bias is not None:
-                    blk.nwc.bias.data[...] = 0.0

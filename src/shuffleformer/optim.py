@@ -1,25 +1,19 @@
-"""Parameter update rules: SGD with momentum and AdamW.
+"""AdamW (Loshchilov & Hutter, arXiv 1711.05101), the one update rule.
 
-State lives in an `OptimizerState` keyed by parameter position, so the same
-`optimizer_step` call is usable both from the convenience `Optimizer` wrapper
-and directly on explicit (params, grads) lists.
+An `Optimizer` owns the first and second moments of its parameters and the
+step count; `Optimizer.step` applies `optimizer_step`, which reads each
+parameter's `.grad`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidCallError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class SgdMomentum:
-    lr: float
-    momentum: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -31,61 +25,35 @@ class AdamW:
     weight_decay: float = 0.0
 
 
-@dataclass
-class OptimizerState:
-    step: int = 0
-    slots: dict = field(default_factory=dict)
-
-    def slot(self, index: int, name: str, like: np.ndarray) -> np.ndarray:
-        key = (index, name)
-        if key not in self.slots:
-            self.slots[key] = np.zeros_like(like)
-        return self.slots[key]
-
-
-def optimizer_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-                   state: OptimizerState, rule) -> None:
-    """Apply one update of `rule` in place; moments live in `state`."""
-    if len(params) != len(grads):
-        raise InvalidCallError(f"{len(params)} params but {len(grads)} grads")
-    state.step += 1
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            raise InvalidCallError(f"missing gradient for parameter {i}")
-        g = np.asarray(g, dtype=p.dtype)
-        if g.shape != p.shape:
-            raise InvalidCallError(f"param {i}: grad shape {g.shape} != param shape {p.shape}")
-        if isinstance(rule, SgdMomentum):
-            vel = state.slot(i, "velocity", p.data)
-            vel *= rule.momentum
-            vel += g
-            p.data -= p.dtype.type(rule.lr) * vel
-        elif isinstance(rule, AdamW):
-            m = state.slot(i, "m", p.data)
-            v = state.slot(i, "v", p.data)
-            m *= rule.beta1
-            m += (1.0 - rule.beta1) * g
-            v *= rule.beta2
-            v += (1.0 - rule.beta2) * g * g
-            mhat = m / (1.0 - rule.beta1 ** state.step)
-            vhat = v / (1.0 - rule.beta2 ** state.step)
-            update = mhat / (np.sqrt(vhat) + rule.eps) + rule.weight_decay * p.data
-            p.data -= (p.dtype.type(rule.lr) * update).astype(p.dtype)
-        else:
-            raise InvalidCallError(f"unknown update rule {rule!r}")
-
-
 class Optimizer:
-    """Thin stateful wrapper reading `.grad` off the tracked parameters."""
+    """AdamW over `params`, with zero moments at step 0."""
 
-    def __init__(self, params: Sequence[Tensor], rule) -> None:
+    def __init__(self, params: Sequence[Tensor], rule: AdamW) -> None:
         self.params = list(params)
         self.rule = rule
-        self.state = OptimizerState()
+        self.steps = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        optimizer_step(self.params, [p.grad for p in self.params], self.state, self.rule)
+        optimizer_step(self)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+
+def optimizer_step(opt: Optimizer) -> None:
+    """Apply one AdamW update to every parameter of `opt` in place."""
+    rule = opt.rule
+    opt.steps += 1
+    for i, (p, m, v) in enumerate(zip(opt.params, opt.m, opt.v)):
+        if p.grad is None:
+            raise InvalidCallError(f"missing gradient for parameter {i}")
+        g = np.asarray(p.grad, dtype=p.dtype)
+        if g.shape != p.shape:
+            raise InvalidCallError(f"param {i}: grad shape {g.shape} != param shape {p.shape}")
+        m *= rule.beta1
+        m += (1.0 - rule.beta1) * g
+        v *= rule.beta2
+        v += (1.0 - rule.beta2) * g * g
+        mhat = m / (1.0 - rule.beta1 ** opt.steps)
+        vhat = v / (1.0 - rule.beta2 ** opt.steps)
+        update = mhat / (np.sqrt(vhat) + rule.eps) + rule.weight_decay * p.data
+        p.data -= (p.dtype.type(rule.lr) * update).astype(p.dtype)

@@ -15,8 +15,6 @@ from .errors import InvalidConfigError
 class Rng:
     """A seeded PCG64 stream. ``Rng(seed)`` with equal seeds is bit-reproducible."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         if self.seed < 0:
@@ -36,10 +34,6 @@ class Rng:
             out[bad] = self._gen.normal(0.0, std, size=int(bad.sum()))
             bad = np.abs(out) > bound
         return out.astype(dtype)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0,
-                dtype=np.float32) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(dtype)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape, dtype=np.int64)

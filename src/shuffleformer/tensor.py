@@ -92,46 +92,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
-
-    def backward(self) -> None:
-        backward(self)
-
-    # operator sugar; the module-level functions are the primary surface
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(np.asarray(other, self.dtype)))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other, self.dtype))
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *new_shape):
-        if len(new_shape) == 1 and isinstance(new_shape[0], (tuple, list)):
-            new_shape = tuple(new_shape[0])
-        return reshape_permute(self, new_shape)
-
-    def permute(self, *axis_order):
-        if len(axis_order) == 1 and isinstance(axis_order[0], (tuple, list)):
-            axis_order = tuple(axis_order[0])
-        return reshape_permute(self, self.shape, axis_order)
-
 
 def result_of(data: np.ndarray, parents: tuple[Tensor, ...],
               vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:

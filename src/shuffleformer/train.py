@@ -7,6 +7,7 @@ that a model of this size must be able to memorize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,13 @@ class ToyTrainConfig:
         bad = [name for name in ("samples", "classes", "steps") if getattr(self, name) < 1]
         if bad:
             raise InvalidConfigError(f"{', '.join(bad)} must be positive")
+        bad = [name for name in ("lr", "weight_decay")
+               if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0)]
+        if bad:
+            raise InvalidConfigError(f"{', '.join(bad)} must be finite and non-negative")
+        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
+            raise InvalidConfigError(
+                f"target_accuracy must lie in [0, 1], got {self.target_accuracy}")
         self.model_config()  # checks the architecture fields
 
     def model_config(self) -> ModelConfig:

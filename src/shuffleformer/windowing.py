@@ -43,9 +43,6 @@ class SpatialPermutation:
     def identity(n: int) -> "SpatialPermutation":
         return SpatialPermutation(n, np.arange(n, dtype=np.int64), "none")
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.map, np.arange(self.n)))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SpatialPermutation) and self.n == other.n
                 and self.mode == other.mode and np.array_equal(self.map, other.map))
@@ -96,13 +93,6 @@ def invert_permutation(p: SpatialPermutation) -> SpatialPermutation:
     return SpatialPermutation(p.n, inv, p.mode)
 
 
-def compose(outer: SpatialPermutation, inner: SpatialPermutation) -> SpatialPermutation:
-    """Permutation equal to applying `inner` first, then `outer`."""
-    if outer.n != inner.n:
-        raise InvalidShapeError(f"length mismatch: {outer.n} vs {inner.n}")
-    return SpatialPermutation(outer.n, inner.map[outer.map], outer.mode)
-
-
 @dataclass(frozen=True)
 class WindowGrid:
     """Even partition of an (H, W) grid into gh x gw windows of m x m tokens."""
@@ -124,12 +114,6 @@ class WindowGrid:
     def windows(self) -> int:
         return self.gh * self.gw
 
-    def window_of(self, h: int, w: int) -> int:
-        return (h // self.m) * self.gw + (w // self.m)
-
-    def intra_of(self, h: int, w: int) -> tuple[int, int]:
-        return h % self.m, w % self.m
-
 
 def window_partition(x: Tensor, m: int) -> Tensor:
     """(B, C, H, W) -> (B*gh*gw, C, m, m), lossless regrouping."""
@@ -139,26 +123,6 @@ def window_partition(x: Tensor, m: int) -> Tensor:
     grid = WindowGrid.for_extents(h, w, m)
     t = reshape_permute(x, (b, c, grid.gh, m, grid.gw, m), (0, 2, 4, 1, 3, 5))
     return reshape_permute(t, (b * grid.windows, c, m, m))
-
-
-def _window_batch(wins: Tensor, m: int, height: int,
-                  width: int) -> tuple[WindowGrid, int, int]:
-    """Grid, image count and channels of a (B*gh*gw, C, m, m) window stack."""
-    if wins.ndim != 4 or wins.shape[2:] != (m, m):
-        raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
-    grid = WindowGrid.for_extents(height, width, m)
-    bw, c = wins.shape[:2]
-    if bw % grid.windows:
-        raise InvalidShapeError(
-            f"{bw} windows is not a multiple of the {grid.windows} per image")
-    return grid, bw // grid.windows, c
-
-
-def window_reverse(wins: Tensor, m: int, height: int, width: int) -> Tensor:
-    """Exact inverse of `window_partition`."""
-    grid, b, c = _window_batch(wins, m, height, width)
-    t = reshape_permute(wins, (b, grid.gh, grid.gw, c, m, m), (0, 3, 1, 4, 2, 5))
-    return reshape_permute(t, (b, c, height, width))
 
 
 def apply_spatial_permutation_2d(x: Tensor, ph: SpatialPermutation,
@@ -212,7 +176,14 @@ def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
 def aligned_window_reverse(wins: Tensor, m: int, height: int, width: int,
                            perms) -> Tensor:
     """Exact inverse of `shuffled_window_partition` for the same permutations."""
-    grid, b, c = _window_batch(wins, m, height, width)
+    if wins.ndim != 4 or wins.shape[2:] != (m, m):
+        raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
+    grid = WindowGrid.for_extents(height, width, m)
+    bw, c = wins.shape[:2]
+    if bw % grid.windows:
+        raise InvalidShapeError(
+            f"{bw} windows is not a multiple of the {grid.windows} per image")
+    b = bw // grid.windows
     rows, cols = _window_index(grid, perms)
     blocks = wins.data.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
     out = np.empty((b, c, height, width), dtype=wins.dtype)

@@ -84,6 +84,12 @@ def gather_2d(x, map_h, map_w):
     return out
 
 
+def composes_to_identity(outer, inner) -> bool:
+    """Whether applying map `inner` first, then map `outer`, sends every
+    position to itself; position k of the composite reads inner[outer[k]]."""
+    return len(outer) == len(inner) and all(inner[outer[k]] == k for k in range(len(outer)))
+
+
 def window_index_oracle(h, w, m, gw):
     """(window index, intra position) of pixel (h, w) by direct arithmetic."""
     return (h // m) * gw + (w // m), (h % m, w % m)

@@ -127,9 +127,3 @@ class TestReportFormats:
         total = rows[-1].split(",")
         assert int(total[1]) == report.total_params
         assert int(total[2]) == report.total_flops
-
-    def test_find_prefix(self):
-        report = count_params(build_variant("T"))
-        stage3 = report.find("stage3")
-        assert len(stage3) > 0
-        assert all(r.name.startswith("stage3") for r in stage3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shuffleformer import (SHUFFLE_MODES, CheckpointError, ModelConfig, Rng, Tensor,
-                           load_checkpoint, load_tensor, model_forward,
+                           load_checkpoint, load_tensor, model_forward, named_buffers,
                            named_parameters, read_container, save_checkpoint,
                            save_tensor, write_container, init_model_params)
 
@@ -233,8 +233,31 @@ class TestCheckpoint:
         params, cfg = _wide_model()
         path = tmp_path / "wide.sfc"
         save_checkpoint(path, params, cfg)
-        # the file's bytes plus the filled skeleton, and no second payload copy
-        assert _traced_peak(lambda: load_checkpoint(path)) <= 2.2 * path.stat().st_size
+        # the filled skeleton alone: each tensor is read straight into its slot
+        assert _traced_peak(lambda: load_checkpoint(path)) <= 1.2 * path.stat().st_size
+
+    @pytest.mark.parametrize("file_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("load_dtype", [np.float32, np.float64])
+    def test_load_fills_every_slot_with_the_stored_values(self, tmp_path, file_dtype,
+                                                          load_dtype):
+        cfg = small_config(shuffle_mode="random")
+        params = init_model_params(cfg, Rng(6), dtype=file_dtype)
+        rng = Rng(7)
+        for _, buf in named_buffers(params):  # non-trivial running statistics
+            buf[...] = rng.normal(buf.shape, dtype=file_dtype) ** 2
+        path = tmp_path / "model.sfc"
+        save_checkpoint(path, params, cfg)
+        _, stored = read_container(path)
+        loaded, _, _ = load_checkpoint(path, dtype=load_dtype)
+        slots = [*((n, t.data) for n, t in named_parameters(loaded)), *named_buffers(loaded)]
+        assert sorted(name for name, _ in slots) == sorted(stored)
+        for name, value in slots:
+            assert value.dtype == load_dtype
+            assert value.tobytes() == stored[name].astype(load_dtype).tobytes(), name
+        if file_dtype == load_dtype:
+            again = tmp_path / "again.sfc"
+            save_checkpoint(again, loaded, cfg)
+            assert path.read_bytes() == again.read_bytes()
 
     def test_tampered_shape_rejected_with_name(self, saved, tmp_path):
         path, _, _ = saved
@@ -293,7 +316,7 @@ class TestCheckpoint:
         def no_draws(*args, **kwargs):
             raise AssertionError("load_checkpoint drew from an Rng")
 
-        for method in ("normal", "trunc_normal", "uniform", "integers", "permutation"):
+        for method in ("normal", "trunc_normal", "integers", "permutation"):
             monkeypatch.setattr(Rng, method, no_draws)
         params, loaded_cfg, _ = load_checkpoint(first)
         second = tmp_path / "second.sfc"

@@ -349,6 +349,21 @@ HOSTILE = {
     "reach-inf-threshold": lambda t: REACH + ["--threshold", "inf", "--out", str(t / "r.json")],
     "train-toy-zero-steps": lambda t: ["train-toy", "--res", "16", "--window", "2",
                                        "--steps", "0", "--out-dir", str(t / "run")],
+    "train-toy-nan-lr": lambda t: TOY + ["--lr", "nan", "--out-dir", str(t / "run")],
+    "train-toy-inf-lr": lambda t: TOY + ["--lr", "inf", "--out-dir", str(t / "run")],
+    "train-toy-negative-lr": lambda t: TOY + ["--lr", "-1", "--out-dir", str(t / "run")],
+    "train-toy-nan-weight-decay": lambda t: TOY + ["--weight-decay", "nan",
+                                                   "--out-dir", str(t / "run")],
+    "train-toy-inf-weight-decay": lambda t: TOY + ["--weight-decay", "inf",
+                                                   "--out-dir", str(t / "run")],
+    "train-toy-negative-weight-decay": lambda t: TOY + ["--weight-decay", "-1",
+                                                        "--out-dir", str(t / "run")],
+    "train-toy-target-acc-above-one": lambda t: TOY + ["--target-acc", "1.5",
+                                                       "--out-dir", str(t / "run")],
+    "train-toy-nan-target-acc": lambda t: TOY + ["--target-acc", "nan",
+                                                 "--out-dir", str(t / "run")],
+    "train-toy-negative-target-acc": lambda t: TOY + ["--target-acc", "-1",
+                                                      "--out-dir", str(t / "run")],
     "ablate-negative-toy-steps": lambda t: ["ablate", "--modes", "none", "--positions", "none",
                                             "--toy-steps", "-1", "--out", str(t / "a.csv")],
     "env-seed-not-integer": lambda t: TOY + ["--out-dir", str(t / "run")],

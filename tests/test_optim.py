@@ -1,34 +1,19 @@
 import numpy as np
 import pytest
 
-from shuffleformer import (AdamW, InvalidCallError, Optimizer, OptimizerState,
-                           Rng, SgdMomentum, Tensor, optimizer_step)
+from shuffleformer import AdamW, InvalidCallError, Optimizer, Rng, Tensor
 
 
-def test_sgd_single_step():
-    p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    state = OptimizerState()
-    optimizer_step([p], [np.array([1.0], dtype=np.float32)], state,
-                   SgdMomentum(lr=0.1, momentum=0.9))
-    assert np.allclose(p.data, 0.9)
-
-
-def test_sgd_momentum_accumulates():
-    p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
-    state = OptimizerState()
-    rule = SgdMomentum(lr=1.0, momentum=0.5)
-    g = np.array([1.0])
-    optimizer_step([p], [g], state, rule)  # v=1, p=-1
-    optimizer_step([p], [g], state, rule)  # v=1.5, p=-2.5
-    assert np.allclose(p.data, -2.5)
+def _step(opt, *grads):
+    for p, g in zip(opt.params, grads):
+        p.grad = g
+    opt.step()
 
 
 def test_adamw_zero_grad_zero_decay_keeps_param():
     p = Tensor(np.array([3.0, -2.0], dtype=np.float32), requires_grad=True)
     before = p.data.copy()
-    state = OptimizerState()
-    optimizer_step([p], [np.zeros(2, dtype=np.float32)], state,
-                   AdamW(lr=0.5, weight_decay=0.0))
+    _step(Optimizer([p], AdamW(lr=0.5, weight_decay=0.0)), np.zeros(2, dtype=np.float32))
     assert np.array_equal(p.data, before)
 
 
@@ -36,8 +21,7 @@ def test_adamw_first_step_closed_form():
     lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
     p0, g = 2.0, 0.5
     p = Tensor(np.array([p0], dtype=np.float64), requires_grad=True)
-    state = OptimizerState()
-    optimizer_step([p], [np.array([g])], state, AdamW(lr, b1, b2, eps, wd))
+    _step(Optimizer([p], AdamW(lr, b1, b2, eps, wd)), np.array([g]))
     # hand-applied update from zero moments at t=1
     m_hat = ((1 - b1) * g) / (1 - b1)
     v_hat = ((1 - b2) * g * g) / (1 - b2)
@@ -47,28 +31,27 @@ def test_adamw_first_step_closed_form():
 
 def test_adamw_bias_correction_changes_over_steps():
     p = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    state = OptimizerState()
-    rule = AdamW(lr=0.01)
+    opt = Optimizer([p], AdamW(lr=0.01))
     deltas = []
     for _ in range(3):
         before = p.data.copy()
-        optimizer_step([p], [np.array([1.0])], state, rule)
+        _step(opt, np.array([1.0]))
         deltas.append(float((before - p.data)[0]))
     # constant gradient: every step moves by about lr in the same direction
     assert all(d > 0 for d in deltas)
-    assert state.step == 3
+    assert opt.steps == 3
 
 
 def test_shape_mismatch_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(InvalidCallError):
-        optimizer_step([p], [np.zeros(4)], OptimizerState(), SgdMomentum(0.1))
+        _step(Optimizer([p], AdamW(0.1)), np.zeros(4))
 
 
 def test_missing_grad_rejected():
     p = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(InvalidCallError):
-        optimizer_step([p], [None], OptimizerState(), SgdMomentum(0.1))
+        _step(Optimizer([p], AdamW(0.1)), None)
 
 
 def test_zero_lr_is_bitwise_noop():

@@ -256,7 +256,7 @@ class TestBackward:
 
     def test_scale_and_operator_sugar(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = sum_all(scale(x, 3.0) - x)
+        loss = sum_all(add(scale(x, 3.0), scale(x, -1.0)))
         backward(loss)
         assert np.allclose(x.grad, 2.0)
 

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from shuffleformer import (InvalidConfigError, InvalidShapeError,
                            PartitionError, Rng, SpatialPermutation, Tensor,
                            WindowGrid, aligned_window_reverse,
-                           apply_spatial_permutation_2d, backward, compose,
+                           apply_spatial_permutation_2d, backward,
                            invert_permutation, make_shuffle_permutation, mul,
                            shuffle_permutations, shuffled_window_partition, sum_all,
-                           window_partition, window_reverse)
+                           window_partition)
 
-from oracles import gather_2d, window_index_oracle
+from oracles import composes_to_identity, gather_2d, window_index_oracle
 
 
 def divisors(n):
@@ -25,7 +25,7 @@ class TestPermutations:
 
     def test_single_window_is_identity(self):
         p = make_shuffle_permutation(5, 5, "long-range")
-        assert p.is_identity()
+        assert np.array_equal(p.map, np.arange(5))
 
     def test_short_range_map_n8_m2(self):
         p = make_shuffle_permutation(8, 2, "short-range")
@@ -43,8 +43,8 @@ class TestPermutations:
         for n in range(4, 65):
             for m in divisors(n):
                 p = make_shuffle_permutation(n, m, "long-range")
-                assert compose(invert_permutation(p), p).is_identity()
-                assert compose(p, invert_permutation(p)).is_identity()
+                assert composes_to_identity(invert_permutation(p).map, p.map)
+                assert composes_to_identity(p.map, invert_permutation(p).map)
 
     def test_long_range_inverse_matches_opposite_reshape(self):
         for n in (6, 12, 20):
@@ -60,7 +60,7 @@ class TestPermutations:
 
     def test_invert_identity(self):
         p = SpatialPermutation.identity(7)
-        assert invert_permutation(p).is_identity()
+        assert np.array_equal(invert_permutation(p).map, np.arange(7))
 
     def test_divisibility_errors(self):
         with pytest.raises(InvalidConfigError):
@@ -88,7 +88,7 @@ class TestPermutations:
                 candidates.append(make_shuffle_permutation(n, m, "short-range"))
         for p in candidates:
             assert np.array_equal(np.sort(p.map), np.arange(n))
-            assert compose(p, invert_permutation(p)).is_identity()
+            assert composes_to_identity(p.map, invert_permutation(p).map)
             assert invert_permutation(invert_permutation(p)) == p
 
     def test_non_bijection_rejected(self):
@@ -112,15 +112,6 @@ class TestWindowPartition:
             for w in range(4):
                 win, (ih, iw) = window_index_oracle(h, w, 2, grid.gw)
                 assert wins[win, 0, ih, iw] == x[0, 0, h, w]
-        assert grid.window_of(0, 3) == 1
-        assert grid.intra_of(0, 3) == (0, 1)
-
-    def test_round_trip(self):
-        rng = Rng(1)
-        x = rng.normal((2, 3, 6, 6), dtype=np.float64)
-        wins = window_partition(Tensor(x), 2)
-        back = window_reverse(wins, 2, 6, 6)
-        assert np.array_equal(back.data, x)
 
     def test_window_content_multisets_match(self):
         rng = Rng(2)
@@ -136,19 +127,12 @@ class TestWindowPartition:
         with pytest.raises(PartitionError):
             window_partition(Tensor(np.zeros((1, 1, 5, 5))), 2)
 
-    def test_reverse_validates_extents(self):
-        wins = window_partition(Tensor(np.zeros((1, 1, 4, 4))), 2)
-        with pytest.raises(InvalidShapeError):
-            window_reverse(wins, 2, 6, 6)
-
     def test_gradient_through_partition(self):
         from gradcheck import check_gradients
         rng = Rng(3)
         x = Tensor(rng.normal((1, 2, 4, 4), dtype=np.float64), requires_grad=True)
-        w = Tensor(rng.normal((1, 2, 4, 4), dtype=np.float64))
-        check_gradients(
-            lambda: sum_all(mul(window_reverse(window_partition(x, 2), 2, 4, 4), w)),
-            [x])
+        w = Tensor(rng.normal((4, 2, 2, 2), dtype=np.float64))
+        check_gradients(lambda: sum_all(mul(window_partition(x, 2), w)), [x])
 
 
 class TestApplyPermutation2d:
@@ -215,6 +199,11 @@ class TestFusedShuffleWindows:
         fused = shuffled_window_partition(Tensor(x), 2, shuffle_permutations(6, 6, 2, "none"))
         plain = window_partition(Tensor(x), 2)
         assert np.array_equal(fused.data, plain.data)
+
+    def test_reverse_validates_extents(self):
+        wins = window_partition(Tensor(np.zeros((1, 1, 4, 4))), 2)
+        with pytest.raises(InvalidShapeError):
+            aligned_window_reverse(wins, 2, 6, 6, shuffle_permutations(6, 6, 2, "long-range"))
 
     def test_random_mode_with_rng_argument(self):
         rng = Rng(11)
