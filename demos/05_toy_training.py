@@ -14,7 +14,7 @@ from shuffleformer import (Rng, Tensor, ToyTrainConfig, load_checkpoint,
 cfg = ToyTrainConfig(samples=32, classes=8, resolution=16, window=2,
                      channels=32, depths=(2, 2), steps=40, lr=1e-3, seed=0)
 print(f"config: {cfg.samples} samples, {cfg.classes} classes, "
-      f"{cfg.in_channels}x{cfg.resolution}x{cfg.resolution} inputs,")
+      f"{cfg.model_config().in_channels}x{cfg.resolution}x{cfg.resolution} inputs,")
 print(f"        width {cfg.channels}, depths {cfg.depths}, window {cfg.window}, "
       f"AdamW lr {cfg.lr}")
 print()
@@ -43,9 +43,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {path.stat().st_size:,} bytes")
     loaded, loaded_cfg, meta = load_checkpoint(path)
 
-    data, _ = synthetic_dataset(cfg.samples, cfg.classes,
-                                (cfg.in_channels, cfg.resolution, cfg.resolution),
-                                Rng(cfg.seed))
+    shape = (result.model_config.in_channels, cfg.resolution, cfg.resolution)
+    data, _ = synthetic_dataset(cfg.samples, cfg.classes, shape, Rng(cfg.seed))
     original = model_forward(Tensor(data), result.params, result.model_config).data
     reloaded = model_forward(Tensor(data), loaded, loaded_cfg).data
     print(f"logits after reload bit-identical: "

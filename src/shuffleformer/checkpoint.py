@@ -11,11 +11,18 @@ Layout (all integers little-endian):
     then          raw little-endian payload; tensor i starts at payload offset
                   `offset` and is row-major contiguous.
 
-Model checkpoints put {"kind": "model", "config": <model config>} in meta and
-store every parameter and batch-norm running statistic exactly once, in the
-`named_parameters`/`named_buffers` order, so save -> load -> save is
-byte-identical. Standalone tensors use {"kind": "tensor"} and one entry named
-"data".
+A shape has at most 32 dimensions (shape [] is a scalar) and, leaving out its
+zero extents, fewer than 2**63 bytes, so every NumPy version can allocate it.
+
+Model checkpoints put {"kind": "model", "config": <model config>,
+"shuffle_perms": {...}} in meta. They store every parameter, then every
+batch-norm running statistic, exactly once. An entry's name is its field path
+in the parameter tree, such as "stage0.block1.attn.wq", and entries come in
+field order (`named_parameters`, then `named_buffers`), so save -> load -> save
+is byte-identical. "shuffle_perms" holds the frozen maps of each random-mode
+block, keyed by the block's path: {"stage0.block1": {"h": [...], "w": [...],
+"mode": "random"}}. Standalone tensors use {"kind": "tensor"} and one entry
+named "data".
 
 `load_checkpoint` returns frozen parameters: none has `requires_grad` set, so
 a forward through them records no autograd graph. To fine-tune a loaded
@@ -34,7 +41,8 @@ import numpy as np
 
 from .analysis import count_params
 from .errors import CheckpointError, InvalidConfigError
-from .model import ModelConfig, ModelParams, init_model_params, named_buffers, named_parameters
+from .model import (BlockParams, ModelConfig, ModelParams, _leaves, init_model_params,
+                    named_buffers, named_parameters)
 from .windowing import SpatialPermutation
 
 MAGIC = b"SHFCONT1"
@@ -42,6 +50,10 @@ VERSION = 1
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+# the most dimensions and bytes every supported NumPy can allocate (NumPy 1.x
+# allows 32 dimensions); the bytes leave out zero extents, as NumPy does
+_MAX_DIMS = 32
+_MAX_BYTES = np.iinfo(np.intp).max
 # load_checkpoint allocates no skeleton with more parameters than this many
 # times the values the file stores
 _SKELETON_SLACK = 2
@@ -72,12 +84,15 @@ def _checked_entries(path, header) -> list[dict]:
 
 def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Write the header, then each tensor's bytes straight from its array."""
-    arrays = [(name, np.ascontiguousarray(arr)) for name, arr in tensors.items()]
+    # not ascontiguousarray, which turns a 0-d array into a 1-d one
+    arrays = [(name, np.asarray(arr, order="C")) for name, arr in tensors.items()]
     entries = []
     offset = 0
     for name, arr in arrays:
         if arr.dtype.name not in _DTYPES:
             raise CheckpointError(f"tensor {name!r}: unsupported dtype {arr.dtype.name}")
+        if arr.ndim > _MAX_DIMS:
+            raise CheckpointError(f"tensor {name!r}: more than {_MAX_DIMS} dimensions")
         entries.append({"name": name, "dtype": arr.dtype.name,
                         "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
@@ -117,6 +132,9 @@ def _read_header(fh, path) -> tuple[dict, list[dict]]:
         dtype = _DTYPES.get(entry["dtype"])
         if dtype is None:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
+        if len(entry["shape"]) > _MAX_DIMS \
+                or math.prod(filter(None, entry["shape"])) * dtype.itemsize > _MAX_BYTES:
+            raise CheckpointError(f"{path}: tensor {name!r} has a shape NumPy cannot allocate")
         if entry["nbytes"] != math.prod(entry["shape"]) * dtype.itemsize \
                 or entry["offset"] + entry["nbytes"] > payload_len:
             raise CheckpointError(f"{path}: tensor {name!r} payload is truncated or mis-sized")
@@ -162,14 +180,10 @@ def _state_dict(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _frozen_perms(params: ModelParams) -> dict:
-    perms = {}
-    for s, stage in enumerate(params.stages):
-        for i, blk in enumerate(stage.blocks):
-            if blk.shuffle_perms is not None:
-                ph, pw = blk.shuffle_perms
-                perms[f"stage{s}.block{i}"] = {"h": ph.map.tolist(), "w": pw.map.tolist(),
-                                               "mode": ph.mode}
-    return perms
+    """The frozen maps of each random-mode block, keyed by the block's path."""
+    return {key: {"h": blk.shuffle_perms[0].map.tolist(),
+                  "w": blk.shuffle_perms[1].map.tolist(), "mode": "random"}
+            for key, blk in _leaves(params, BlockParams) if blk.shuffle_perms is not None}
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
@@ -236,8 +250,8 @@ def _stored_perms(path, key: str, entry, side: int) -> tuple[SpatialPermutation,
                                                               SpatialPermutation]:
     """One block's frozen (h, w) permutations, each checked to be a permutation
     of range(side); the length is checked before range(side) is built."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("mode"), str):
-        raise CheckpointError(f"{path}: frozen permutations for {key} lack a string mode")
+    if not isinstance(entry, dict) or entry.get("mode") != "random":
+        raise CheckpointError(f"{path}: frozen permutations for {key} lack mode 'random'")
     perms = []
     for axis in ("h", "w"):
         values = entry.get(axis)
@@ -246,7 +260,7 @@ def _stored_perms(path, key: str, entry, side: int) -> tuple[SpatialPermutation,
                 and sorted(values) == list(range(side))):
             raise CheckpointError(
                 f"{path}: frozen {axis!r} map for {key} is not a permutation of range({side})")
-        perms.append(SpatialPermutation(side, np.asarray(values, np.int64), entry["mode"]))
+        perms.append(SpatialPermutation(side, np.asarray(values, np.int64)))
     return perms[0], perms[1]
 
 

@@ -203,25 +203,13 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     return out.reshape(batch, chans, oh, ow), vjp
 
 
-@dataclass
-class RunningStats:
-    """Exponential-moving-average channel statistics used in eval mode."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @staticmethod
-    def neutral(channels: int, dtype=np.float32) -> "RunningStats":
-        return RunningStats(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
-
-
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
-                training: bool) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel normalization of a (B, C, H, W) map.
 
     Training mode normalizes by the batch statistics over (B, H, W), then
-    updates `running` in place (mean with the biased estimate, var with the
-    unbiased one). Eval mode is a fixed affine map using `running`.
+    updates the running statistics in place (mean with the biased estimate,
+    var with the unbiased one). Eval mode is a fixed affine map using them.
     """
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
@@ -240,8 +228,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = gam * xhat + beta.data[None, :, None, None]
-        running.mean[...] = (1.0 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mean
-        running.var[...] = (1.0 - BN_MOMENTUM) * running.var \
+        running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        running_var[...] = (1.0 - BN_MOMENTUM) * running_var \
             + BN_MOMENTUM * var * (n_red / max(n_red - 1, 1))
 
         def vjp(g):
@@ -254,7 +242,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
                     g.sum(axis=(0, 2, 3)).astype(x.dtype))
     else:
         # one pass over x: out = x * sc + sh per channel
-        mean, inv_std = running.mean.copy(), 1.0 / np.sqrt(running.var + BN_EPS)
+        mean, inv_std = running_mean.copy(), 1.0 / np.sqrt(running_var + BN_EPS)
         sc = (gamma.data * inv_std).astype(x.dtype, copy=False)
         sh = (beta.data - mean * sc).astype(x.dtype, copy=False)
         out = x.data * sc[None, :, None, None]
@@ -270,19 +258,28 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running: RunningStats,
 
 
 @dataclass
+class ConvParams:
+    """Kernel and bias of one convolution."""
+
+    weight: Tensor  # (Cout, Cin, kh, kw)
+    bias: Tensor
+
+
+@dataclass
 class BnParams:
-    """Learnable affine plus running statistics for one batch-norm layer."""
+    """Learnable affine plus the running statistics used in eval mode."""
 
     gamma: Tensor
     beta: Tensor
-    running: RunningStats
+    running_mean: np.ndarray
+    running_var: np.ndarray
 
     @staticmethod
     def identity(channels: int, dtype=np.float32, trainable: bool = True) -> "BnParams":
         gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=trainable)
         return BnParams(gamma, Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable),
-                        RunningStats.neutral(channels, gamma.dtype))
+                        np.zeros(channels, gamma.dtype), np.ones(channels, gamma.dtype))
 
 
 def apply_bn(x: Tensor, p: BnParams, training: bool) -> Tensor:
-    return batchnorm2d(x, p.gamma, p.beta, p.running, training)
+    return batchnorm2d(x, p.gamma, p.beta, p.running_mean, p.running_var, training)

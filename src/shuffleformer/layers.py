@@ -27,17 +27,18 @@ INIT_STD = 0.02
 
 @dataclass
 class WmsaParams:
-    """Projection weights for window attention; each is (C, C, 1, 1)."""
+    """Projection weights for window attention, each (C, C, 1, 1), and their
+    biases, each (C,) or None."""
 
     heads: int
     wq: Tensor
+    bq: Tensor | None
     wk: Tensor
+    bk: Tensor | None
     wv: Tensor
+    bv: Tensor | None
     wo: Tensor
-    bq: Tensor | None = None
-    bk: Tensor | None = None
-    bv: Tensor | None = None
-    bo: Tensor | None = None
+    bo: Tensor | None
 
     @property
     def channels(self) -> int:
@@ -62,7 +63,7 @@ def init_wmsa(channels: int, heads: int, rng: Rng | None, bias: bool = True,
     def b():
         return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
 
-    return WmsaParams(heads, w(), w(), w(), w(), b(), b(), b(), b())
+    return WmsaParams(heads, w(), b(), w(), b(), w(), b(), w(), b())
 
 
 def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BnParams, _is_int, apply_bn, conv2d
+from .conv import BnParams, ConvParams, _is_int, apply_bn, conv2d
 from .errors import InvalidConfigError, InvalidShapeError
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
@@ -60,11 +60,12 @@ class BlockConfig:
 class BlockParams:
     bn1: BnParams
     attn: WmsaParams
+    nwc: NwcParams | None
     bn2: BnParams
     mlp: MlpParams
-    nwc: NwcParams | None = None
     # frozen at construction for random shuffle mode; when set, block_forward
-    # uses these instead of building the mode's permutations
+    # uses these instead of building the mode's permutations. A tuple, which
+    # the parameter walk does not enter: the checkpoint stores them in meta.
     shuffle_perms: tuple[SpatialPermutation, SpatialPermutation] | None = None
 
 
@@ -174,22 +175,17 @@ def build_variant(name: str, **overrides) -> ModelConfig:
 
 # ---------------------------------------------------------------------------
 # parameter containers
+#
+# Every parameter container's field order is the checkpoint's entry order, and
+# a field path is an entry's name (see `named_parameters`).
 
 
 @dataclass
 class EmbedParams:
-    conv1_w: Tensor
-    conv1_b: Tensor
+    conv1: ConvParams
     bn1: BnParams
-    conv2_w: Tensor
-    conv2_b: Tensor
+    conv2: ConvParams
     bn2: BnParams
-
-
-@dataclass
-class MergeParams:
-    weight: Tensor  # (2C, C, 2, 2)
-    bias: Tensor
 
 
 @dataclass
@@ -201,7 +197,7 @@ class HeadParams:
 
 @dataclass
 class StageParams:
-    merge: MergeParams | None
+    merge: ConvParams | None  # (2C, C, 2, 2) kernel
     blocks: list[BlockParams]
 
 
@@ -251,8 +247,9 @@ def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> Mo
         return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
 
     embed = EmbedParams(
-        conv_t((half, cfg.in_channels, 3, 3)), zeros_t(half), BnParams.identity(half, dtype),
-        conv_t((cfg.channels, half, 3, 3)), zeros_t(cfg.channels),
+        ConvParams(conv_t((half, cfg.in_channels, 3, 3)), zeros_t(half)),
+        BnParams.identity(half, dtype),
+        ConvParams(conv_t((cfg.channels, half, 3, 3)), zeros_t(cfg.channels)),
         BnParams.identity(cfg.channels, dtype),
     )
     stages = []
@@ -260,7 +257,7 @@ def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> Mo
         ch = cfg.stage_channels(stage)
         merge = None
         if stage > 0:
-            merge = MergeParams(conv_t((ch, ch // 2, 2, 2)), zeros_t(ch))
+            merge = ConvParams(conv_t((ch, ch // 2, 2, 2)), zeros_t(ch))
         blocks = [
             init_block_params(cfg.block_config(stage, i), rng, cfg.mlp_ratio,
                               resolution=cfg.stage_resolution(stage), dtype=dtype,
@@ -274,61 +271,30 @@ def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> Mo
     return ModelParams(embed, stages, head)
 
 
-def _named_bn(prefix: str, bn: BnParams):
-    yield f"{prefix}.gamma", bn.gamma
-    yield f"{prefix}.beta", bn.beta
+def _leaves(node, kind, name: str = ""):
+    """(field path, value) of every `kind` value in a parameter tree, in field
+    order. The items of a list field are named by the field's singular and
+    their index: `stages[0].blocks[1]` is "stage0.block1"."""
+    if isinstance(node, kind):
+        yield name, node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, kind, f"{name[:-1]}{i}")
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _leaves(getattr(node, f.name), kind,
+                               f"{name}.{f.name}" if name else f.name)
 
 
 def named_parameters(params: ModelParams):
-    """Stable (name, Tensor) traversal over every learnable parameter."""
-    e = params.embed
-    yield "embed.conv1.weight", e.conv1_w
-    yield "embed.conv1.bias", e.conv1_b
-    yield from _named_bn("embed.bn1", e.bn1)
-    yield "embed.conv2.weight", e.conv2_w
-    yield "embed.conv2.bias", e.conv2_b
-    yield from _named_bn("embed.bn2", e.bn2)
-    for s, stage in enumerate(params.stages):
-        if stage.merge is not None:
-            yield f"stage{s}.merge.weight", stage.merge.weight
-            yield f"stage{s}.merge.bias", stage.merge.bias
-        for i, blk in enumerate(stage.blocks):
-            p = f"stage{s}.block{i}"
-            yield from _named_bn(f"{p}.bn1", blk.bn1)
-            for proj in ("q", "k", "v", "o"):
-                yield f"{p}.attn.w{proj}", getattr(blk.attn, f"w{proj}")
-                bias = getattr(blk.attn, f"b{proj}")
-                if bias is not None:
-                    yield f"{p}.attn.b{proj}", bias
-            if blk.nwc is not None:
-                yield f"{p}.nwc.kernel", blk.nwc.kernel
-                if blk.nwc.bias is not None:
-                    yield f"{p}.nwc.bias", blk.nwc.bias
-            yield from _named_bn(f"{p}.bn2", blk.bn2)
-            yield f"{p}.mlp.w1", blk.mlp.w1
-            yield f"{p}.mlp.b1", blk.mlp.b1
-            yield f"{p}.mlp.w2", blk.mlp.w2
-            yield f"{p}.mlp.b2", blk.mlp.b2
-    yield from _named_bn("head.bn", params.head.bn)
-    yield "head.weight", params.head.weight
-    yield "head.bias", params.head.bias
+    """(name, Tensor) of every learnable parameter, such as
+    "stage0.block1.attn.wq", in field order."""
+    return _leaves(params, Tensor)
 
 
 def named_buffers(params: ModelParams):
-    """Running statistics, named alongside their batch-norm layers."""
-    for name, bn in _iter_bn(params):
-        yield f"{name}.running_mean", bn.running.mean
-        yield f"{name}.running_var", bn.running.var
-
-
-def _iter_bn(params: ModelParams):
-    yield "embed.bn1", params.embed.bn1
-    yield "embed.bn2", params.embed.bn2
-    for s, stage in enumerate(params.stages):
-        for i, blk in enumerate(stage.blocks):
-            yield f"stage{s}.block{i}.bn1", blk.bn1
-            yield f"stage{s}.block{i}.bn2", blk.bn2
-    yield "head.bn", params.head.bn
+    """(name, array) of every batch-norm running statistic, in field order."""
+    return _leaves(params, np.ndarray)
 
 
 def parameter_list(params: ModelParams) -> list[Tensor]:
@@ -371,13 +337,13 @@ def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> T
     _, _, h, w = image.shape
     if h % 4 or w % 4:
         raise InvalidShapeError(f"input extents {(h, w)} must be divisible by 4")
-    x = conv2d(image, params.conv1_w, params.conv1_b, stride=2, padding=1)
+    x = conv2d(image, params.conv1.weight, params.conv1.bias, stride=2, padding=1)
     x = gelu(apply_bn(x, params.bn1, training))
-    x = conv2d(x, params.conv2_w, params.conv2_b, stride=2, padding=1)
+    x = conv2d(x, params.conv2.weight, params.conv2.bias, stride=2, padding=1)
     return apply_bn(x, params.bn2, training)
 
 
-def token_merge(x: Tensor, params: MergeParams) -> Tensor:
+def token_merge(x: Tensor, params: ConvParams) -> Tensor:
     """Non-overlapping 2x2 patches projected to doubled channels."""
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")

@@ -107,9 +107,10 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
 
     cfg = BlockConfig(1, 1, spec.window, spec.shuffle,
                       spec.nwc_position if spec.nwc else "none")
-    attn = WmsaParams(1, weight((1, 1, 1, 1)), weight((1, 1, 1, 1)),
-                      weight((1, 1, 1, 1)), weight((1, 1, 1, 1)),
-                      weight((1,)), weight((1,)), weight((1,)), weight((1,)))
+    # keywords in draw order: the four projections, then their biases
+    attn = WmsaParams(1, wq=weight((1, 1, 1, 1)), wk=weight((1, 1, 1, 1)),
+                      wv=weight((1, 1, 1, 1)), wo=weight((1, 1, 1, 1)),
+                      bq=weight((1,)), bk=weight((1,)), bv=weight((1,)), bo=weight((1,)))
     nwc = None
     if spec.nwc:
         ch = _PROBE_MLP_RATIO if spec.nwc_position == "C" else 1
@@ -117,8 +118,8 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
     hidden = _PROBE_MLP_RATIO
     mlp = MlpParams(weight((hidden, 1, 1, 1)), weight((hidden,)),
                     weight((1, hidden, 1, 1)), weight((1,)))
-    params = BlockParams(BnParams.identity(1, dt, trainable=False), attn,
-                         BnParams.identity(1, dt, trainable=False), mlp, nwc,
+    params = BlockParams(BnParams.identity(1, dt, trainable=False), attn, nwc,
+                         BnParams.identity(1, dt, trainable=False), mlp,
                          shuffle_permutations(height, width, spec.window, spec.shuffle,
                                               Rng(spec.perm_seed)))
     return cfg, params

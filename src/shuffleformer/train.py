@@ -24,11 +24,9 @@ class ToyTrainConfig:
     samples: int = 32
     classes: int = 8
     resolution: int = 56
-    in_channels: int = 3
     channels: int = 32
     depths: tuple[int, ...] = (2, 2)
     window: int = 7
-    head_dim: int = 32
     shuffle_mode: str = "long-range"
     nwc_position: str = "B"
     steps: int = 500
@@ -53,9 +51,7 @@ class ToyTrainConfig:
     def model_config(self) -> ModelConfig:
         return ModelConfig(channels=self.channels, depths=tuple(self.depths),
                            num_classes=self.classes, resolution=self.resolution,
-                           window=self.window, head_dim=self.head_dim,
-                           in_channels=self.in_channels,
-                           shuffle_mode=self.shuffle_mode,
+                           window=self.window, shuffle_mode=self.shuffle_mode,
                            nwc_position=self.nwc_position)
 
 
@@ -87,7 +83,7 @@ def train_toy(cfg: ToyTrainConfig) -> ToyTrainResult:
     """Full-batch AdamW on a fixed synthetic set; deterministic given the seed."""
     rng = Rng(cfg.seed)
     model_cfg = cfg.model_config()
-    shape = (cfg.in_channels, cfg.resolution, cfg.resolution)
+    shape = (model_cfg.in_channels, cfg.resolution, cfg.resolution)
     data, labels = synthetic_dataset(cfg.samples, cfg.classes, shape, rng)
     params = init_model_params(model_cfg, rng)
     tracked = parameter_list(params)

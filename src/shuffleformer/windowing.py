@@ -25,13 +25,12 @@ from .tensor import Tensor, gather_hw, reshape_permute, result_of
 SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialPermutation:
     """A bijection over one spatial axis: position k reads source `map[k]`."""
 
     n: int
     map: np.ndarray
-    mode: str
 
     def __post_init__(self):
         m = np.asarray(self.map, dtype=np.int64)
@@ -41,11 +40,7 @@ class SpatialPermutation:
 
     @staticmethod
     def identity(n: int) -> "SpatialPermutation":
-        return SpatialPermutation(n, np.arange(n, dtype=np.int64), "none")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SpatialPermutation) and self.n == other.n
-                and self.mode == other.mode and np.array_equal(self.map, other.map))
+        return SpatialPermutation(n, np.arange(n, dtype=np.int64))
 
 
 def make_shuffle_permutation(n: int, m: int, mode: str,
@@ -67,15 +62,15 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
         if n % m:
             raise InvalidConfigError(f"window {m} must divide axis extent {n}")
         perm = np.arange(n, dtype=np.int64).reshape(m, n // m).T.ravel()
-        return SpatialPermutation(n, perm, mode)
+        return SpatialPermutation(n, perm)
     if mode == "short-range":
         if n % (2 * m):
             raise InvalidConfigError(f"2*window = {2 * m} must divide axis extent {n}")
         perm = np.arange(n, dtype=np.int64).reshape(n // (2 * m), m, 2)
-        return SpatialPermutation(n, perm.transpose(0, 2, 1).ravel(), mode)
+        return SpatialPermutation(n, perm.transpose(0, 2, 1).ravel())
     if rng is None:
         raise InvalidConfigError("random mode needs an explicit Rng")
-    return SpatialPermutation(n, rng.permutation(n), "random")
+    return SpatialPermutation(n, rng.permutation(n))
 
 
 def shuffle_permutations(height: int, width: int, m: int, mode: str,
@@ -90,7 +85,7 @@ def invert_permutation(p: SpatialPermutation) -> SpatialPermutation:
     """The alignment permutation: composing with `p` gives the identity."""
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.map] = np.arange(p.n, dtype=np.int64)
-    return SpatialPermutation(p.n, inv, p.mode)
+    return SpatialPermutation(p.n, inv)
 
 
 @dataclass(frozen=True)

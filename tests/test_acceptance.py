@@ -22,7 +22,7 @@ from shuffleformer import (BlockConfig, BlockSpec, Rng, Tensor,
                            synthetic_dataset, train_toy, window_partition,
                            apply_spatial_permutation_2d, aligned_window_reverse,
                            shuffled_window_partition, invert_permutation,
-                           RunningStats, wmsa_forward)
+                           wmsa_forward)
 
 from gradcheck import check_gradients
 from oracles import composes_to_identity
@@ -163,7 +163,7 @@ def test_criterion_6_gradients():
     mixer = Tensor(rng.normal((3, 2, 3, 3), dtype=f64))
     for training in (True, False):
         track(lambda training=training: sum_all(mul(batchnorm2d(
-            xb, gamma, beta, RunningStats.neutral(2, f64), training), mixer)),
+            xb, gamma, beta, np.zeros(2, f64), np.ones(2, f64), training), mixer)),
             xb, gamma, beta)
 
     xs = Tensor(rng.normal((4, 5), dtype=f64), requires_grad=True)
@@ -240,7 +240,8 @@ def test_criterion_7_toy_overfit():
     run = train_toy(frozen)
     rng = Rng(frozen.seed)
     synthetic_dataset(frozen.samples, frozen.classes,
-                      (frozen.in_channels, frozen.resolution, frozen.resolution), rng)
+                      (frozen.model_config().in_channels, frozen.resolution, frozen.resolution),
+                      rng)
     reference = init_model_params(frozen.model_config(), rng)
     for got, want in zip(parameter_list(run.params), parameter_list(reference)):
         assert got.data.tobytes() == want.data.tobytes()

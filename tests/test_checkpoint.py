@@ -106,9 +106,11 @@ class TestMalformedHeader:
         {"meta": {}, "tensors": [dict(GOOD_ENTRY, dtype=["float32"])]},
         {"meta": {}, "tensors": [dict(GOOD_ENTRY, name=7)]},
         {"meta": {}, "tensors": ["a"]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[2 ** 40, 0, 2 ** 40], nbytes=0)]},
+        {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[0] * 33, nbytes=0)]},
     ], ids=["no-tensors", "list-header", "list-meta", "no-name", "negative-offset",
             "negative-shape", "float-dim", "bool-offset", "list-dtype", "int-name",
-            "string-entry"])
+            "string-entry", "empty-but-too-big", "33-dims"])
     def test_rejected_with_checkpoint_error(self, tmp_path, header):
         path = write_raw(tmp_path / "bad.sfc", header, b"\x00" * 16)
         with pytest.raises(CheckpointError):
@@ -165,8 +167,9 @@ class TestMalformedModelMeta:
         lambda p: p["stage0.block1"].update(w=["0", "1", "2", "3"]),
         lambda p: p["stage0.block1"].update(w=[True, False, 2, 3]),
         lambda p: p["stage0.block1"].update(h=[2 ** 70, 1, 2, 3]),
+        lambda p: p["stage0.block1"].update(mode="none"),
     ], ids=["list-entry", "no-h", "no-mode", "repeat", "short", "long", "strings",
-            "bools", "huge"])
+            "bools", "huge", "mode-none"])
     def test_bad_shuffle_perms_rejected(self, saved_random, tmp_path, edit):
         bad = self._rewrite(saved_random, tmp_path, lambda m: edit(m["shuffle_perms"]))
         with pytest.raises(CheckpointError) as err:
@@ -323,6 +326,38 @@ class TestCheckpoint:
         save_checkpoint(second, params, loaded_cfg)
         assert first.read_bytes() == second.read_bytes()
 
+    # field order is the file format: these lists pin each entry's name and place
+    BLOCK_ENTRIES = ["bn1.gamma", "bn1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                     "attn.wv", "attn.bv", "attn.wo", "attn.bo", "nwc.kernel", "nwc.bias",
+                     "bn2.gamma", "bn2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
+    PLAIN_BLOCK_ENTRIES = ["bn1.gamma", "bn1.beta", "attn.wq", "attn.wk", "attn.wv",
+                           "attn.wo", "bn2.gamma", "bn2.beta", "mlp.w1", "mlp.b1",
+                           "mlp.w2", "mlp.b2"]
+
+    @pytest.mark.parametrize("overrides, block, perm_keys", [
+        (dict(shuffle_mode="random", nwc_position="C"), BLOCK_ENTRIES,
+         ["stage0.block1", "stage1.block1"]),
+        (dict(nwc_position="none", attn_bias=False), PLAIN_BLOCK_ENTRIES, []),
+    ], ids=["random-nwc-C", "no-bias-no-nwc"])
+    def test_entry_names_and_order(self, tmp_path, overrides, block, perm_keys):
+        cfg = small_config(depths=(2, 2), resolution=32, **overrides)
+        path = tmp_path / "model.sfc"
+        save_checkpoint(path, init_model_params(cfg, Rng(0)), cfg)
+        meta, tensors = read_container(path)
+        blocks = [f"stage{s}.block{i}" for s in range(2) for i in range(2)]
+        bns = ["embed.bn1", "embed.bn2", *(f"{b}.bn{j}" for b in blocks for j in (1, 2)),
+               "head.bn"]
+        assert list(tensors) == [
+            "embed.conv1.weight", "embed.conv1.bias", "embed.bn1.gamma", "embed.bn1.beta",
+            "embed.conv2.weight", "embed.conv2.bias", "embed.bn2.gamma", "embed.bn2.beta",
+            *(f"{b}.{name}" for b in blocks[:2] for name in block),
+            "stage1.merge.weight", "stage1.merge.bias",
+            *(f"{b}.{name}" for b in blocks[2:] for name in block),
+            "head.bn.gamma", "head.bn.beta", "head.weight", "head.bias",
+            *(f"{bn}.running_{stat}" for bn in bns for stat in ("mean", "var"))]
+        assert sorted(meta["shuffle_perms"]) == perm_keys
+        assert all(p["mode"] == "random" for p in meta["shuffle_perms"].values())
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):
             read_container(tmp_path / "absent.sfc")
@@ -342,6 +377,18 @@ class TestTensorIO:
         loaded, meta = load_tensor(path)
         assert np.array_equal(loaded, arr)
         assert meta["note"] == "input"
+
+    def test_scalar_round_trips(self, tmp_path):
+        path = tmp_path / "s.sfc"
+        save_tensor(path, np.array(3.0))
+        loaded, _ = load_tensor(path)
+        assert loaded.shape == () and loaded.dtype == np.float64 and loaded == 3.0
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="NumPy 1 arrays have at most 32 dimensions")
+    def test_more_than_32_dimensions_rejected_on_write(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            save_tensor(tmp_path / "x.sfc", np.zeros((1,) * 33, np.float32))
 
     def test_model_container_is_not_a_tensor(self, saved):
         path, _, _ = saved

@@ -298,15 +298,28 @@ def _small_checkpoint(tmp_path):
     return str(tmp_path / "small.sfc"), str(tmp_path / "x.sfc")
 
 
+def _raw_container(path, header):
+    """A container with an arbitrary JSON header and no payload."""
+    text = json.dumps(header).encode()
+    path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
+    return str(path)
+
+
 def _huge_channels_checkpoint(tmp_path):
     """A model header asking for 2**20 base channels and storing no tensors."""
     config = dict(channels=2**20, depths=[2], num_classes=2, resolution=16, window=2,
                   head_dim=32, mlp_ratio=4, in_channels=3, shuffle_mode="none",
                   nwc_position="none", attn_bias=False)
-    text = json.dumps({"meta": {"kind": "model", "config": config}, "tensors": []}).encode()
-    path = tmp_path / "huge.sfc"
-    path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
-    return str(path)
+    return _raw_container(tmp_path / "huge.sfc",
+                          {"meta": {"kind": "model", "config": config}, "tensors": []})
+
+
+def _unallocatable_tensor(tmp_path):
+    """A tensor of zero bytes whose other extents multiply past any array size."""
+    entry = {"name": "data", "dtype": "float32", "shape": [2**40, 0, 2**40], "offset": 0,
+             "nbytes": 0}
+    return _raw_container(tmp_path / "empty.sfc", {"meta": {"kind": "tensor"},
+                                                   "tensors": [entry]})
 
 
 def _infer_argv(tmp_path, checkpoint=None, tensor=None, output=None):
@@ -330,6 +343,7 @@ HOSTILE = {
     "infer-missing-checkpoint": lambda t: _infer_argv(t, checkpoint=str(t / "absent.sfc")),
     "infer-missing-input": lambda t: _infer_argv(t, tensor=str(t / "absent.sfc")),
     "infer-huge-channels": lambda t: _infer_argv(t, checkpoint=_huge_channels_checkpoint(t)),
+    "infer-unallocatable-input": lambda t: _infer_argv(t, tensor=_unallocatable_tensor(t)),
     "infer-unwritable-output": lambda t: _infer_argv(t, output=str(t / "no" / "o.sfc")),
     "stats-unwritable-out-dir": lambda t: ["stats", "--out-dir",
                                            str(Path(_text_file(t, "")) / "sub")],

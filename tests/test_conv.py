@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shuffleformer import (BnParams, DegenerateBatchError, InvalidConfigError,
-                           InvalidShapeError, ModelConfig, Rng, RunningStats, Tensor,
+                           InvalidShapeError, ModelConfig, Rng, Tensor,
                            apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits,
                            init_model_params, model_forward, mul, sum_all)
 from shuffleformer import conv
@@ -284,7 +284,8 @@ class TestBatchNorm:
         x = Tensor(np.full((2, 2, 3, 3), 7.0, dtype=np.float32))
         gamma = Tensor(np.ones(2, dtype=np.float32))
         beta = Tensor(np.full(2, 0.25, dtype=np.float32))
-        out = batchnorm2d(x, gamma, beta, RunningStats.neutral(2), training=True).data
+        out = batchnorm2d(x, gamma, beta, np.zeros(2, np.float32), np.ones(2, np.float32),
+                          training=True).data
         assert np.abs(out - 0.25).max() < 1e-5
 
     def test_train_statistics(self):
@@ -300,25 +301,25 @@ class TestBatchNorm:
     def test_running_stats_update(self):
         rng = Rng(4)
         x = rng.normal((4, 2, 3, 3), dtype=np.float64) + 5.0
-        running = RunningStats.neutral(2, np.float64)
+        running_mean, running_var = np.zeros(2), np.ones(2)
         gamma = Tensor(np.ones(2, dtype=np.float64))
         beta = Tensor(np.zeros(2, dtype=np.float64))
-        batchnorm2d(Tensor(x), gamma, beta, running, training=True)
+        batchnorm2d(Tensor(x), gamma, beta, running_mean, running_var, training=True)
         batch_mean = x.mean(axis=(0, 2, 3))
         n = 4 * 3 * 3
         batch_var = x.var(axis=(0, 2, 3)) * n / (n - 1)
-        assert np.allclose(running.mean, 0.9 * 0.0 + 0.1 * batch_mean)
-        assert np.allclose(running.var, 0.9 * 1.0 + 0.1 * batch_var)
+        assert np.allclose(running_mean, 0.9 * 0.0 + 0.1 * batch_mean)
+        assert np.allclose(running_var, 0.9 * 1.0 + 0.1 * batch_var)
 
     def test_eval_does_not_touch_running_stats(self):
-        running = RunningStats.neutral(2, np.float64)
-        before = (running.mean.copy(), running.var.copy())
+        running_mean, running_var = np.zeros(2), np.ones(2)
+        before = (running_mean.copy(), running_var.copy())
         gamma = Tensor(np.ones(2, dtype=np.float64))
         beta = Tensor(np.zeros(2, dtype=np.float64))
         batchnorm2d(Tensor(np.random.default_rng(0).normal(size=(2, 2, 2, 2))),
-                    gamma, beta, running, training=False)
-        assert np.array_equal(running.mean, before[0])
-        assert np.array_equal(running.var, before[1])
+                    gamma, beta, running_mean, running_var, training=False)
+        assert np.array_equal(running_mean, before[0])
+        assert np.array_equal(running_var, before[1])
 
     def test_degenerate_batch_rejected(self):
         p = BnParams.identity(2, np.float64)
@@ -339,10 +340,8 @@ class TestBatchNorm:
         weight = Tensor(rng.normal((3, 2, 3, 3), dtype=np.float64))
 
         def run():
-            running = RunningStats.neutral(2, np.float64)
-            running.mean += 0.3
-            running.var += 0.5
-            out = batchnorm2d(x, gamma, beta, running, training=training)
+            running_mean, running_var = np.zeros(2) + 0.3, np.ones(2) + 0.5
+            out = batchnorm2d(x, gamma, beta, running_mean, running_var, training=training)
             return sum_all(mul(out, weight))
 
         check_gradients(run, [x, gamma, beta])

@@ -10,7 +10,7 @@ of the same weights and input.
 import numpy as np
 import pytest
 
-from shuffleformer import (InvalidConfigError, ModelConfig, RunningStats, Tensor, add,
+from shuffleformer import (InvalidConfigError, ModelConfig, Tensor, add,
                            aligned_window_reverse, batchnorm2d, conv2d, cross_entropy_logits,
                            gather_hw, gelu, init_model_params, matmul, mean_all, mean_pool_hw,
                            model_forward, mul, reshape_permute, scale, shuffle_permutations,
@@ -26,10 +26,9 @@ PERMS = shuffle_permutations(4, 4, 2, "long-range")
 
 def _bn(training):
     def op(x, gamma, beta):
-        running = RunningStats.neutral(3, x.dtype)
-        running.mean += 0.25
-        running.var += 0.5
-        return batchnorm2d(x, gamma, beta, running, training)
+        running_mean = np.zeros(3, x.dtype) + 0.25
+        running_var = np.ones(3, x.dtype) + 0.5
+        return batchnorm2d(x, gamma, beta, running_mean, running_var, training)
     return op
 
 

@@ -25,7 +25,7 @@ def _random_wmsa(channels, heads, seed=0, dtype=np.float64):
     def b():
         return Tensor(rng.normal((channels,), 0.5, dtype=dtype))
 
-    return WmsaParams(heads, w(), w(), w(), w(), b(), b(), b(), b())
+    return WmsaParams(heads, wq=w(), wk=w(), wv=w(), wo=w(), bq=b(), bk=b(), bv=b(), bo=b())
 
 
 class TestWmsa:

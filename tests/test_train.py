@@ -57,7 +57,7 @@ def test_zero_lr_keeps_parameters_bit_identical():
     # compare against a freshly initialized copy of the same seed
     rng = Rng(cfg.seed)
     synthetic_dataset(cfg.samples, cfg.classes,
-                      (cfg.in_channels, cfg.resolution, cfg.resolution), rng)
+                      (cfg.model_config().in_channels, cfg.resolution, cfg.resolution), rng)
     from shuffleformer import init_model_params
     reference = init_model_params(cfg.model_config(), rng)
     for got, want in zip(parameter_list(result.params), parameter_list(reference)):
