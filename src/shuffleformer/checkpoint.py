@@ -11,8 +11,8 @@ Layout (all integers little-endian):
     then          raw little-endian payload; tensor i starts at payload offset
                   `offset` and is row-major contiguous.
 
-A shape has at most 32 dimensions (shape [] is a scalar) and, leaving out its
-zero extents, fewer than 2**63 bytes, so every NumPy version can allocate it.
+A shape has at most 32 dimensions ([] is a scalar); its non-zero extents times
+the item size fit in NumPy's index type, so any supported NumPy allocates it.
 
 Model checkpoints put {"kind": "model", "config": <model config>,
 "shuffle_perms": {...}} in meta. They store every parameter, then every
