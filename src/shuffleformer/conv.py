@@ -20,16 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError
+from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError, _is_int
 from .tensor import _CHUNK_ELEMS, Tensor, _check_same_dtype, result_of
 
 # batch-norm running-statistics momentum and variance floor
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _pad_spec(padding) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -275,9 +271,9 @@ class BnParams:
     running_var: np.ndarray
 
     @staticmethod
-    def identity(channels: int, dtype=np.float32, trainable: bool = True) -> "BnParams":
-        gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=trainable)
-        return BnParams(gamma, Tensor(np.zeros(channels, dtype=dtype), requires_grad=trainable),
+    def identity(channels: int, dtype=np.float32) -> "BnParams":
+        gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
+        return BnParams(gamma, Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
                         np.zeros(channels, gamma.dtype), np.ones(channels, gamma.dtype))
 
 

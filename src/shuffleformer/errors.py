@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer test its
+input checks share."""
+
+import numpy as np
+
+
+def _is_int(value) -> bool:
+    """A Python or NumPy integer; bools are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ShuffleFormerError(Exception):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BnParams, ConvParams, _is_int, apply_bn, conv2d
-from .errors import InvalidConfigError, InvalidShapeError
+from .conv import BnParams, ConvParams, apply_bn, conv2d
+from .errors import InvalidConfigError, InvalidShapeError, _is_int
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng

@@ -8,8 +8,12 @@ max(1, |base output|). Unreachable positions give a bitwise-zero difference,
 so the threshold only guards against accidental cancellation, which is
 further mitigated by taking the union over several weight seeds.
 
-`symbolic_reachability` composes the window/shuffle/kernel index relations
-exactly and must agree with the probe on every configuration; disagreement
+`symbolic_reachability` composes the layers' index relations exactly. The
+shuffle, the window partition and the NWC kernel act on rows and columns
+independently, so a layer is one boolean relation per axis, rel[i, a] when
+output index i reads input index a, and it maps a reached mask to
+rel_hᵀ · mask · rel_w. This route shares no code with the probe or the window
+gathers and must agree with the probe on every configuration; disagreement
 means a bug in one of the two routes.
 """
 
@@ -22,14 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BnParams
-from .errors import InvalidConfigError
-from .layers import MlpParams, NwcParams, WmsaParams, nwc_padding
-from .model import BlockConfig, BlockParams, block_forward
+from .errors import InvalidConfigError, _is_int
+from .layers import nwc_padding
+from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
 from .rng import Rng
 from .tensor import Tensor
-from .windowing import (SHUFFLE_MODES, SpatialPermutation, invert_permutation,
-                        shuffle_permutations)
+from .windowing import SHUFFLE_MODES, WindowGrid, invert_permutation, shuffle_permutations
 
 PROBE_THRESHOLD = 1e-9
 PROBE_EPSILON = 1e-4
@@ -49,6 +51,9 @@ class BlockSpec:
     perm_seed: int = 0  # only read in random mode; shared by probe and oracle
 
     def __post_init__(self):
+        if not (_is_int(self.window) and self.window >= 1 and isinstance(self.nwc, bool)):
+            raise InvalidConfigError(f"window {self.window!r} must be a positive integer "
+                                     f"and nwc {self.nwc!r} true or false")
         if self.shuffle not in SHUFFLE_MODES:
             raise InvalidConfigError(
                 f"unknown shuffle mode {self.shuffle!r}; expected one of {SHUFFLE_MODES}")
@@ -96,49 +101,38 @@ class ReachabilitySet:
 
 
 def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[BlockConfig, BlockParams]:
-    """One-channel block with dense random weights (zeros would mask reachability)."""
-    dt = np.float64
-
-    def weight(shape):
-        arr = rng.normal(shape, _PROBE_STD, dtype=dt)
-        if np.abs(arr).max() == 0.0:
-            raise InvalidConfigError("degenerate all-zero probe weights")
-        return Tensor(arr)
-
+    """A frozen one-channel block with dense random weights (zeros would mask reachability)."""
     cfg = BlockConfig(1, 1, spec.window, spec.shuffle,
                       spec.nwc_position if spec.nwc else "none")
-    # keywords in draw order: the four projections, then their biases
-    attn = WmsaParams(1, wq=weight((1, 1, 1, 1)), wk=weight((1, 1, 1, 1)),
-                      wv=weight((1, 1, 1, 1)), wo=weight((1, 1, 1, 1)),
-                      bq=weight((1,)), bk=weight((1,)), bv=weight((1,)), bo=weight((1,)))
-    nwc = None
-    if spec.nwc:
-        ch = _PROBE_MLP_RATIO if spec.nwc_position == "C" else 1
-        nwc = NwcParams(weight((ch, 1, spec.window, spec.window)), weight((ch,)))
-    hidden = _PROBE_MLP_RATIO
-    mlp = MlpParams(weight((hidden, 1, 1, 1)), weight((hidden,)),
-                    weight((1, hidden, 1, 1)), weight((1,)))
-    params = BlockParams(BnParams.identity(1, dt, trainable=False), attn, nwc,
-                         BnParams.identity(1, dt, trainable=False), mlp,
-                         shuffle_permutations(height, width, spec.window, spec.shuffle,
-                                              Rng(spec.perm_seed)))
+    params = init_block_params(cfg, None, _PROBE_MLP_RATIO, dtype=np.float64)
+    params.shuffle_perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
+                                                Rng(spec.perm_seed))
+    for name, param in named_parameters(params):
+        if not name.startswith(("bn1.", "bn2.")):
+            param.data = rng.normal(param.shape, _PROBE_STD, dtype=np.float64)
+            if not param.data.any():
+                raise InvalidConfigError("degenerate all-zero probe weights")
+        param.requires_grad = False
     return cfg, params
 
 
-def _stack_forward(x: Tensor, blocks) -> Tensor:
-    for cfg, params in blocks:
-        x = block_forward(x, params, cfg, training=False)
-    return x
+def _int_pair(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_int, value))
 
 
 def _check_query(stack, grid, probe) -> None:
-    """The checks both routes make before building anything: every stack
-    element is a BlockSpec and the probe is an (h, w) pair inside the grid."""
+    """The checks both routes make before building anything: BlockSpecs whose
+    windows tile a grid of two positive integers, and an (h, w) probe inside it."""
+    if not isinstance(stack, (list, tuple)):
+        raise InvalidConfigError(f"the stack must be a list of BlockSpecs, got {stack!r}")
+    if not (_int_pair(grid) and min(grid) >= 1):
+        raise InvalidConfigError(f"grid extents must be positive integers, got {grid!r}")
+    if not (_int_pair(probe) and all(0 <= p < g for p, g in zip(probe, grid))):
+        raise InvalidConfigError(f"probe {probe!r} outside grid {grid}")
     for spec in stack:
         if not isinstance(spec, BlockSpec):
             raise InvalidConfigError(f"unknown stack element {spec!r}")
-    if not (len(grid) == len(probe) == 2 and all(0 <= p < g for p, g in zip(probe, grid))):
-        raise InvalidConfigError(f"probe {probe} outside grid {grid}")
+        WindowGrid.for_extents(*grid, spec.window)
 
 
 def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
@@ -146,8 +140,9 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
                        threshold: float = PROBE_THRESHOLD) -> ReachabilitySet:
     """Finite-difference reachability of `probe` through a stack of `BlockSpec`s."""
     _check_query(stack, grid, probe)
-    if len(seeds) == 0:
-        raise InvalidConfigError("the probe needs at least one weight seed")
+    if not (isinstance(seeds, (list, tuple)) and seeds):
+        raise InvalidConfigError(f"the probe needs a list of weight seeds, got {seeds!r}")
+    rngs = [Rng(seed) for seed in seeds]
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidConfigError(f"epsilon must be positive and finite, got {epsilon}")
     if not (math.isfinite(threshold) and threshold >= 0):
@@ -156,8 +151,7 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
     ph, pw = probe
     union = np.zeros((height, width), dtype=bool)
     n = height * width
-    for seed in seeds:
-        rng = Rng(seed)
+    for rng in rngs:
         blocks = [_random_block(spec, height, width, rng) for spec in stack]
         x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
         batch = np.repeat(x0, 2 * n + 1, axis=0)
@@ -165,8 +159,10 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
         idx = np.arange(n)
         flat[1 + idx, idx] += epsilon
         flat[1 + n + idx, idx] -= epsilon
-        out = _stack_forward(Tensor(batch), blocks).data
-        at_probe = out[:, :, ph, pw]
+        out = Tensor(batch)
+        for cfg, params in blocks:
+            out = block_forward(out, params, cfg, training=False)
+        at_probe = out.data[:, :, ph, pw]
         base_scale = max(1.0, float(np.abs(at_probe[0]).max()))
         deriv = np.abs(at_probe[1:1 + n] - at_probe[1 + n:]).max(axis=1) / (2 * epsilon)
         union |= (deriv > threshold * base_scale).reshape(height, width)
@@ -177,65 +173,43 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
 # exact relation composition
 
 
-def _axis_sources(perm: SpatialPermutation, m: int) -> np.ndarray:
-    """sources[i] = the m axis positions that feed aligned output position i."""
-    inv = invert_permutation(perm).map
-    window_index = inv // m
-    members = window_index[:, None] * m + np.arange(m)[None, :]
-    return perm.map[members]
-
-
 def _apply_wmsa(mask: np.ndarray, perms, m: int) -> np.ndarray:
-    src_h = _axis_sources(perms[0], m)
-    src_w = _axis_sources(perms[1], m)
-    out = mask.copy()  # residual path keeps every current position
-    for i, j in zip(*np.nonzero(mask)):
-        out[np.ix_(src_h[i], src_w[j])] = True
-    return out
+    """Index i reads index a when both sit in one window of the permuted axis;
+    the relation is reflexive, which keeps the residual path."""
+    windows = [invert_permutation(p).map // m for p in perms]
+    rel_h, rel_w = (w[:, None] == w[None, :] for w in windows)
+    return rel_h.T @ mask @ rel_w
 
 
 def _apply_nwc(mask: np.ndarray, extent: int) -> np.ndarray:
+    """Index i reads index a when -pad_before <= a - i < extent - pad_before."""
     pad_before, _ = nwc_padding(extent)
-    offsets = np.arange(extent) - pad_before
-    height, width = mask.shape
-    out = mask.copy()
-    for i, j in zip(*np.nonzero(mask)):
-        rows = i + offsets
-        cols = j + offsets
-        rows = rows[(rows >= 0) & (rows < height)]
-        cols = cols[(cols >= 0) & (cols < width)]
-        out[np.ix_(rows, cols)] = True
-    return out
+    offsets = [np.arange(n)[None, :] - np.arange(n)[:, None] for n in mask.shape]
+    rel_h, rel_w = ((d >= -pad_before) & (d < extent - pad_before) for d in offsets)
+    return rel_h.T @ mask @ rel_w
 
 
 def symbolic_reachability(stack, grid, probe) -> ReachabilitySet:
-    """Exact reachability of `probe` via set composition of the layer relations,
+    """Exact reachability of `probe` by composing the per-axis layer relations,
     walking the stack from its last layer back to its input."""
     _check_query(stack, grid, probe)
-    height, width = grid
-    mask = np.zeros((height, width), dtype=bool)
-    mask[probe[0], probe[1]] = True
+    mask = np.zeros(grid, dtype=bool)
+    mask[tuple(probe)] = True
     for spec in reversed(stack):
-        perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
-                                     Rng(spec.perm_seed))
-        nwc_before_attn = spec.nwc and spec.nwc_position == "A"
-        if spec.nwc and not nwc_before_attn:
+        perms = shuffle_permutations(*grid, spec.window, spec.shuffle, Rng(spec.perm_seed))
+        if spec.nwc and spec.nwc_position != "A":
             mask = _apply_nwc(mask, spec.window)
         mask = _apply_wmsa(mask, perms, spec.window)
-        if nwc_before_attn:
+        if spec.nwc and spec.nwc_position == "A":
             mask = _apply_nwc(mask, spec.window)
     return ReachabilitySet.from_mask(mask, probe)
 
 
 def render_mask(reach: ReachabilitySet) -> str:
     """ASCII picture: '#' reachable, '.' not, 'O' the probe position."""
-    mask = reach.mask()
-    rows = []
-    for i in range(mask.shape[0]):
-        row = "".join("O" if (i, j) == tuple(reach.probe) else
-                      ("#" if mask[i, j] else ".") for j in range(mask.shape[1]))
-        rows.append(row)
-    return "\n".join(rows)
+    chars = np.where(reach.mask(), "#", ".")
+    chars[tuple(reach.probe)] = "O"
+    return "\n".join("".join(row) for row in chars)
 
 
 def reachability_report(stack, grid, probe, seeds=PROBE_SEEDS,

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, _is_int
 
 
 class Rng:
     """A seeded PCG64 stream. ``Rng(seed)`` with equal seeds is bit-reproducible."""
 
     def __init__(self, seed: int) -> None:
+        if not (_is_int(seed) and seed >= 0):
+            raise InvalidConfigError(f"seeds must be non-negative integers, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise InvalidConfigError(f"seeds must be non-negative, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, std: float = 1.0, dtype=np.float32) -> np.ndarray:

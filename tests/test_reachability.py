@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from shuffleformer import (BlockSpec, InvalidConfigError, ReachabilitySet,
-                           reachability_probe, reachability_report,
-                           render_mask, symbolic_reachability)
-from shuffleformer.reachability import _apply_nwc
+from shuffleformer import (BlockSpec, InvalidConfigError, PartitionError, ReachabilitySet, Rng,
+                           Tensor, block_forward, named_parameters, reachability_probe,
+                           reachability_report, render_mask, symbolic_reachability)
+from shuffleformer.reachability import _apply_nwc, _random_block
 
 from oracles import window_index_oracle
 
@@ -122,6 +122,65 @@ class TestInputChecks:
             reachability_probe([BlockSpec(2)], (4, 4), (1, 1), epsilon=epsilon,
                                threshold=threshold)
 
+    @pytest.mark.parametrize("route", [reachability_probe, symbolic_reachability,
+                                       reachability_report])
+    @pytest.mark.parametrize("stack, grid, probe", [
+        ([BlockSpec(2)], (4, 4.0), (1, 2)),
+        ([BlockSpec(2)], "44", (1, 2)),
+        ([BlockSpec(2)], None, (1, 2)),
+        ([BlockSpec(2)], (-4, -4), (0, 0)),
+        ([BlockSpec(2)], (4, 4), (1.5, 2)),
+        ([BlockSpec(2)], (4, 4), None),
+        ([BlockSpec(2)], (4, 4), (True, 1)),
+        (None, (4, 4), (1, 1)),
+        ([BlockSpec(2, "random", perm_seed=1.9)], (4, 4), (1, 1)),
+    ], ids=["float-grid", "string-grid", "no-grid", "negative-grid", "float-probe",
+            "no-probe", "bool-probe", "no-stack", "float-perm-seed"])
+    def test_malformed_query_rejected(self, route, stack, grid, probe):
+        with pytest.raises(InvalidConfigError):
+            route(stack, grid, probe)
+
+    def test_negative_grid_named(self):
+        with pytest.raises(InvalidConfigError, match="grid extents must be positive"):
+            symbolic_reachability([BlockSpec(2)], (-4, -4), (0, 0))
+
+    @pytest.mark.parametrize("route", [reachability_probe, symbolic_reachability])
+    def test_window_that_does_not_tile_the_grid_rejected(self, route):
+        for mode in ("none", "random"):
+            with pytest.raises(PartitionError):
+                route([BlockSpec(3, mode)], (4, 4), (1, 1))
+
+    def test_numpy_integers_accepted(self):
+        stack = [BlockSpec(np.int64(2), perm_seed=np.int32(1))]
+        sym = symbolic_reachability(stack, (np.int64(4), 4), (np.int32(1), 1))
+        assert sym.members == symbolic_reachability([BlockSpec(2)], (4, 4), (1, 1)).members
+        fd = reachability_probe(stack, (4, 4), (1, 1), seeds=[np.uint8(0)])
+        assert fd.members == sym.members
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(window=2.0), dict(window=True), dict(window=0), dict(window=2, nwc="yes"),
+        dict(window=2, nwc=1),
+    ], ids=["float-window", "bool-window", "zero-window", "string-nwc", "int-nwc"])
+    def test_block_spec_fields_checked(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            BlockSpec(**kwargs)
+
+    @pytest.mark.parametrize("seeds", [3, None, (1.5,), (True,), ("0",)],
+                             ids=["int", "none", "float", "bool", "string"])
+    def test_probe_seeds_checked(self, seeds):
+        with pytest.raises(InvalidConfigError):
+            reachability_probe([BlockSpec(2)], (4, 4), (1, 1), seeds=seeds)
+
+    @pytest.mark.parametrize("seed", [None, 2.7, "3", True, -1],
+                             ids=["none", "float", "string", "bool", "negative"])
+    def test_rng_takes_only_non_negative_integers(self, seed):
+        with pytest.raises(InvalidConfigError):
+            Rng(seed)
+
+    def test_rng_accepts_numpy_integers(self):
+        assert Rng(np.int64(3)).seed == 3 and type(Rng(np.int64(3)).seed) is int
+        assert np.array_equal(Rng(np.uint16(3)).normal(4), Rng(3).normal(4))
+
     def test_zero_threshold_accepted(self):
         fd = reachability_probe([BlockSpec(2)], (4, 4), (1, 1), threshold=0.0)
         assert fd.members == symbolic_reachability([BlockSpec(2)], (4, 4), (1, 1)).members
@@ -142,6 +201,25 @@ def random_stack(rng, grid):
                                nwc_position=["A", "B", "C"][int(rng.integers(0, 3))],
                                perm_seed=int(rng.integers(0, 1000))))
     return stack
+
+
+class TestProbeBlocks:
+    @pytest.mark.parametrize("spec", [BlockSpec(2), BlockSpec(2, "long-range", True, "A"),
+                                      BlockSpec(2, "random", True, "C", perm_seed=4)])
+    def test_frozen_dense_identity_bn_and_no_graph(self, spec):
+        cfg, params = _random_block(spec, 4, 4, Rng(0))
+        for name, param in named_parameters(params):
+            assert not param.requires_grad, name
+            if name.startswith(("bn1.", "bn2.")):
+                expect = 1.0 if name.endswith("gamma") else 0.0
+                assert np.all(param.data == expect), name
+            else:
+                assert param.data.any(), name
+        for bn in (params.bn1, params.bn2):
+            assert np.all(bn.running_mean == 0) and np.all(bn.running_var == 1)
+        out = block_forward(Tensor(Rng(1).normal((2, 1, 4, 4), 1.0, np.float64)),
+                            params, cfg)
+        assert not out.requires_grad and out._parents == ()
 
 
 class TestAgreement:
