@@ -286,9 +286,9 @@ def _leaves(node, kind, name: str = ""):
                                f"{name}.{f.name}" if name else f.name)
 
 
-def named_parameters(params: ModelParams):
-    """(name, Tensor) of every learnable parameter, such as
-    "stage0.block1.attn.wq", in field order."""
+def named_parameters(params: ModelParams | BlockParams):
+    """(name, Tensor) of every learnable parameter in field order, such as
+    "stage0.block1.attn.wq", or "attn.wq" when `params` is one block."""
     return _leaves(params, Tensor)
 
 

@@ -121,18 +121,20 @@ def test_criterion_3_reachability_at_stage0_grid():
     plain, long_range = BlockSpec(7), BlockSpec(7, "long-range")
     short_range = BlockSpec(7, "short-range")
     nwc_pair = [BlockSpec(7, nwc=True), BlockSpec(7, "long-range", nwc=True)]
-    for probe in [(0, 0), (27, 27), (55, 13), (30, 44)]:
-        def reach(stack):
-            members = symbolic_reachability(stack, (56, 56), probe).members
-            return len(members), len({(h // 7, w // 7) for h, w in members})
 
+    def reach(stack, probe):
+        """(reached positions, reached 7x7 windows) through the exact route."""
+        members = symbolic_reachability(stack, (56, 56), probe).members
+        return len(members), len({(h // 7, w // 7) for h, w in members})
+
+    for probe in [(0, 0), (27, 27), (55, 13), (30, 44)]:
         # one shuffle pair reaches 49 of the 64 windows, a second one or the
         # NWC reaches the whole grid; a short-range pair stays in 4 windows
-        assert reach([plain, long_range]) == (2401, 49)
-        assert reach([plain, long_range] * 2) == (3136, 64)
-        assert reach(nwc_pair) == (3136, 64)
-        assert reach([plain, short_range]) == (196, 4)
-        assert reach([plain, short_range] * 2) == (196, 4)
+        assert reach([plain, long_range], probe) == (2401, 49)
+        assert reach([plain, long_range] * 2, probe) == (3136, 64)
+        assert reach(nwc_pair, probe) == (3136, 64)
+        assert reach([plain, short_range], probe) == (196, 4)
+        assert reach([plain, short_range] * 2, probe) == (196, 4)
 
 
 @criterion(4, "model size reproduction")
