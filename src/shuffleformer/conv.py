@@ -6,10 +6,11 @@
   convs): one (Cout, Cin) @ (Cin, oh*ow) channel matmul per kernel tap on a
   strided view of the input; its vjp adds the transposed matmul into the same
   views of a gradient buffer and reduces the kernel gradient per tap;
-- depth-wise (one channel per group, stride 1): a shift-and-accumulate over
-  the taps on zero-padded rows flattened per (image, channel), so every tap
-  is one slice of each row; its vjp is the transposed tap scatter plus one
-  channel reduction per tap.
+- depth-wise (one channel per group, stride 1): one batched matmul per
+  kernel row, each channel's zero-padded images stacked along the rows times
+  a banded (Toeplitz) matrix that holds that kernel row; its vjp multiplies
+  by the transposed bands and reads the kernel gradient off the band
+  diagonals. Images go through in chunks so the buffers stay small.
 
 Padding may be asymmetric, which even kernel extents need to keep resolution.
 """
@@ -137,66 +138,68 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
-    """Stride-1 conv with one channel per group, tap by tap; returns (out, vjp).
+    """Stride-1 conv with one channel per group as banded row matmuls; returns (out, vjp).
 
-    Every (image, channel) pair is an independent row. Rows are zero-padded
-    to width wp = W + left + right (plus one spare row) and flattened, so
-    output (i, j) sits at flat index i * wp + j and tap (u, v) reads the input
-    at that index plus u * wp + v: each tap is one slice of length oh * wp.
-    Columns j >= ow of that slice are discarded; in the vjp they carry a zero
-    gradient. Rows go through in chunks of about _CHUNK_ELEMS padded values,
-    so the padded copy and the accumulators stay small and cache-resident.
+    For channel c and kernel row u, the taps along a row form the (wp, ow)
+    band T[c, u][j + v, j] = w[c, 0, u, v], so an output row is
+    sum_u xp[c, i + u] @ T[c, u]. Images go through in chunks of n, zero-padded
+    into one reused buffer and stacked along the rows per channel as
+    (C, n * hp, wp). Tap u is then one batched matmul on the rows u .. u + R,
+    R = n * hp - kh + 1, with no copy of its input; rows i >= oh of each image
+    mix two images and are dropped. The vjp adds gs @ T[c, u]^T into the same
+    rows of a gradient buffer and sums xs[c, u:u + R]^T @ gs into a (wp, ow)
+    matrix per (c, u), whose v-th band diagonal is the weight gradient. Each
+    reused buffer holds about _CHUNK_ELEMS values.
     """
     batch, chans, h, wd = x.shape
     _, _, kh, kw = w.shape
     (pt, pb), (pl, pr) = pads
     oh, ow = out_hw
     hp, wp = h + pt + pb, wd + pl + pr
-    n = oh * wp
-    rows = batch * chans
-    xr = x.reshape(rows, h, wd)
-    taps = [(u * kw + v, u * wp + v) for u in range(kh) for v in range(kw)]
-    # per-row factor of each tap: (rows, taps, 1)
-    wr = np.broadcast_to(w.reshape(1, chans, kh * kw, 1),
-                         (batch, chans, kh * kw, 1)).reshape(rows, kh * kw, 1)
-    step = max(1, _CHUNK_ELEMS // ((hp + 1) * wp))
-    chunks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    diag = np.arange(ow)
+    band = np.zeros((chans, kh, wp, ow), x.dtype)
+    for v in range(kw):
+        band[:, :, diag + v, diag] = w[:, 0, :, v, None]
+    n = max(1, min(batch, _CHUNK_ELEMS // (chans * hp * wp)))
 
-    def padded(rs: slice) -> np.ndarray:
-        xp = np.zeros((rs.stop - rs.start, hp + 1, wp), x.dtype)
-        xp[:, pt:pt + h, pl:pl + wd] = xr[rs]
-        return xp.reshape(rs.stop - rs.start, -1)
+    def stacked():
+        """Yield (b0, b1, xs): images b0 .. b1 padded and stacked, (C, (b1 - b0) * hp, wp)."""
+        buf = np.zeros((chans, n, hp, wp), x.dtype)
+        for b0 in range(0, batch, n):
+            b1 = min(b0 + n, batch)
+            buf[:, :b1 - b0, pt:pt + h, pl:pl + wd] = x[b0:b1].transpose(1, 0, 2, 3)
+            yield b0, b1, buf[:, :b1 - b0].reshape(chans, -1, wp)
 
-    out = np.empty((rows, oh, ow), x.dtype)
-    for rs in chunks:
-        xf = padded(rs)
-        acc = np.zeros((rs.stop - rs.start, n), x.dtype)
-        tmp = np.empty_like(acc)
-        for t, s in taps:
-            np.multiply(xf[:, s:s + n], wr[rs, t], out=tmp)
-            acc += tmp
-        out[rs] = acc.reshape(-1, oh, wp)[:, :, :ow]
+    out = np.empty((batch, chans, oh, ow), x.dtype)
+    acc, tmp = np.empty((2, chans, n * hp, ow), x.dtype)
+    for b0, b1, xs in stacked():
+        r = xs.shape[1] - kh + 1
+        np.matmul(xs[:, :r], band[:, 0], out=acc[:, :r])
+        for u in range(1, kh):
+            acc[:, :r] += np.matmul(xs[:, u:u + r], band[:, u], out=tmp[:, :r])
+        out[b0:b1] = acc.reshape(chans, n, hp, ow)[:, :b1 - b0, :oh].transpose(1, 0, 2, 3)
 
     def vjp(g):
-        gr = g.reshape(rows, oh, ow)
-        gx = np.empty((rows, h, wd), x.dtype)
-        gw_rows = np.empty((rows, kh * kw), x.dtype)
-        for rs in chunks:
-            xf = padded(rs)
-            gp = np.zeros((rs.stop - rs.start, oh, wp), x.dtype)
-            gp[:, :, :ow] = gr[rs]
-            gf = gp.reshape(-1, n)
-            gxf = np.zeros_like(xf)
-            tmp = np.empty_like(gf)
-            for t, s in taps:
-                np.multiply(gf, wr[rs, t], out=tmp)
-                gxf[:, s:s + n] += tmp
-                gw_rows[rs, t] = np.einsum("rn,rn->r", gf, xf[:, s:s + n])
-            gx[rs] = gxf.reshape(-1, hp + 1, wp)[:, pt:pt + h, pl:pl + wd]
-        gw = gw_rows.reshape(batch, chans, kh, kw).sum(axis=0)
-        return gx.reshape(x.shape), gw.reshape(w.shape)
+        gx = np.empty(x.shape, x.dtype)
+        gband = np.zeros_like(band)
+        gbuf = np.zeros((chans, n, hp, ow), x.dtype)  # rows i >= oh stay zero
+        gxbuf, tmp = np.empty((2, chans, n * hp, wp), x.dtype)
+        gtmp = np.empty((chans, wp, ow), x.dtype)
+        for b0, b1, xs in stacked():
+            r = xs.shape[1] - kh + 1
+            gbuf[:, :b1 - b0, :oh] = g[b0:b1].transpose(1, 0, 2, 3)
+            gs = gbuf[:, :b1 - b0].reshape(chans, -1, ow)[:, :r]
+            gxs = gxbuf[:, :xs.shape[1]]
+            gxs[...] = 0
+            for u in range(kh):
+                gxs[:, u:u + r] += np.matmul(gs, band[:, u].transpose(0, 2, 1), out=tmp[:, :r])
+                gband[:, u] += np.matmul(xs[:, u:u + r].transpose(0, 2, 1), gs, out=gtmp)
+            gx[b0:b1] = gxs.reshape(chans, b1 - b0, hp, wp)[
+                :, :, pt:pt + h, pl:pl + wd].transpose(1, 0, 2, 3)
+        gw = np.stack([gband[:, :, diag + v, diag].sum(axis=2) for v in range(kw)], axis=2)
+        return gx, gw.reshape(w.shape)
 
-    return out.reshape(batch, chans, oh, ow), vjp
+    return out, vjp
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,

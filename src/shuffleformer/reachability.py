@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class BlockSpec:
                 f"unknown shuffle mode {self.shuffle!r}; expected one of {SHUFFLE_MODES}")
         if self.nwc_position not in ("A", "B", "C"):
             raise InvalidConfigError(f"unknown NWC position {self.nwc_position!r}")
+        # NumPy integers pass the checks; keep Python ints so reports serialize
+        object.__setattr__(self, "window", int(self.window))
+        if _is_int(self.perm_seed):  # any other seed is refused by Rng
+            object.__setattr__(self, "perm_seed", int(self.perm_seed))
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,8 @@ class ReachabilitySet:
     def from_mask(mask: np.ndarray, probe, threshold=0.0, seeds=(),
                   method="symbolic") -> "ReachabilitySet":
         members = frozenset((int(h), int(w)) for h, w in zip(*np.nonzero(mask)))
-        return ReachabilitySet(tuple(probe), mask.shape, members, threshold,
-                               tuple(seeds), method)
+        return ReachabilitySet(tuple(map(int, probe)), tuple(map(int, mask.shape)), members,
+                               float(threshold), tuple(map(int, seeds)), method)
 
 
 def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[BlockConfig, BlockParams]:
@@ -118,6 +123,10 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
 
 def _int_pair(value) -> bool:
     return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_int, value))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_query(stack, grid, probe) -> None:
@@ -143,10 +152,11 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
     if not (isinstance(seeds, (list, tuple)) and seeds):
         raise InvalidConfigError(f"the probe needs a list of weight seeds, got {seeds!r}")
     rngs = [Rng(seed) for seed in seeds]
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidConfigError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise InvalidConfigError(f"threshold must be non-negative and finite, got {threshold}")
+    if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidConfigError(f"epsilon must be a positive finite number, got {epsilon!r}")
+    if not (_is_real(threshold) and math.isfinite(threshold) and threshold >= 0):
+        raise InvalidConfigError(
+            f"threshold must be a non-negative finite number, got {threshold!r}")
     height, width = grid
     ph, pw = probe
     union = np.zeros((height, width), dtype=bool)

@@ -28,8 +28,8 @@ from .errors import InvalidCallError, InvalidShapeError, NumericsError
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
 # values per block of the chunked kernels, float32 gelu and the depth-wise conv
-# (its padded rows: unless one row is larger, its three chunk buffers take at
-# most 1.5 MiB in float64), so that their scratch buffers stay cache-resident
+# (each of its reused buffers of stacked padded images holds at most this many
+# values unless one image is larger), so that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
 
 _validation = False

@@ -136,6 +136,24 @@ class TestDepthwiseKernel:
         b = rng.normal((5,), dtype=np.float64)
         _check_against_oracle(x, w, b, (nwc_padding(4), nwc_padding(4)), groups=5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [2, 7])
+    @pytest.mark.parametrize("pad_rule", ["nwc", "wider-than-kernel"])
+    def test_stacked_images_match_oracle(self, kernel, pad_rule, dtype, monkeypatch):
+        # two padded images per chunk and a ragged last chunk of one image
+        padding = {"nwc": (nwc_padding(kernel), nwc_padding(kernel)),
+                   "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
+        (pt, pb), (pl, pr) = padding
+        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 2 * 3 * (5 + pt + pb) * (4 + pl + pr) + 1)
+        rng = Rng(22)
+        x = rng.normal((5, 3, 5, 4), dtype=np.float64)
+        w = rng.normal((3, 1, kernel, kernel), dtype=np.float64)
+        got = conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)), None, 1, padding, 3).data
+        want = naive_conv2d(x, w, None, 1, padding, 3)
+        assert got.dtype == dtype and got.shape == want.shape
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert np.abs(got - want).max() < tol * np.abs(want).max()
+
     @pytest.mark.parametrize("kernel, chunk", [(3, None), (4, None), (4, 150)])
     def test_gradients(self, kernel, chunk, monkeypatch):
         if chunk is not None:
@@ -147,6 +165,16 @@ class TestDepthwiseKernel:
         weight = Tensor(rng.normal((2, 3, 5, 4), dtype=np.float64))
         pad = (nwc_padding(kernel), nwc_padding(kernel))
         check_gradients(lambda: sum_all(mul(conv2d(x, w, b, 1, pad, 3), weight)), [x, w, b])
+
+    def test_gradients_of_stacked_images(self, monkeypatch):
+        # padded 8 x 6 images, two per chunk, the last chunk ragged
+        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 2 * 2 * 8 * 6 + 1)
+        rng = Rng(23)
+        x = Tensor(rng.normal((5, 2, 5, 4), dtype=np.float64), requires_grad=True)
+        w = Tensor(rng.normal((2, 1, 3, 3), dtype=np.float64), requires_grad=True)
+        weight = Tensor(rng.normal((5, 2, 6, 4), dtype=np.float64))
+        pad = ((2, 1), (0, 2))
+        check_gradients(lambda: sum_all(mul(conv2d(x, w, None, 1, pad, 2), weight)), [x, w])
 
 
 class TestPointwiseKernel:

@@ -4,7 +4,7 @@ import pytest
 from shuffleformer import (BlockSpec, InvalidConfigError, PartitionError, ReachabilitySet, Rng,
                            Tensor, block_forward, named_parameters, reachability_probe,
                            reachability_report, render_mask, symbolic_reachability)
-from shuffleformer.reachability import _apply_nwc, _random_block
+from shuffleformer.reachability import _apply_nwc, _random_block, dump_report
 
 from oracles import window_index_oracle
 
@@ -115,8 +115,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("epsilon, threshold", [
         (0.0, 1e-9), (-1e-4, 1e-9), (float("nan"), 1e-9), (float("inf"), 1e-9),
         (1e-4, -1.0), (1e-4, float("nan")), (1e-4, float("inf")),
+        ("1e-4", 1e-9), (True, 1e-9), (None, 1e-9), (1e-4, None), (1e-4, "0"), (1e-4, False),
     ], ids=["zero-epsilon", "negative-epsilon", "nan-epsilon", "inf-epsilon",
-            "negative-threshold", "nan-threshold", "inf-threshold"])
+            "negative-threshold", "nan-threshold", "inf-threshold", "string-epsilon",
+            "bool-epsilon", "no-epsilon", "no-threshold", "string-threshold",
+            "bool-threshold"])
     def test_difference_step_and_threshold_checked(self, epsilon, threshold):
         with pytest.raises(InvalidConfigError):
             reachability_probe([BlockSpec(2)], (4, 4), (1, 1), epsilon=epsilon,
@@ -184,6 +187,26 @@ class TestInputChecks:
     def test_zero_threshold_accepted(self):
         fd = reachability_probe([BlockSpec(2)], (4, 4), (1, 1), threshold=0.0)
         assert fd.members == symbolic_reachability([BlockSpec(2)], (4, 4), (1, 1)).members
+        # unreachable positions stay bitwise zero through the NWC's matmuls
+        for pos in "ABC":
+            for stack, grid, probe in [
+                ([BlockSpec(2, nwc=True, nwc_position=pos)], (8, 8), (3, 4)),
+                ([BlockSpec(2), BlockSpec(2, "long-range", True, pos)], (8, 8), (0, 7)),
+                ([BlockSpec(3, nwc=True, nwc_position=pos),
+                  BlockSpec(3, "random", True, pos, perm_seed=3)], (12, 12), (6, 11)),
+            ]:
+                fd = reachability_probe(stack, grid, probe, threshold=0.0)
+                assert fd.members == symbolic_reachability(stack, grid, probe).members
+
+    def test_numpy_integer_report_serializes_like_python_ints(self, tmp_path):
+        numpy_query = reachability_report([BlockSpec(np.int64(2), perm_seed=np.uint8(1))],
+                                          (np.int64(4), 4), (np.int32(1), 1),
+                                          seeds=[np.int64(0)])
+        python_query = reachability_report([BlockSpec(2, perm_seed=1)], (4, 4), (1, 1),
+                                           seeds=[0])
+        dump_report(numpy_query, tmp_path / "numpy.json")
+        dump_report(python_query, tmp_path / "python.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
 
 
 def random_stack(rng, grid):
