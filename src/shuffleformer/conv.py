@@ -144,9 +144,9 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     band T[c, u][j + v, j] = w[c, 0, u, v], so an output row is
     sum_u xp[c, i + u] @ T[c, u]. Images go through in chunks of n, zero-padded
     into one reused buffer and stacked along the rows per channel as
-    (C, n * hp, wp). Tap u is then one batched matmul on the rows u .. u + R,
-    R = n * hp - kh + 1, with no copy of its input; rows i >= oh of each image
-    mix two images and are dropped. The vjp adds gs @ T[c, u]^T into the same
+    (C, n * hp, wp). Kernel row u is then one batched matmul on the rows
+    u .. u + R, R = n * hp - kh + 1, with no copy of its input; output rows
+    i >= oh of each image read into the next one and are dropped. The vjp adds gs @ T[c, u]^T into the same
     rows of a gradient buffer and sums xs[c, u:u + R]^T @ gs into a (wp, ow)
     matrix per (c, u), whose v-th band diagonal is the weight gradient. Each
     reused buffer holds about _CHUNK_ELEMS values.
