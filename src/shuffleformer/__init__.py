@@ -5,13 +5,13 @@ accounting and receptive-field (reachability) probing."""
 __version__ = "0.1.0"
 
 from .analysis import (CONVENTION, CostReport, CostRow, conv_cost, count_flops,
-                       count_params, global_msa_flops, wmsa_attention_flops)
+                       global_msa_flops, wmsa_attention_flops)
 from .checkpoint import (load_checkpoint, load_tensor, read_container,
                          save_checkpoint, save_tensor, write_container)
 from .conv import BnParams, apply_bn, batchnorm2d, conv2d
 from .errors import (CheckpointError, DegenerateBatchError, InvalidCallError,
-                     InvalidConfigError, InvalidShapeError, NumericsError,
-                     PartitionError, ShuffleFormerError, TrainingDivergedError)
+                     InvalidConfigError, InvalidShapeError, PartitionError,
+                     ShuffleFormerError, TrainingDivergedError)
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .model import (BlockConfig, BlockParams, ModelConfig, ModelParams,
@@ -25,8 +25,7 @@ from .reachability import (BlockSpec, ReachabilitySet, reachability_probe,
 from .rng import Rng
 from .tensor import (Tensor, add, backward, cross_entropy_logits, gather_hw,
                      gelu, matmul, mean_all, mean_pool_hw, mul, reshape_permute,
-                     scale, softmax_lastdim, sum_all, validation_enabled,
-                     zero_grads)
+                     scale, softmax_lastdim, sum_all, zero_grads)
 from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy, window_means
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, WindowGrid,
                         aligned_window_reverse, apply_spatial_permutation_2d,

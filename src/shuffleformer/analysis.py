@@ -15,7 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass
 
-from .model import ModelConfig
+from .model import ModelConfig, _nwc_channels
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
               "4*HW*C^2 + 2*M^2*HW*C; norms/activations/softmax/residuals/"
@@ -32,8 +32,8 @@ class CostRow:
 @dataclass
 class CostReport:
     rows: list[CostRow]
+    resolution: int
     convention: str = CONVENTION
-    resolution: int | None = None
 
     @property
     def total_params(self) -> int:
@@ -46,8 +46,7 @@ class CostReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(f"# convention: {self.convention}\n")
-        if self.resolution is not None:
-            buf.write(f"# resolution: {self.resolution}\n")
+        buf.write(f"# resolution: {self.resolution}\n")
         buf.write("layer,params,flops\n")
         for r in self.rows:
             buf.write(f"{r.name},{r.params},{r.flops}\n")
@@ -99,8 +98,8 @@ def _block_rows(cfg: ModelConfig, stage: int, index: int, hw: int) -> list[CostR
         CostRow(f"{prefix}.attn", 4 * (ch * ch + bias * ch),
                 wmsa_attention_flops(hw, ch, window * window)),
     ]
-    if cfg.nwc_position != "none":
-        nwc_ch = ch * cfg.mlp_ratio if cfg.nwc_position == "C" else ch
+    nwc_ch = _nwc_channels(cfg.block_config(stage, index), cfg.mlp_ratio)
+    if nwc_ch is not None:
         p, f = conv_cost(nwc_ch, nwc_ch, window, hw, groups=nwc_ch)
         rows.append(CostRow(f"{prefix}.nwc", p, f))
     hidden = ch * cfg.mlp_ratio
@@ -111,24 +110,23 @@ def _block_rows(cfg: ModelConfig, stage: int, index: int, hw: int) -> list[CostR
     return rows
 
 
-def _build_report(cfg: ModelConfig, resolution: int | None) -> CostReport:
-    """FLOP columns are zero when `resolution` is None."""
+def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
+    """Parameter and FLOP ledger at a square input resolution, by default the
+    config's own. Parameter counts do not depend on the resolution."""
+    res = cfg.resolution if resolution is None else int(resolution)
+    # validates the resolution against the config's stages
+    cfg = dataclasses.replace(cfg, resolution=res)
     rows: list[CostRow] = []
     half = cfg.channels // 2
-    sized = resolution is not None
-    if sized:  # validates the resolution against the config's stages
-        cfg = dataclasses.replace(cfg, resolution=resolution)
-    r1 = (resolution // 2) ** 2 if sized else 0
-    r2 = (resolution // 4) ** 2 if sized else 0
-    p, f = conv_cost(cfg.in_channels, half, 3, r1)
+    p, f = conv_cost(cfg.in_channels, half, 3, (res // 2) ** 2)
     rows.append(CostRow("embed.conv1", p, f))
     rows.append(CostRow("embed.bn1", _bn_params(half), 0))
-    p, f = conv_cost(half, cfg.channels, 3, r2)
+    p, f = conv_cost(half, cfg.channels, 3, (res // 4) ** 2)
     rows.append(CostRow("embed.conv2", p, f))
     rows.append(CostRow("embed.bn2", _bn_params(cfg.channels), 0))
 
     for stage in range(cfg.stages):
-        hw = cfg.stage_resolution(stage) ** 2 if sized else 0
+        hw = cfg.stage_resolution(stage) ** 2
         if stage > 0:
             ch = cfg.stage_channels(stage)
             p, f = conv_cost(ch // 2, ch, 2, hw)
@@ -140,15 +138,4 @@ def _build_report(cfg: ModelConfig, resolution: int | None) -> CostReport:
     rows.append(CostRow("head.bn", _bn_params(last), 0))
     rows.append(CostRow("head.fc", last * cfg.num_classes + cfg.num_classes,
                         last * cfg.num_classes))
-    return CostReport(rows, CONVENTION, resolution)
-
-
-def count_params(cfg: ModelConfig) -> CostReport:
-    """Parameter ledger; FLOP columns are zero since no resolution is fixed."""
-    return _build_report(cfg, None)
-
-
-def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
-    """Parameter and FLOP ledger at a given square input resolution."""
-    res = cfg.resolution if resolution is None else int(resolution)
-    return _build_report(cfg, res)
+    return CostReport(rows, res)

@@ -39,7 +39,7 @@ import struct
 
 import numpy as np
 
-from .analysis import count_params
+from .analysis import count_flops
 from .errors import CheckpointError, InvalidConfigError
 from .model import (BlockParams, ModelConfig, ModelParams, _leaves, init_model_params,
                     named_buffers, named_parameters)
@@ -213,7 +213,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
         # file that lacks a few tensors reach the check that names them.
         held = sum(math.prod(entry["shape"]) for entry in entries)
         if sum(cfg.depths) > len(entries) \
-                or count_params(cfg).total_params > _SKELETON_SLACK * held:
+                or count_flops(cfg).total_params > _SKELETON_SLACK * held:
             raise CheckpointError(f"{path}: config needs far more than the {held} values stored")
         params = init_model_params(cfg, None, dtype=dtype)
         expected = _state_dict(params)

@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     except (ShuffleFormerError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ class CheckpointError(ShuffleFormerError):
     """A checkpoint file is malformed or inconsistent with the model config."""
 
 
-class NumericsError(ShuffleFormerError):
-    """Validation mode caught a non-finite value entering an operation."""
-
-
 class TrainingDivergedError(ShuffleFormerError):
     """Training produced a non-finite loss."""
 

@@ -16,12 +16,14 @@ from .errors import InvalidCallError
 from .tensor import Tensor
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamW:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
 
@@ -49,11 +51,11 @@ def optimizer_step(opt: Optimizer) -> None:
         g = np.asarray(p.grad, dtype=p.dtype)
         if g.shape != p.shape:
             raise InvalidCallError(f"param {i}: grad shape {g.shape} != param shape {p.shape}")
-        m *= rule.beta1
-        m += (1.0 - rule.beta1) * g
-        v *= rule.beta2
-        v += (1.0 - rule.beta2) * g * g
-        mhat = m / (1.0 - rule.beta1 ** opt.steps)
-        vhat = v / (1.0 - rule.beta2 ** opt.steps)
-        update = mhat / (np.sqrt(vhat) + rule.eps) + rule.weight_decay * p.data
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        mhat = m / (1.0 - BETA1 ** opt.steps)
+        vhat = v / (1.0 - BETA2 ** opt.steps)
+        update = mhat / (np.sqrt(vhat) + EPS) + rule.weight_decay * p.data
         p.data -= (p.dtype.type(rule.lr) * update).astype(p.dtype)

@@ -52,9 +52,10 @@ class BlockSpec:
     perm_seed: int = 0  # only read in random mode; shared by probe and oracle
 
     def __post_init__(self):
-        if not (_is_int(self.window) and self.window >= 1 and isinstance(self.nwc, bool)):
-            raise InvalidConfigError(f"window {self.window!r} must be a positive integer "
-                                     f"and nwc {self.nwc!r} true or false")
+        if not (_is_int(self.window) and self.window >= 1):
+            raise InvalidConfigError(f"window {self.window!r} must be a positive integer")
+        if not isinstance(self.nwc, bool):
+            raise InvalidConfigError(f"nwc {self.nwc!r} must be true or false")
         if self.shuffle not in SHUFFLE_MODES:
             raise InvalidConfigError(
                 f"unknown shuffle mode {self.shuffle!r}; expected one of {SHUFFLE_MODES}")

@@ -24,11 +24,10 @@ class Rng:
     def normal(self, shape, std: float = 1.0, dtype=np.float32) -> np.ndarray:
         return self._gen.normal(0.0, std, size=shape).astype(dtype)
 
-    def trunc_normal(self, shape, std: float = 0.02, limit: float = 2.0,
-                     dtype=np.float32) -> np.ndarray:
-        """Normal(0, std) with draws outside ±limit·std resampled."""
+    def trunc_normal(self, shape, std: float, dtype=np.float32) -> np.ndarray:
+        """Normal(0, std) with draws outside ±2·std resampled."""
         out = self._gen.normal(0.0, std, size=shape)
-        bound = limit * std
+        bound = 2.0 * std
         bad = np.abs(out) > bound
         while bad.any():
             out[bad] = self._gen.normal(0.0, std, size=int(bad.sum()))

@@ -11,19 +11,19 @@ sum(i_j * stride_j) with stride_j = prod(shape[j+1:]), i.e. NumPy C order.
 Every operation materializes a contiguous result, so two runs over identical
 inputs produce bit-identical arrays.
 
-Thread-safety: operations are pure given their inputs; a graph built in one
+Thread-safety: operations are pure given their inputs and read no mutable
+module state, so threads may run them concurrently; a graph built in one
 thread must be walked by that thread.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidCallError, InvalidShapeError, NumericsError
+from .errors import InvalidCallError, InvalidShapeError
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
@@ -31,20 +31,6 @@ _ALLOWED_DTYPES = (np.float32, np.float64)
 # (each of its reused buffers of stacked padded images holds at most this many
 # values unless one image is larger), so that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
-
-_validation = False
-
-
-@contextmanager
-def validation_enabled():
-    """Context in which non-finite inputs to softmax raise `NumericsError`."""
-    global _validation
-    prev = _validation
-    _validation = True
-    try:
-        yield
-    finally:
-        _validation = prev
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -54,20 +40,16 @@ def _contig(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
-    if arr.dtype not in _ALLOWED_DTYPES:
-        arr = arr.astype(np.float32)
-    return _contig(arr)
-
-
 class Tensor:
     """A dense N-D float array plus optional gradient tracking."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None) -> None:
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False) -> None:
+        arr = np.asarray(data)
+        if arr.dtype not in _ALLOWED_DTYPES:
+            arr = arr.astype(np.float32)
+        self.data = _contig(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -96,7 +78,7 @@ class Tensor:
 def result_of(data: np.ndarray, parents: tuple[Tensor, ...],
               vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     """Build an op result, recording graph edges only when a parent needs grad."""
-    out = Tensor(_contig(data), dtype=data.dtype)
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -207,8 +189,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax_lastdim(t: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, computed with max subtraction."""
-    if _validation and not np.isfinite(t.data).all():
-        raise NumericsError("softmax input contains non-finite values")
     out = t.data - t.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)

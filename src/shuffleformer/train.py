@@ -99,8 +99,7 @@ def train_toy(cfg: ToyTrainConfig) -> ToyTrainResult:
             raise TrainingDivergedError(step)
         accuracy = float((logits.data.argmax(axis=1) == labels).mean())
         result.history.append({"step": step, "loss": loss_value, "accuracy": accuracy})
-        if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy \
-                and result.reached_step is None:
+        if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy:
             result.reached_step = step
             break
         zero_grads(tracked)

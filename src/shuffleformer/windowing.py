@@ -49,7 +49,8 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
 
     none: the identity. long-range: reshape to (m, n/m), transpose, flatten,
     i.e. map[g*m + j] = j*(n/m) + g. short-range: reshape to (n/(2m), m, 2),
-    transpose the last two axes, flatten. random: a uniform draw from `rng`.
+    transpose the last two axes, flatten; an axis one window wide is left as
+    it is. random: a uniform draw from `rng`.
     """
     if mode not in SHUFFLE_MODES:
         raise InvalidConfigError(
@@ -64,6 +65,8 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
         perm = np.arange(n, dtype=np.int64).reshape(m, n // m).T.ravel()
         return SpatialPermutation(n, perm)
     if mode == "short-range":
+        if n == m:  # no neighbour window to pair with
+            return SpatialPermutation.identity(n)
         if n % (2 * m):
             raise InvalidConfigError(f"2*window = {2 * m} must divide axis extent {n}")
         perm = np.arange(n, dtype=np.int64).reshape(n // (2 * m), m, 2)
@@ -145,6 +148,23 @@ def _window_index(grid: WindowGrid, perms) -> tuple[np.ndarray, np.ndarray]:
     return src_h[:, None, :, None], src_w[None, :, None, :]
 
 
+def _gather_windows(x: np.ndarray, grid: WindowGrid, rows, cols) -> np.ndarray:
+    """(B, C, H, W) -> (B*gh*gw, C, m, m), reading x through the index."""
+    b, c = x.shape[:2]
+    m = grid.m
+    wins = x[:, :, rows, cols].transpose(0, 2, 3, 1, 4, 5).reshape(b * grid.windows, c, m, m)
+    return np.ascontiguousarray(wins)
+
+
+def _scatter_windows(wins: np.ndarray, grid: WindowGrid, rows, cols) -> np.ndarray:
+    """Inverse of `_gather_windows`: (B*gh*gw, C, m, m) -> (B, C, H, W)."""
+    c, m = wins.shape[1], grid.m
+    b = wins.shape[0] // grid.windows
+    out = np.empty((b, c, grid.gh * m, grid.gw * m), dtype=wins.dtype)
+    out[:, :, rows, cols] = wins.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
+    return out
+
+
 def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
     """Window partition with the spatial shuffle folded into the gather.
 
@@ -153,19 +173,13 @@ def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
     """
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    b, c, h, w = x.shape
-    grid = WindowGrid.for_extents(h, w, m)
+    grid = WindowGrid.for_extents(x.shape[2], x.shape[3], m)
     rows, cols = _window_index(grid, perms)
-    gathered = x.data[:, :, rows, cols]
-    out = gathered.transpose(0, 2, 3, 1, 4, 5).reshape(b * grid.windows, c, m, m)
 
     def vjp(g):
-        gtmp = g.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
-        gx = np.empty_like(x.data)
-        gx[:, :, rows, cols] = gtmp
-        return (gx,)
+        return (_scatter_windows(g, grid, rows, cols),)
 
-    return result_of(np.ascontiguousarray(out), (x,), vjp)
+    return result_of(_gather_windows(x.data, grid, rows, cols), (x,), vjp)
 
 
 def aligned_window_reverse(wins: Tensor, m: int, height: int, width: int,
@@ -174,19 +188,12 @@ def aligned_window_reverse(wins: Tensor, m: int, height: int, width: int,
     if wins.ndim != 4 or wins.shape[2:] != (m, m):
         raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
     grid = WindowGrid.for_extents(height, width, m)
-    bw, c = wins.shape[:2]
-    if bw % grid.windows:
+    if wins.shape[0] % grid.windows:
         raise InvalidShapeError(
-            f"{bw} windows is not a multiple of the {grid.windows} per image")
-    b = bw // grid.windows
+            f"{wins.shape[0]} windows is not a multiple of the {grid.windows} per image")
     rows, cols = _window_index(grid, perms)
-    blocks = wins.data.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
-    out = np.empty((b, c, height, width), dtype=wins.dtype)
-    out[:, :, rows, cols] = blocks
 
     def vjp(g):
-        gtmp = g[:, :, rows, cols]
-        gwins = gtmp.transpose(0, 2, 3, 1, 4, 5).reshape(wins.shape)
-        return (np.ascontiguousarray(gwins),)
+        return (_gather_windows(g, grid, rows, cols),)
 
-    return result_of(out, (wins,), vjp)
+    return result_of(_scatter_windows(wins.data, grid, rows, cols), (wins,), vjp)

@@ -12,7 +12,7 @@ import pytest
 
 from shuffleformer import (BlockConfig, BlockSpec, Rng, Tensor,
                            ToyTrainConfig, add, batchnorm2d, block_forward,
-                           build_variant, conv2d, count_flops, count_params,
+                           build_variant, conv2d, count_flops,
                            cross_entropy_logits, gather_hw, gelu,
                            init_block_params, init_mlp, init_nwc, init_model_params,
                            init_wmsa, make_shuffle_permutation, matmul,
@@ -140,10 +140,10 @@ def test_criterion_3_reachability_at_stage0_grid():
 @criterion(4, "model size reproduction")
 def test_criterion_4_model_sizes():
     for variant, reference in (("T", 28.5e6), ("S", 50e6), ("B", 88e6)):
-        total = count_params(build_variant(variant)).total_params
+        total = count_flops(build_variant(variant)).total_params
         assert abs(total - reference) / reference < 0.04, (variant, total)
     cfg = build_variant("T")
-    totals = {pos: count_params(dataclasses.replace(cfg, nwc_position=pos)).total_params
+    totals = {pos: count_flops(dataclasses.replace(cfg, nwc_position=pos)).total_params
               for pos in ("A", "B", "C")}
     assert totals["A"] == totals["B"] < totals["C"]
     assert abs(totals["C"] - 29.2e6) / 29.2e6 < 0.04

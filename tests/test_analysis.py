@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from shuffleformer import (CONVENTION, ModelConfig, Rng, build_variant,
-                           count_flops, count_params, global_msa_flops,
+                           count_flops, global_msa_flops,
                            init_model_params, parameter_list,
                            wmsa_attention_flops)
 
@@ -21,12 +21,12 @@ def rel_dev(got, want):
 class TestParams:
     @pytest.mark.parametrize("variant", ["T", "S", "B"])
     def test_within_4_percent_of_reference(self, variant):
-        report = count_params(build_variant(variant))
+        report = count_flops(build_variant(variant))
         assert rel_dev(report.total_params, REFERENCE_PARAMS[variant]) < 0.04
 
     def test_position_ordering(self):
         cfg = build_variant("T")
-        by_pos = {pos: count_params(dataclasses.replace(cfg, nwc_position=pos)).total_params
+        by_pos = {pos: count_flops(dataclasses.replace(cfg, nwc_position=pos)).total_params
                   for pos in ("A", "B", "C", "none")}
         assert by_pos["A"] == by_pos["B"] < by_pos["C"]
         assert rel_dev(by_pos["C"], REFERENCE_PARAMS_NWC_C) < 0.04
@@ -34,8 +34,8 @@ class TestParams:
 
     def test_nwc_removal_saves_closed_form_delta(self):
         cfg = build_variant("T")
-        with_nwc = count_params(cfg).total_params
-        without = count_params(dataclasses.replace(cfg, nwc_position="none")).total_params
+        with_nwc = count_flops(cfg).total_params
+        without = count_flops(dataclasses.replace(cfg, nwc_position="none")).total_params
         expected_delta = sum(
             cfg.depths[s] * (cfg.window ** 2 * cfg.stage_channels(s) + cfg.stage_channels(s))
             for s in range(4))
@@ -46,13 +46,13 @@ class TestParams:
         cfg = build_variant("T")
         a = count_flops(cfg, 224).total_params
         b = count_flops(cfg, 448).total_params
-        assert a == b == count_params(cfg).total_params
+        assert a == b == count_flops(cfg).total_params
 
     def test_ledger_matches_instantiated_model(self):
         cfg = ModelConfig(channels=8, depths=(2, 2), num_classes=4,
                           resolution=16, window=2, head_dim=4)
         params = init_model_params(cfg, Rng(0))
-        assert sum(t.size for t in parameter_list(params)) == count_params(cfg).total_params
+        assert sum(t.size for t in parameter_list(params)) == count_flops(cfg).total_params
 
     def test_ledger_matches_instantiated_model_all_positions(self):
         for pos in ("A", "B", "C", "none"):
@@ -60,15 +60,15 @@ class TestParams:
                               resolution=16, window=2, head_dim=4, nwc_position=pos)
             params = init_model_params(cfg, Rng(0))
             assert sum(t.size for t in parameter_list(params)) == \
-                count_params(cfg).total_params
+                count_flops(cfg).total_params
 
     def test_shuffle_mode_does_not_change_costs(self):
         cfg = build_variant("T")
-        base_p = count_params(cfg).total_params
+        base_p = count_flops(cfg).total_params
         base_f = count_flops(cfg, 224).total_flops
         for mode in ("none", "short-range", "random"):
             c = dataclasses.replace(cfg, shuffle_mode=mode)
-            assert count_params(c).total_params == base_p
+            assert count_flops(c).total_params == base_p
             assert count_flops(c, 224).total_flops == base_f
 
     def test_totals_equal_row_sum(self):

@@ -192,6 +192,14 @@ class TestAblate:
         flops = {r[3] for r in rows}
         assert len(params) == 1 and len(flops) == 1
 
+    def test_short_range_toy_cell(self, tmp_path, capsys):
+        # the toy model's last stage is one 2x2 window
+        out = tmp_path / "ablation.csv"
+        code, _, err = run(["ablate", "--modes", "short-range", "--positions", "B",
+                            "--toy-steps", "1", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert "toy_final_loss" in out.read_text()
+
     def test_bad_mode_exit_one(self, tmp_path, capsys):
         code, _, err = run(["ablate", "--modes", "diagonal",
                             "--out", str(tmp_path / "a.csv")], capsys)
@@ -408,6 +416,16 @@ def test_quiet_accepts_bare_flag_and_file_booleans(tmp_path):
     for text, value in (("true", True), ("off", False), ("YES", True), ("0", False)):
         cfg = _text_file(tmp_path, f"quiet = {text}\n")
         assert parse_args(base + ["--config", cfg]).quiet is value
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr("shuffleformer.cli.reachability_report", exhausted)
+    code, _, err = run(["reach", "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 1
+    assert err == "ERROR: out of memory: Unable to allocate 1.00 GiB for an array\n"
 
 
 def test_env_seed_recorded_in_reach_run_config(tmp_path, capsys, monkeypatch):

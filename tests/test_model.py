@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shuffleformer import (BlockConfig, InvalidConfigError, ModelConfig, Rng,
-                           Tensor, apply_bn, block_forward,
-                           build_variant, init_block_params, init_model_params,
+                           Tensor, apply_bn, backward, block_forward,
+                           build_variant, cross_entropy_logits,
+                           init_block_params, init_model_params,
                            mean_pool_hw, model_forward, mul, named_parameters,
                            parameter_list, sum_all, token_embed, token_merge,
                            matmul, add)
@@ -261,6 +262,17 @@ class TestModelForward:
         out = model_forward(x, params, cfg)
         assert out.shape == (1, 4)
 
+    def test_short_range_with_a_single_window_stage(self):
+        # stage grids 4 and 2 at window 2: short-range leaves the last stage as it is
+        cfg = tiny_config(resolution=16, depths=(2, 2), window=2, shuffle_mode="short-range")
+        params = init_model_params(cfg, Rng(5))
+        x = Tensor(Rng(6).normal((2, 3, 16, 16)))
+        logits = model_forward(x, params, cfg, training=True)
+        assert logits.shape == (2, 4)
+        backward(cross_entropy_logits(logits, np.array([0, 3])))
+        grads = [p.grad for p in parameter_list(params)]
+        assert all(g is not None and np.isfinite(g).all() for g in grads)
+
     def test_divisibility_error_names_stage(self):
         cfg = tiny_config(depths=(2,))
         params = init_model_params(cfg, Rng(0))
@@ -286,5 +298,5 @@ class TestModelForward:
         names = [n for n, _ in named_parameters(params)]
         assert len(names) == len(set(names))
         total = sum(t.size for t in parameter_list(params))
-        from shuffleformer import count_params
-        assert total == count_params(cfg).total_params
+        from shuffleformer import count_flops
+        assert total == count_flops(cfg).total_params

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shuffleformer import AdamW, InvalidCallError, Optimizer, Rng, Tensor
+from shuffleformer.optim import BETA1, BETA2, EPS
 
 
 def _step(opt, *grads):
@@ -18,10 +19,10 @@ def test_adamw_zero_grad_zero_decay_keeps_param():
 
 
 def test_adamw_first_step_closed_form():
-    lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
+    lr, b1, b2, eps, wd = 0.1, BETA1, BETA2, EPS, 0.01
     p0, g = 2.0, 0.5
     p = Tensor(np.array([p0], dtype=np.float64), requires_grad=True)
-    _step(Optimizer([p], AdamW(lr, b1, b2, eps, wd)), np.array([g]))
+    _step(Optimizer([p], AdamW(lr, weight_decay=wd)), np.array([g]))
     # hand-applied update from zero moments at t=1
     m_hat = ((1 - b1) * g) / (1 - b1)
     v_hat = ((1 - b2) * g * g) / (1 - b2)

@@ -143,6 +143,14 @@ class TestInputChecks:
         with pytest.raises(InvalidConfigError):
             route(stack, grid, probe)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(window=0), r"^window 0 must be a positive integer$"),
+        (dict(window=2, nwc="yes"), r"^nwc 'yes' must be true or false$"),
+    ], ids=["zero-window", "string-nwc"])
+    def test_block_spec_names_only_the_bad_field(self, kwargs, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            BlockSpec(**kwargs)
+
     def test_negative_grid_named(self):
         with pytest.raises(InvalidConfigError, match="grid extents must be positive"):
             symbolic_reachability([BlockSpec(2)], (-4, -4), (0, 0))

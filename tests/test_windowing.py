@@ -27,6 +27,11 @@ class TestPermutations:
         p = make_shuffle_permutation(5, 5, "long-range")
         assert np.array_equal(p.map, np.arange(5))
 
+    def test_short_range_single_window_is_identity(self):
+        # no neighbour window to pair with, as on a 7x7 stage at window 7
+        p = make_shuffle_permutation(7, 7, "short-range")
+        assert np.array_equal(p.map, np.arange(7))
+
     def test_short_range_map_n8_m2(self):
         p = make_shuffle_permutation(8, 2, "short-range")
         assert p.map.tolist() == [0, 2, 1, 3, 4, 6, 5, 7]
