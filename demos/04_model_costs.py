@@ -3,7 +3,7 @@
 
 import dataclasses
 
-from shuffleformer import (build_variant, count_flops, global_msa_flops,
+from shuffleformer import (CONVENTION, build_variant, count_flops, global_msa_flops,
                            wmsa_attention_flops)
 
 print("=" * 64)
@@ -56,4 +56,4 @@ for row in report.rows[:8]:
     print(f"  {row.name:<22} {row.params:>10,} params {row.flops:>15,} flops")
 print(f"  ... {len(report.rows) - 8} more rows")
 print()
-print(f"convention: {report.convention}")
+print(f"convention: {CONVENTION}")

@@ -33,7 +33,6 @@ class CostRow:
 class CostReport:
     rows: list[CostRow]
     resolution: int
-    convention: str = CONVENTION
 
     @property
     def total_params(self) -> int:
@@ -45,7 +44,7 @@ class CostReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write(f"# convention: {self.convention}\n")
+        buf.write(f"# convention: {CONVENTION}\n")
         buf.write(f"# resolution: {self.resolution}\n")
         buf.write("layer,params,flops\n")
         for r in self.rows:
@@ -62,7 +61,7 @@ class CostReport:
         lines.append("")
         lines.append(f"params: {self.total_params / 1e6:.2f}M   "
                      f"flops: {self.total_flops / 1e9:.3f}G")
-        lines.append(f"convention: {self.convention}")
+        lines.append(f"convention: {CONVENTION}")
         return "\n".join(lines)
 
 

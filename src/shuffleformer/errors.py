@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the integer test its
-input checks share."""
+"""Exception hierarchy shared across the package, and the integer and
+real-number tests its input checks share."""
+
+import numbers
 
 import numpy as np
 
@@ -7,6 +9,11 @@ import numpy as np
 def _is_int(value) -> bool:
     """A Python or NumPy integer; bools are not counts."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Python or NumPy real number; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ShuffleFormerError(Exception):

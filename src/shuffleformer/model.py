@@ -33,8 +33,12 @@ from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_revers
 NWC_POSITIONS = ("A", "B", "C", "none")
 
 
-def _check_placement(cfg) -> None:
-    """Shared by BlockConfig and ModelConfig: the shuffle mode and NWC position."""
+def _check_fields(cfg) -> None:
+    """Shared by BlockConfig and ModelConfig: int fields, shuffle mode, NWC position."""
+    sizes = [f.name for f in dataclasses.fields(cfg) if f.type in ("int", int)]
+    bad = [n for n in sizes if not _is_int(getattr(cfg, n)) or getattr(cfg, n) < 1]
+    if bad:
+        raise InvalidConfigError(f"expected positive integers for {', '.join(bad)}")
     if cfg.shuffle_mode not in SHUFFLE_MODES:
         raise InvalidConfigError(f"shuffle_mode {cfg.shuffle_mode!r} not in {SHUFFLE_MODES}")
     if cfg.nwc_position not in NWC_POSITIONS:
@@ -50,7 +54,7 @@ class BlockConfig:
     nwc_position: str = "B"
 
     def __post_init__(self):
-        _check_placement(self)
+        _check_fields(self)
         if self.channels % self.heads:
             raise InvalidConfigError(
                 f"{self.heads} heads do not divide {self.channels} channels")
@@ -90,10 +94,7 @@ class ModelConfig:
             raise InvalidConfigError(
                 f"stage depths must be a list of integers, got {self.depths!r}")
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        sizes = [f.name for f in dataclasses.fields(self) if f.type in ("int", int)]
-        bad = [n for n in sizes if not _is_int(getattr(self, n)) or getattr(self, n) < 1]
-        if bad:
-            raise InvalidConfigError(f"expected positive integers for {', '.join(bad)}")
+        _check_fields(self)
         if not isinstance(self.attn_bias, bool):
             raise InvalidConfigError(f"attn_bias must be true or false, got {self.attn_bias!r}")
         if not self.depths or any(d < 2 or d % 2 for d in self.depths):
@@ -103,7 +104,6 @@ class ModelConfig:
         if self.channels % self.head_dim:
             raise InvalidConfigError(
                 f"head_dim {self.head_dim} does not divide base width {self.channels}")
-        _check_placement(self)
         if self.resolution % 4:
             raise InvalidConfigError(
                 f"input resolution {self.resolution} must be divisible by 4 for embedding")

@@ -1,12 +1,12 @@
 """Empirical and exact receptive-field analysis on the token grid.
 
 `reachability_probe` measures which input positions influence a chosen
-output position of a small block stack by central finite differences: one
-batched forward evaluates all +/- perturbations, and a position counts as
-influential when the derivative estimate exceeds `threshold` relative to
-max(1, |base output|). Unreachable positions give a bitwise-zero difference,
-so the threshold only guards against accidental cancellation, which is
-further mitigated by taking the union over several weight seeds.
+output position of a small block stack by one-sided finite differences: one
+forward of HW+1 images, the base and one copy per position with epsilon added
+there; a position counts as influential when (bumped - base) / epsilon
+exceeds `threshold` relative to max(1, |base output|). Unreachable positions
+give a bitwise-zero difference, so the threshold only guards against
+accidental cancellation, as does the union over several weight seeds.
 
 `symbolic_reachability` composes the layers' index relations exactly. The
 shuffle, the window partition and the NWC kernel act on rows and columns
@@ -22,12 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, _is_int
+from .errors import InvalidConfigError, _is_int, _is_real
 from .layers import nwc_padding
 from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
 from .rng import Rng
@@ -126,10 +125,6 @@ def _int_pair(value) -> bool:
     return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_int, value))
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_query(stack, grid, probe) -> None:
     """The checks both routes make before building anything: BlockSpecs whose
     windows tile a grid of two positive integers, and an (h, w) probe inside it."""
@@ -148,7 +143,7 @@ def _check_query(stack, grid, probe) -> None:
 def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
                        epsilon: float = PROBE_EPSILON,
                        threshold: float = PROBE_THRESHOLD) -> ReachabilitySet:
-    """Finite-difference reachability of `probe` through a stack of `BlockSpec`s."""
+    """One-sided finite-difference reachability of `probe` through `BlockSpec`s."""
     _check_query(stack, grid, probe)
     if not (isinstance(seeds, (list, tuple)) and seeds):
         raise InvalidConfigError(f"the probe needs a list of weight seeds, got {seeds!r}")
@@ -165,17 +160,15 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
     for rng in rngs:
         blocks = [_random_block(spec, height, width, rng) for spec in stack]
         x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
-        batch = np.repeat(x0, 2 * n + 1, axis=0)
-        flat = batch.reshape(2 * n + 1, -1)
+        batch = np.repeat(x0, n + 1, axis=0)
         idx = np.arange(n)
-        flat[1 + idx, idx] += epsilon
-        flat[1 + n + idx, idx] -= epsilon
+        batch.reshape(n + 1, n)[1 + idx, idx] += epsilon
         out = Tensor(batch)
         for cfg, params in blocks:
             out = block_forward(out, params, cfg, training=False)
         at_probe = out.data[:, :, ph, pw]
         base_scale = max(1.0, float(np.abs(at_probe[0]).max()))
-        deriv = np.abs(at_probe[1:1 + n] - at_probe[1 + n:]).max(axis=1) / (2 * epsilon)
+        deriv = np.abs(at_probe[1:] - at_probe[0]).max(axis=1) / epsilon
         union |= (deriv > threshold * base_scale).reshape(height, width)
     return ReachabilitySet.from_mask(union, probe, threshold, tuple(seeds), "fd")
 

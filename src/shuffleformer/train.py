@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, TrainingDivergedError
+from .errors import InvalidConfigError, TrainingDivergedError, _is_int, _is_real
 from .model import ModelConfig, ModelParams, init_model_params, model_forward, parameter_list
 from .optim import AdamW, Optimizer
 from .rng import Rng
@@ -36,16 +36,17 @@ class ToyTrainConfig:
     target_accuracy: float | None = None  # stop early once reached
 
     def __post_init__(self):
-        bad = [name for name in ("samples", "classes", "steps") if getattr(self, name) < 1]
+        bad = [name for name in ("samples", "classes", "steps")
+               if not (_is_int(v := getattr(self, name)) and v >= 1)]
         if bad:
-            raise InvalidConfigError(f"{', '.join(bad)} must be positive")
+            raise InvalidConfigError(f"{', '.join(bad)} must be positive integers")
         bad = [name for name in ("lr", "weight_decay")
-               if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0)]
+               if not (_is_real(v := getattr(self, name)) and math.isfinite(v) and v >= 0)]
         if bad:
             raise InvalidConfigError(f"{', '.join(bad)} must be finite and non-negative")
-        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
-            raise InvalidConfigError(
-                f"target_accuracy must lie in [0, 1], got {self.target_accuracy}")
+        acc = self.target_accuracy
+        if acc is not None and not (_is_real(acc) and 0.0 <= acc <= 1.0):
+            raise InvalidConfigError(f"target_accuracy must lie in [0, 1], got {acc}")
         self.model_config()  # checks the architecture fields
 
     def model_config(self) -> ModelConfig:

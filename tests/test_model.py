@@ -65,6 +65,12 @@ class TestBlockConfig:
         with pytest.raises(InvalidConfigError):
             ModelConfig(channels=32, depths=(2,), resolution=12, window=7)
 
+    @pytest.mark.parametrize("args", [(4, 0, 2), ("4", 2, 2), (4, 2, 0), (4, 2.0, 2),
+                                      (True, 1, 2)])
+    def test_block_config_sizes_rejected(self, args):
+        with pytest.raises(InvalidConfigError, match="positive integers"):
+            BlockConfig(*args)
+
 
 def make_block(seed=0, channels=4, heads=2, window=2, shuffle="none",
                nwc_position="B", resolution=4, dtype=np.float64):

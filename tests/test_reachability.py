@@ -252,6 +252,19 @@ class TestProbeBlocks:
                             params, cfg)
         assert not out.requires_grad and out._parents == ()
 
+    def test_one_perturbation_per_position(self, monkeypatch):
+        extents = []
+
+        def recording_forward(x, *args, **kwargs):
+            extents.append(x.shape[0])
+            return block_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
+        fd = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
+        assert extents == [8 * 8 + 1] * (len(stack) * 2)
+        assert fd.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
+
 
 class TestAgreement:
     def test_fd_matches_symbolic_on_random_stacks(self):

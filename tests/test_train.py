@@ -75,8 +75,16 @@ def test_divergence_raises_with_step_index():
 
 
 @pytest.mark.parametrize("field", ["samples", "classes", "steps"])
-@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("value", [0, -1, "3", 2.5, True])
 def test_non_positive_counts_rejected(field, value):
+    with pytest.raises(InvalidConfigError) as err:
+        fast_config(**{field: value})
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [("lr", None), ("weight_decay", "0"),
+                                          ("target_accuracy", "a")])
+def test_non_number_rates_rejected(field, value):
     with pytest.raises(InvalidConfigError) as err:
         fast_config(**{field: value})
     assert field in str(err.value)
