@@ -15,7 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass
 
-from .model import ModelConfig, _nwc_channels
+from .model import BlockConfig, ModelConfig, _nwc_channels
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
               "4*HW*C^2 + 2*M^2*HW*C; norms/activations/softmax/residuals/"
@@ -87,17 +87,15 @@ def _bn_params(channels: int) -> int:
     return 2 * channels
 
 
-def _block_rows(cfg: ModelConfig, stage: int, index: int, hw: int) -> list[CostRow]:
-    ch = cfg.stage_channels(stage)
-    window = cfg.window
-    prefix = f"stage{stage}.block{index}"
+def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
+    ch, window = cfg.channels, cfg.window
     bias = 1 if cfg.attn_bias else 0
     rows = [
         CostRow(f"{prefix}.bn1", _bn_params(ch), 0),
         CostRow(f"{prefix}.attn", 4 * (ch * ch + bias * ch),
                 wmsa_attention_flops(hw, ch, window * window)),
     ]
-    nwc_ch = _nwc_channels(cfg.block_config(stage, index), cfg.mlp_ratio)
+    nwc_ch = _nwc_channels(cfg)
     if nwc_ch is not None:
         p, f = conv_cost(nwc_ch, nwc_ch, window, hw, groups=nwc_ch)
         rows.append(CostRow(f"{prefix}.nwc", p, f))
@@ -112,7 +110,7 @@ def _block_rows(cfg: ModelConfig, stage: int, index: int, hw: int) -> list[CostR
 def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
     """Parameter and FLOP ledger at a square input resolution, by default the
     config's own. Parameter counts do not depend on the resolution."""
-    res = cfg.resolution if resolution is None else int(resolution)
+    res = cfg.resolution if resolution is None else resolution
     # validates the resolution against the config's stages
     cfg = dataclasses.replace(cfg, resolution=res)
     rows: list[CostRow] = []
@@ -131,7 +129,8 @@ def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
             p, f = conv_cost(ch // 2, ch, 2, hw)
             rows.append(CostRow(f"stage{stage}.merge", p, f))
         for index in range(cfg.depths[stage]):
-            rows.extend(_block_rows(cfg, stage, index, hw))
+            rows.extend(_block_rows(cfg.block_config(stage, index),
+                                    f"stage{stage}.block{index}", hw))
 
     last = cfg.stage_channels(cfg.stages - 1)
     rows.append(CostRow("head.bn", _bn_params(last), 0))

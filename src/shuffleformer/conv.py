@@ -206,52 +206,48 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
                 running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel normalization of a (B, C, H, W) map.
 
-    Training mode normalizes by the batch statistics over (B, H, W), then
-    updates the running statistics in place (mean with the biased estimate,
-    var with the unbiased one). Eval mode is a fixed affine map using them.
+    Training mode centres x once, normalizes it by the batch statistics over
+    (B, H, W) and updates the running statistics in place (mean with the
+    biased estimate, var with the unbiased one). Eval mode is a fixed affine
+    map using them. Both modes share one backward.
     """
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
     _check_same_dtype(x, gamma, beta)
     batch, channels, height, width = x.shape
-    if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise InvalidShapeError(f"affine params must have shape ({channels},)")
+    if not all(isinstance(a, np.ndarray) and a.shape == (channels,)
+               for a in (gamma.data, beta.data, running_mean, running_var)):
+        raise InvalidShapeError(f"affine params and running stats must be ({channels},) arrays")
+    # per-channel (C,) values broadcast against (B, C, H, W) as [:, None, None]
+    axes, n = (0, 2, 3), batch * height * width
     if training:
-        gam = gamma.data[None, :, None, None]
-        n_red = batch * height * width
-        if n_red < 2:
+        if n < 2:
             raise DegenerateBatchError(
-                f"training-mode batchnorm needs >=2 elements per channel, got {n_red}")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+                f"training-mode batchnorm needs >=2 elements per channel, got {n}")
+        mean = x.data.mean(axis=axes)
+        xhat = x.data - mean[:, None, None]
+        var = (xhat * xhat).mean(axis=axes)  # the same operations as np.var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gam * xhat + beta.data[None, :, None, None]
+        xhat *= inv_std[:, None, None]
+        sc = gamma.data * inv_std
+        out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
         running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
-        running_var[...] = (1.0 - BN_MOMENTUM) * running_var \
-            + BN_MOMENTUM * var * (n_red / max(n_red - 1, 1))
-
-        def vjp(g):
-            ghat = g * gam
-            gmean = ghat.mean(axis=(0, 2, 3), keepdims=True)
-            gdot = (ghat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            gx = inv_std[None, :, None, None] * (ghat - gmean - xhat * gdot)
-            return (gx.astype(x.dtype),
-                    (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype),
-                    g.sum(axis=(0, 2, 3)).astype(x.dtype))
+        running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
     else:
-        # one pass over x: out = x * sc + sh per channel
-        mean, inv_std = running_mean.copy(), 1.0 / np.sqrt(running_var + BN_EPS)
+        # one pass over x: out = x * sc + sh; only the vjp forms xhat
+        mean, inv_std, xhat = running_mean.copy(), 1.0 / np.sqrt(running_var + BN_EPS), None
         sc = (gamma.data * inv_std).astype(x.dtype, copy=False)
-        sh = (beta.data - mean * sc).astype(x.dtype, copy=False)
-        out = x.data * sc[None, :, None, None]
-        out += sh[None, :, None, None]
+        out = x.data * sc[:, None, None]
+        out += (beta.data - mean * sc).astype(x.dtype, copy=False)[:, None, None]
 
-        def vjp(g):
-            xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-            return (g * sc[None, :, None, None],
-                    (g * xhat).sum(axis=(0, 2, 3)).astype(x.dtype, copy=False),
-                    g.sum(axis=(0, 2, 3)))
+    def vjp(g):
+        xh = (x.data - mean[:, None, None]) * inv_std[:, None, None] if xhat is None else xhat
+        ggamma = (g * xh).sum(axis=axes).astype(x.dtype, copy=False)
+        gbeta = g.sum(axis=axes)
+        if training:  # the batch statistics' terms come from the parameter gradients
+            g = g - xh * (ggamma / n)[:, None, None]
+            g -= (gbeta / n)[:, None, None]
+        return g * sc[:, None, None], ggamma, gbeta
 
     return result_of(out.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
 

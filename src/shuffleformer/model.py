@@ -34,11 +34,14 @@ NWC_POSITIONS = ("A", "B", "C", "none")
 
 
 def _check_fields(cfg) -> None:
-    """Shared by BlockConfig and ModelConfig: int fields, shuffle mode, NWC position."""
-    sizes = [f.name for f in dataclasses.fields(cfg) if f.type in ("int", int)]
-    bad = [n for n in sizes if not _is_int(getattr(cfg, n)) or getattr(cfg, n) < 1]
+    """Shared by BlockConfig and ModelConfig: int and bool fields, shuffle mode, NWC position."""
+    fields = [(f.name, f.type, getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
+    bad = [n for n, t, v in fields if t in ("int", int) and not (_is_int(v) and v >= 1)]
     if bad:
         raise InvalidConfigError(f"expected positive integers for {', '.join(bad)}")
+    bad = [n for n, t, v in fields if t in ("bool", bool) and not isinstance(v, bool)]
+    if bad:
+        raise InvalidConfigError(f"expected true or false for {', '.join(bad)}")
     if cfg.shuffle_mode not in SHUFFLE_MODES:
         raise InvalidConfigError(f"shuffle_mode {cfg.shuffle_mode!r} not in {SHUFFLE_MODES}")
     if cfg.nwc_position not in NWC_POSITIONS:
@@ -52,6 +55,8 @@ class BlockConfig:
     window: int
     shuffle_mode: str = "none"
     nwc_position: str = "B"
+    mlp_ratio: int = 4
+    attn_bias: bool = True
 
     def __post_init__(self):
         _check_fields(self)
@@ -95,8 +100,6 @@ class ModelConfig:
                 f"stage depths must be a list of integers, got {self.depths!r}")
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
         _check_fields(self)
-        if not isinstance(self.attn_bias, bool):
-            raise InvalidConfigError(f"attn_bias must be true or false, got {self.attn_bias!r}")
         if not self.depths or any(d < 2 or d % 2 for d in self.depths):
             raise InvalidConfigError(f"stage depths must be positive and even, got {self.depths}")
         if self.channels % 2:
@@ -136,7 +139,7 @@ class ModelConfig:
         """Even block indices use the plain partition, odd ones the shuffled."""
         mode = "none" if index % 2 == 0 else self.shuffle_mode
         return BlockConfig(self.stage_channels(stage), self.stage_heads(stage),
-                           self.window, mode, self.nwc_position)
+                           self.window, mode, self.nwc_position, self.mlp_ratio, self.attn_bias)
 
     def to_dict(self) -> dict:
         """JSON-ready field values, with the stage depths as a list."""
@@ -170,7 +173,7 @@ def build_variant(name: str, **overrides) -> ModelConfig:
     if key not in _VARIANTS:
         raise InvalidConfigError(
             f"unknown variant {name!r}; valid options: {', '.join(sorted(_VARIANTS))}")
-    return ModelConfig(**{**_VARIANTS[key], **overrides})
+    return ModelConfig.from_dict({**_VARIANTS[key], **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +211,15 @@ class ModelParams:
     head: HeadParams
 
 
-def _nwc_channels(cfg: BlockConfig, mlp_ratio: int) -> int | None:
+def _nwc_channels(cfg: BlockConfig) -> int | None:
     if cfg.nwc_position == "none":
         return None
-    return cfg.channels * mlp_ratio if cfg.nwc_position == "C" else cfg.channels
+    return cfg.channels * cfg.mlp_ratio if cfg.nwc_position == "C" else cfg.channels
 
 
-def init_block_params(cfg: BlockConfig, rng: Rng | None, mlp_ratio: int = 4,
-                      resolution: int | None = None, dtype=np.float32,
-                      attn_bias: bool = True) -> BlockParams:
-    nwc_ch = _nwc_channels(cfg, mlp_ratio)
+def init_block_params(cfg: BlockConfig, rng: Rng | None, resolution: int | None = None,
+                      dtype=np.float32) -> BlockParams:
+    nwc_ch = _nwc_channels(cfg)
     perms = None
     if cfg.shuffle_mode == "random" and rng is not None:
         if resolution is None:
@@ -225,9 +227,9 @@ def init_block_params(cfg: BlockConfig, rng: Rng | None, mlp_ratio: int = 4,
         perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
     return BlockParams(
         bn1=BnParams.identity(cfg.channels, dtype),
-        attn=init_wmsa(cfg.channels, cfg.heads, rng, bias=attn_bias, dtype=dtype),
+        attn=init_wmsa(cfg.channels, cfg.heads, rng, bias=cfg.attn_bias, dtype=dtype),
         bn2=BnParams.identity(cfg.channels, dtype),
-        mlp=init_mlp(cfg.channels, cfg.channels * mlp_ratio, rng, dtype),
+        mlp=init_mlp(cfg.channels, cfg.channels * cfg.mlp_ratio, rng, dtype),
         nwc=None if nwc_ch is None else init_nwc(nwc_ch, cfg.window, dtype=dtype),
         shuffle_perms=perms,
     )
@@ -259,9 +261,8 @@ def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> Mo
         if stage > 0:
             merge = ConvParams(conv_t((ch, ch // 2, 2, 2)), zeros_t(ch))
         blocks = [
-            init_block_params(cfg.block_config(stage, i), rng, cfg.mlp_ratio,
-                              resolution=cfg.stage_resolution(stage), dtype=dtype,
-                              attn_bias=cfg.attn_bias)
+            init_block_params(cfg.block_config(stage, i), rng,
+                              resolution=cfg.stage_resolution(stage), dtype=dtype)
             for i in range(cfg.depths[stage])
         ]
         stages.append(StageParams(merge, blocks))

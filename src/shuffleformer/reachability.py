@@ -37,7 +37,6 @@ PROBE_THRESHOLD = 1e-9
 PROBE_EPSILON = 1e-4
 PROBE_SEEDS = (0, 1, 2)
 _PROBE_STD = 0.5
-_PROBE_MLP_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ class ReachabilitySet:
 def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[BlockConfig, BlockParams]:
     """A frozen one-channel block with dense random weights (zeros would mask reachability)."""
     cfg = BlockConfig(1, 1, spec.window, spec.shuffle,
-                      spec.nwc_position if spec.nwc else "none")
-    params = init_block_params(cfg, None, _PROBE_MLP_RATIO, dtype=np.float64)
+                      spec.nwc_position if spec.nwc else "none", mlp_ratio=2)
+    params = init_block_params(cfg, None, dtype=np.float64)
     params.shuffle_perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
                                                 Rng(spec.perm_seed))
     for name, param in named_parameters(params):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidCallError, InvalidShapeError
+from .errors import InvalidCallError, InvalidShapeError, _is_int
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
@@ -47,6 +47,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         arr = np.asarray(data)
+        if arr.dtype.kind not in "biuf":
+            raise InvalidShapeError(f"tensor data must be bool, integer or float, not {arr.dtype}")
         if arr.dtype not in _ALLOWED_DTYPES:
             arr = arr.astype(np.float32)
         self.data = _contig(arr)
@@ -109,8 +111,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def reshape_permute(t: Tensor, new_shape, axis_order=None) -> Tensor:
     """Reinterpret `t` as `new_shape` (row-major), then transpose by `axis_order`."""
-    new_shape = tuple(int(s) for s in new_shape)
-    if int(np.prod(new_shape, dtype=np.int64)) != t.size:
+    new_shape = tuple(new_shape)
+    if not (all(_is_int(s) and s >= 0 for s in new_shape)
+            and np.prod(new_shape, dtype=np.int64) == t.size):
         raise InvalidShapeError(f"cannot reshape {t.shape} ({t.size} values) to {new_shape}")
     if axis_order is None:
         axis_order = tuple(range(len(new_shape)))

@@ -44,6 +44,8 @@ class ToyTrainConfig:
                if not (_is_real(v := getattr(self, name)) and math.isfinite(v) and v >= 0)]
         if bad:
             raise InvalidConfigError(f"{', '.join(bad)} must be finite and non-negative")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         acc = self.target_accuracy
         if acc is not None and not (_is_real(acc) and 0.0 <= acc <= 1.0):
             raise InvalidConfigError(f"target_accuracy must lie in [0, 1], got {acc}")

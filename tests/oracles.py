@@ -93,3 +93,17 @@ def composes_to_identity(outer, inner) -> bool:
 def window_index_oracle(h, w, m, gw):
     """(window index, intra position) of pixel (h, w) by direct arithmetic."""
     return (h // m) * gw + (w // m), (h % m, w % m)
+
+
+def batchnorm_train_input_grad(x, gamma, g, eps):
+    """Training-mode batch-norm input gradient, one channel at a time, in the
+    textbook form inv_std * (gamma*g - mean(gamma*g) - xhat * mean(gamma*g*xhat))."""
+    out = np.empty(x.shape, dtype=np.float64)
+    for c in range(x.shape[1]):
+        xc = x[:, c].astype(np.float64)
+        centred = xc - xc.mean()
+        inv_std = 1.0 / np.sqrt((centred ** 2).mean() + eps)
+        xhat = centred * inv_std
+        gg = gamma[c] * g[:, c]
+        out[:, c] = inv_std * (gg - gg.mean() - xhat * (gg * xhat).mean())
+    return out

@@ -232,8 +232,8 @@ def test_criterion_6_gradients():
           mlp.w1, mlp.b1, mlp.w2, mlp.b2)
 
     # full reduced block: shuffled attention, NWC at B, batch norm in train mode
-    cfg = BlockConfig(4, 2, 2, "long-range", "B")
-    params = init_block_params(cfg, rng, mlp_ratio=2, resolution=4, dtype=f64)
+    cfg = BlockConfig(4, 2, 2, "long-range", "B", mlp_ratio=2)
+    params = init_block_params(cfg, rng, resolution=4, dtype=f64)
     params.nwc.kernel.data[...] = rng.normal(params.nwc.kernel.shape, 0.3, f64)
     xfull = Tensor(rng.normal((1, 4, 4, 4), dtype=f64), requires_grad=True)
     wfull = Tensor(rng.normal((1, 4, 4, 4), dtype=f64))

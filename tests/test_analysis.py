@@ -113,8 +113,9 @@ class TestFlops:
 
     def test_rejects_incompatible_resolution(self):
         from shuffleformer import InvalidConfigError
-        with pytest.raises(InvalidConfigError):
-            count_flops(build_variant("T"), 100)
+        for resolution in (100, 224.9, "224"):
+            with pytest.raises(InvalidConfigError):
+                count_flops(build_variant("T"), resolution)
 
 
 class TestReportFormats:

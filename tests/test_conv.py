@@ -10,7 +10,7 @@ from shuffleformer.layers import nwc_padding
 from shuffleformer.reachability import PROBE_SEEDS, BlockSpec, reachability_probe
 
 from gradcheck import check_gradients
-from oracles import naive_conv2d, naive_matmul
+from oracles import batchnorm_train_input_grad, naive_conv2d, naive_matmul
 
 
 class TestConv2d:
@@ -339,6 +339,31 @@ class TestBatchNorm:
         assert np.allclose(running_mean, 0.9 * 0.0 + 0.1 * batch_mean)
         assert np.allclose(running_var, 0.9 * 1.0 + 0.1 * batch_var)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_var_is_unbiased_np_var(self, dtype):
+        # exact: the batch variance is computed with the same operations as np.var
+        rng = Rng(6)
+        x = rng.normal((4, 3, 5, 5), 3.0, dtype=dtype) + dtype(2.0)
+        running_mean, running_var = np.zeros(3, dtype), rng.normal((3,), dtype=dtype) ** 2
+        before = running_var.copy()
+        batchnorm2d(Tensor(x), Tensor(np.ones(3, dtype)), Tensor(np.zeros(3, dtype)),
+                    running_mean, running_var, training=True)
+        n = 4 * 5 * 5
+        want = (1.0 - conv.BN_MOMENTUM) * before \
+            + conv.BN_MOMENTUM * np.var(x, axis=(0, 2, 3)) * (n / (n - 1))
+        assert running_var.dtype == dtype and np.array_equal(running_var, want)
+
+    def test_training_input_gradient_matches_textbook_form(self):
+        rng = Rng(7)
+        x = Tensor(rng.normal((4, 3, 5, 5), 1.5, dtype=np.float64) - 0.4, requires_grad=True)
+        gamma = rng.normal((3,), 0.5, dtype=np.float64) + 1.2
+        g = rng.normal(x.shape, dtype=np.float64)
+        out = batchnorm2d(x, Tensor(gamma), Tensor(rng.normal((3,), dtype=np.float64)),
+                          np.zeros(3), np.ones(3), training=True)
+        backward(sum_all(mul(out, Tensor(g))))
+        want = batchnorm_train_input_grad(x.data, gamma, g, conv.BN_EPS)
+        assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_eval_does_not_touch_running_stats(self):
         running_mean, running_var = np.zeros(2), np.ones(2)
         before = (running_mean.copy(), running_var.copy())
@@ -358,6 +383,14 @@ class TestBatchNorm:
         p = BnParams.identity(3, np.float64)
         with pytest.raises(InvalidShapeError):
             apply_bn(Tensor(np.zeros((2, 4, 2, 2))), p, training=False)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("stats", [(np.zeros(2), np.ones(2)), ([0.0] * 3, [1.0] * 3)],
+                             ids=["wrong-shape", "lists"])
+    def test_bad_running_stats_rejected(self, stats, training):
+        p = BnParams.identity(3, np.float64)
+        with pytest.raises(InvalidShapeError, match="running stats"):
+            batchnorm2d(Tensor(np.zeros((2, 3, 2, 2))), p.gamma, p.beta, *stats, training)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradients(self, training):

@@ -45,6 +45,8 @@ class TestBlockConfig:
         with pytest.raises(InvalidConfigError) as err:
             build_variant("XL")
         assert "B" in str(err.value) and "S" in str(err.value) and "T" in str(err.value)
+        with pytest.raises(InvalidConfigError, match="foo"):
+            build_variant("T", foo=1)
 
     def test_stage_resolutions(self):
         t = build_variant("T")
@@ -74,9 +76,8 @@ class TestBlockConfig:
 
 def make_block(seed=0, channels=4, heads=2, window=2, shuffle="none",
                nwc_position="B", resolution=4, dtype=np.float64):
-    cfg = BlockConfig(channels, heads, window, shuffle, nwc_position)
-    params = init_block_params(cfg, Rng(seed), mlp_ratio=2,
-                               resolution=resolution, dtype=dtype)
+    cfg = BlockConfig(channels, heads, window, shuffle, nwc_position, mlp_ratio=2)
+    params = init_block_params(cfg, Rng(seed), resolution=resolution, dtype=dtype)
     return cfg, params
 
 

@@ -13,6 +13,21 @@ from gradcheck import check_gradients
 from oracles import closed_form_softmax, naive_matmul
 
 
+class TestTensorData:
+    @pytest.mark.parametrize("data", [None, np.array(["a"]), np.array([1 + 2j])],
+                             ids=["none", "str", "complex"])
+    def test_non_real_data_rejected(self, data):
+        with pytest.raises(InvalidShapeError):
+            Tensor(data)
+
+    @pytest.mark.parametrize("data", [np.array([True, False]), np.array([3, -1]),
+                                      np.array([1.5, 2.0], np.float16)],
+                             ids=["bool", "int", "float16"])
+    def test_bool_int_and_half_cast_to_float32(self, data):
+        t = Tensor(data)
+        assert t.dtype == np.float32 and np.array_equal(t.data, data.astype(np.float32))
+
+
 class TestReshapePermute:
     def test_reshape_transpose_flatten(self):
         t = Tensor(np.arange(4, dtype=np.float64))
@@ -31,8 +46,9 @@ class TestReshapePermute:
         assert np.array_equal(back.data, t.data)
 
     def test_product_mismatch_raises(self):
-        with pytest.raises(InvalidShapeError):
-            reshape_permute(Tensor(np.zeros(4)), (3, 2))
+        for shape in ((3, 2), (2.5, 2), (-1, -4)):
+            with pytest.raises(InvalidShapeError):
+                reshape_permute(Tensor(np.zeros(4)), shape)
 
     def test_bad_axis_order_raises(self):
         with pytest.raises(InvalidShapeError):

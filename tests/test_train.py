@@ -90,6 +90,12 @@ def test_non_number_rates_rejected(field, value):
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["a", -1, 2.5, True])
+def test_bad_seed_rejected_at_construction(value):
+    with pytest.raises(InvalidConfigError, match="seed"):
+        fast_config(seed=value)
+
+
 def test_bad_architecture_rejected_at_construction():
     with pytest.raises(InvalidConfigError):
         fast_config(window=3)
