@@ -110,9 +110,9 @@ def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
 def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
     """Parameter and FLOP ledger at a square input resolution, by default the
     config's own. Parameter counts do not depend on the resolution."""
-    res = cfg.resolution if resolution is None else resolution
-    # validates the resolution against the config's stages
-    cfg = dataclasses.replace(cfg, resolution=res)
+    # validates the resolution against the config's stages and stores a Python int
+    cfg = dataclasses.replace(cfg, resolution=cfg.resolution if resolution is None else resolution)
+    res = cfg.resolution
     rows: list[CostRow] = []
     half = cfg.channels // 2
     p, f = conv_cost(cfg.in_channels, half, 3, (res // 2) ** 2)

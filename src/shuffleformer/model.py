@@ -39,6 +39,10 @@ def _check_fields(cfg) -> None:
     bad = [n for n, t, v in fields if t in ("int", int) and not (_is_int(v) and v >= 1)]
     if bad:
         raise InvalidConfigError(f"expected positive integers for {', '.join(bad)}")
+    # NumPy integers pass the check; keep Python ints so configs serialize
+    for n, t, v in fields:
+        if t in ("int", int):
+            object.__setattr__(cfg, n, int(v))
     bad = [n for n, t, v in fields if t in ("bool", bool) and not isinstance(v, bool)]
     if bad:
         raise InvalidConfigError(f"expected true or false for {', '.join(bad)}")

@@ -1,12 +1,17 @@
 """Empirical and exact receptive-field analysis on the token grid.
 
 `reachability_probe` measures which input positions influence a chosen
-output position of a small block stack by one-sided finite differences: one
-forward of HW+1 images, the base and one copy per position with epsilon added
-there; a position counts as influential when (bumped - base) / epsilon
-exceeds `threshold` relative to max(1, |base output|). Unreachable positions
-give a bitwise-zero difference, so the threshold only guards against
-accidental cancellation, as does the union over several weight seeds.
+output position of a small block stack by one-sided finite differences over
+HW+1 images, the base and one copy per position with epsilon added there; a
+position counts as influential when (bumped - base) / epsilon exceeds
+`threshold` relative to max(1, |base output|). The batch is built once per
+weight seed and goes through the stack in slices of max(1, _CHUNK_ELEMS // HW)
+images, keeping only each slice's probe column, so each activation holds about
+_CHUNK_ELEMS values per channel instead of (HW+1)·HW; the blocks run in eval
+mode, where every op is per-image, so the column equals that of one
+whole-batch forward bit for bit. Unreachable positions give a bitwise-zero
+difference, so the threshold only guards against accidental cancellation, as
+does the union over several weight seeds.
 
 `symbolic_reachability` composes the layers' index relations exactly. The
 shuffle, the window partition and the NWC kernel act on rows and columns
@@ -30,7 +35,7 @@ from .errors import InvalidConfigError, _is_int, _is_real
 from .layers import nwc_padding
 from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
 from .rng import Rng
-from .tensor import Tensor
+from .tensor import _CHUNK_ELEMS, Tensor
 from .windowing import SHUFFLE_MODES, WindowGrid, invert_permutation, shuffle_permutations
 
 PROBE_THRESHOLD = 1e-9
@@ -156,16 +161,19 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
     ph, pw = probe
     union = np.zeros((height, width), dtype=bool)
     n = height * width
+    step = max(1, _CHUNK_ELEMS // n)
+    at_probe = np.empty((n + 1, 1))
     for rng in rngs:
         blocks = [_random_block(spec, height, width, rng) for spec in stack]
         x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
         batch = np.repeat(x0, n + 1, axis=0)
         idx = np.arange(n)
         batch.reshape(n + 1, n)[1 + idx, idx] += epsilon
-        out = Tensor(batch)
-        for cfg, params in blocks:
-            out = block_forward(out, params, cfg, training=False)
-        at_probe = out.data[:, :, ph, pw]
+        for lo in range(0, n + 1, step):
+            out = Tensor(batch[lo:lo + step])
+            for cfg, params in blocks:
+                out = block_forward(out, params, cfg, training=False)
+            at_probe[lo:lo + step] = out.data[:, :, ph, pw]
         base_scale = max(1.0, float(np.abs(at_probe[0]).max()))
         deriv = np.abs(at_probe[1:] - at_probe[0]).max(axis=1) / epsilon
         union |= (deriv > threshold * base_scale).reshape(height, width)

@@ -29,7 +29,8 @@ _ALLOWED_DTYPES = (np.float32, np.float64)
 
 # values per block of the chunked kernels, float32 gelu and the depth-wise conv
 # (each of its reused buffers of stacked padded images holds at most this many
-# values unless one image is larger), so that their scratch buffers stay small
+# values unless one image is larger), and per image slice of the
+# finite-difference reachability probe, so that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -191,10 +192,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax_lastdim(t: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, computed with max subtraction."""
-    out = t.data - t.data.max(axis=-1, keepdims=True)
+    """Row-wise softmax over the last axis, computed with max subtraction.
+
+    The row max is a running `np.maximum` over the k last-axis slices, which
+    beats a `max(axis=-1)` reduction on the probe's many 4-token rows; the
+    row sum then reuses its buffer. Both match the plain reductions bit for bit.
+    """
+    x = t.data
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise InvalidShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
+    top = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j], out=top)
+    out = x - top[..., None]
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    np.sum(out, axis=-1, out=top)
+    out /= top[..., None]
 
     def vjp(g):
         # out * (g - sum(g * out)), built in one buffer

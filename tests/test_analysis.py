@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from shuffleformer import (CONVENTION, ModelConfig, Rng, build_variant,
@@ -116,6 +117,13 @@ class TestFlops:
         for resolution in (100, 224.9, "224"):
             with pytest.raises(InvalidConfigError):
                 count_flops(build_variant("T"), resolution)
+
+    def test_numpy_integer_resolution_kept_as_python_int(self):
+        cfg = build_variant("T")
+        report = count_flops(cfg, np.int64(224))
+        assert type(report.resolution) is int
+        assert report.to_csv() == count_flops(cfg, 224).to_csv()
+        assert all(type(v) is int for r in report.rows for v in (r.params, r.flops))
 
 
 class TestReportFormats:

@@ -210,6 +210,16 @@ class TestCheckpoint:
         save_checkpoint(again, loaded, cfg2)
         assert path.read_bytes() == again.read_bytes()
 
+    def test_numpy_integer_sizes_round_trip(self, saved, tmp_path):
+        path, params, _ = saved
+        cfg = small_config(channels=np.int64(8), depths=(np.int32(2),),
+                           resolution=np.uint16(16), window=np.int64(2))
+        first, again = tmp_path / "numpy.sfc", tmp_path / "again.sfc"
+        save_checkpoint(first, params, cfg)
+        loaded, cfg2, _ = load_checkpoint(first)
+        save_checkpoint(again, loaded, cfg2)
+        assert first.read_bytes() == again.read_bytes() == path.read_bytes()
+
     def test_loaded_model_reproduces_logits(self, saved):
         path, params, cfg = saved
         loaded, cfg2, _ = load_checkpoint(path)

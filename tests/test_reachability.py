@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,36 @@ class TestProbeBlocks:
         fd = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
         assert extents == [8 * 8 + 1] * (len(stack) * 2)
         assert fd.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
+
+    def test_image_chunks_with_a_ragged_last_chunk(self, monkeypatch):
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
+        whole = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
+        extents = []
+
+        def recording_forward(x, *args, **kwargs):
+            extents.append(x.shape[0])
+            return block_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
+        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 10 * 8 * 8 + 9)
+        chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
+        per_seed = [10] * 6 + [5]  # 65 images
+        assert extents == [e for e in per_seed for _ in stack] * 2
+        assert chunked.members == whole.members
+        assert chunked.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
+
+    def test_memory_bounded_by_the_batch_not_its_activations(self):
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
+        batch_bytes = (32 * 32 + 1) * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            reachability_probe(stack, (32, 32), (5, 9), seeds=(0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 batch plus one chunk's activations; the whole-batch
+        # forward held 16 batches, the attention scores alone 4
+        assert peak < 3 * batch_bytes
 
 
 class TestAgreement:

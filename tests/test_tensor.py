@@ -166,6 +166,21 @@ class TestSoftmax:
         assert np.array_equal(out.data, want)
         assert np.array_equal(gx, want * (g - (g * want).sum(axis=-1, keepdims=True)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 1), (2, 3, 49, 49)])
+    def test_slice_max_matches_the_reductions(self, shape, dtype):
+        x = Rng(11).normal(shape, 3.0, dtype=dtype)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        out = softmax_lastdim(Tensor(x)).data
+        assert out.dtype == dtype and np.array_equal(out, want)
+
+    @pytest.mark.parametrize("data", [np.array(1.0), np.zeros((3, 0))],
+                             ids=["0-d", "empty-last-axis"])
+    def test_no_rows_rejected(self, data):
+        with pytest.raises(InvalidShapeError):
+            softmax_lastdim(Tensor(data))
+
 
 class TestElementwise:
     def test_gelu_at_zero(self):
