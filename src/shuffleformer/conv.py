@@ -10,7 +10,7 @@
   kernel row, each channel's zero-padded images stacked along the rows times
   a banded (Toeplitz) matrix that holds that kernel row; its vjp multiplies
   by the transposed bands and reads the kernel gradient off the band
-  diagonals. Images go through in chunks so the buffers stay small.
+  diagonals. The whole batch is stacked at once, so its scratch grows with B.
 
 Padding may be asymmetric, which even kernel extents need to keep resolution.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError, _is_int
-from .tensor import _CHUNK_ELEMS, Tensor, _check_same_dtype, result_of
+from .tensor import Tensor, _check_same_dtype, result_of
 
 # batch-norm running-statistics momentum and variance floor
 BN_MOMENTUM = 0.1
@@ -142,62 +142,51 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
 
     For channel c and kernel row u, the taps along a row form the (wp, ow)
     band T[c, u][j + v, j] = w[c, 0, u, v], so an output row is
-    sum_u xp[c, i + u] @ T[c, u]. Images go through in chunks of n, zero-padded
-    into one reused buffer and stacked along the rows per channel as
-    (C, n * hp, wp). Kernel row u is then one batched matmul on the rows
-    u .. u + R, R = n * hp - kh + 1, with no copy of its input; output rows
-    i >= oh of each image read into the next one and are dropped. The vjp adds gs @ T[c, u]^T into the same
-    rows of a gradient buffer and sums xs[c, u:u + R]^T @ gs into a (wp, ow)
-    matrix per (c, u), whose v-th band diagonal is the weight gradient. Each
-    reused buffer holds about _CHUNK_ELEMS values.
+    sum_u xp[c, i + u] @ T[c, u]. All B images are zero-padded and stacked
+    along the rows per channel as (C, B * hp, wp). Kernel row u is then one
+    batched matmul on the rows u .. u + R, R = B * hp - kh + 1, with no copy
+    of its input; output rows i >= oh of each image read into the next one
+    and are dropped. The vjp stacks x again, adds gs @ T[c, u]^T into the
+    same rows of a gradient stack and takes xs[c, u:u + R]^T @ gs as a
+    (wp, ow) matrix per (c, u), whose v-th band diagonal is the weight
+    gradient.
     """
     batch, chans, h, wd = x.shape
     _, _, kh, kw = w.shape
     (pt, pb), (pl, pr) = pads
     oh, ow = out_hw
     hp, wp = h + pt + pb, wd + pl + pr
+    r = batch * hp - kh + 1
     diag = np.arange(ow)
     band = np.zeros((chans, kh, wp, ow), x.dtype)
     for v in range(kw):
         band[:, :, diag + v, diag] = w[:, 0, :, v, None]
-    n = max(1, min(batch, _CHUNK_ELEMS // (chans * hp * wp)))
 
-    def stacked():
-        """Yield (b0, b1, xs): images b0 .. b1 padded and stacked, (C, (b1 - b0) * hp, wp)."""
-        buf = np.zeros((chans, n, hp, wp), x.dtype)
-        for b0 in range(0, batch, n):
-            b1 = min(b0 + n, batch)
-            buf[:, :b1 - b0, pt:pt + h, pl:pl + wd] = x[b0:b1].transpose(1, 0, 2, 3)
-            yield b0, b1, buf[:, :b1 - b0].reshape(chans, -1, wp)
+    def stack() -> np.ndarray:
+        xs = np.zeros((chans, batch, hp, wp), x.dtype)
+        xs[:, :, pt:pt + h, pl:pl + wd] = x.transpose(1, 0, 2, 3)
+        return xs.reshape(chans, -1, wp)
 
-    out = np.empty((batch, chans, oh, ow), x.dtype)
-    acc, tmp = np.empty((2, chans, n * hp, ow), x.dtype)
-    for b0, b1, xs in stacked():
-        r = xs.shape[1] - kh + 1
-        np.matmul(xs[:, :r], band[:, 0], out=acc[:, :r])
-        for u in range(1, kh):
-            acc[:, :r] += np.matmul(xs[:, u:u + r], band[:, u], out=tmp[:, :r])
-        out[b0:b1] = acc.reshape(chans, n, hp, ow)[:, :b1 - b0, :oh].transpose(1, 0, 2, 3)
+    xs = stack()
+    acc = np.empty((chans, batch * hp, ow), x.dtype)
+    np.matmul(xs[:, :r], band[:, 0], out=acc[:, :r])
+    for u in range(1, kh):
+        acc[:, :r] += np.matmul(xs[:, u:u + r], band[:, u])
+    out = np.ascontiguousarray(acc.reshape(chans, batch, hp, ow)[:, :, :oh].transpose(1, 0, 2, 3))
 
     def vjp(g):
-        gx = np.empty(x.shape, x.dtype)
-        gband = np.zeros_like(band)
-        gbuf = np.zeros((chans, n, hp, ow), x.dtype)  # rows i >= oh stay zero
-        gxbuf, tmp = np.empty((2, chans, n * hp, wp), x.dtype)
-        gtmp = np.empty((chans, wp, ow), x.dtype)
-        for b0, b1, xs in stacked():
-            r = xs.shape[1] - kh + 1
-            gbuf[:, :b1 - b0, :oh] = g[b0:b1].transpose(1, 0, 2, 3)
-            gs = gbuf[:, :b1 - b0].reshape(chans, -1, ow)[:, :r]
-            gxs = gxbuf[:, :xs.shape[1]]
-            gxs[...] = 0
-            for u in range(kh):
-                gxs[:, u:u + r] += np.matmul(gs, band[:, u].transpose(0, 2, 1), out=tmp[:, :r])
-                gband[:, u] += np.matmul(xs[:, u:u + r].transpose(0, 2, 1), gs, out=gtmp)
-            gx[b0:b1] = gxs.reshape(chans, b1 - b0, hp, wp)[
-                :, :, pt:pt + h, pl:pl + wd].transpose(1, 0, 2, 3)
+        xs = stack()
+        gs = np.zeros((chans, batch, hp, ow), x.dtype)  # rows i >= oh stay zero
+        gs[:, :, :oh] = g.transpose(1, 0, 2, 3)
+        gs = gs.reshape(chans, -1, ow)[:, :r]
+        gxs = np.zeros_like(xs)
+        gband = np.empty_like(band)
+        for u in range(kh):
+            gxs[:, u:u + r] += np.matmul(gs, band[:, u].transpose(0, 2, 1))
+            np.matmul(xs[:, u:u + r].transpose(0, 2, 1), gs, out=gband[:, u])
+        gx = gxs.reshape(chans, batch, hp, wp)[:, :, pt:pt + h, pl:pl + wd]
         gw = np.stack([gband[:, :, diag + v, diag].sum(axis=2) for v in range(kw)], axis=2)
-        return gx, gw.reshape(w.shape)
+        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), gw.reshape(w.shape)
 
     return out, vjp
 

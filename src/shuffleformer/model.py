@@ -28,7 +28,7 @@ from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_
 from .rng import Rng
 from .tensor import Tensor, add, gelu, matmul, mean_pool_hw
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
-                        shuffle_permutations, shuffled_window_partition)
+                        shuffle_extent_error, shuffle_permutations, shuffled_window_partition)
 
 NWC_POSITIONS = ("A", "B", "C", "none")
 
@@ -119,6 +119,9 @@ class ModelConfig:
             if res % self.window:
                 raise InvalidConfigError(
                     f"stage {stage} resolution {res} is not divisible by window {self.window}")
+            problem = shuffle_extent_error(res, self.window, self.shuffle_mode)
+            if problem:
+                raise InvalidConfigError(f"{self.shuffle_mode} shuffle at stage {stage}: {problem}")
 
     @property
     def stages(self) -> int:

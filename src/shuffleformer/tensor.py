@@ -23,13 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import InvalidCallError, InvalidShapeError, _is_int
+from .errors import InvalidCallError, InvalidShapeError, _is_int, _is_real
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
-# values per block of the chunked kernels, float32 gelu and the depth-wise conv
-# (each of its reused buffers of stacked padded images holds at most this many
-# values unless one image is larger), and per image slice of the
+# values per block of float32 gelu, and per image slice of the
 # finite-difference reachability probe, so that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
 
@@ -47,7 +45,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
-        arr = np.asarray(data)
+        try:
+            arr = np.asarray(data)
+        except ValueError as exc:  # ragged nested sequences
+            raise InvalidShapeError(f"tensor data is not a rectangular array: {exc}") from exc
         if arr.dtype.kind not in "biuf":
             raise InvalidShapeError(f"tensor data must be bool, integer or float, not {arr.dtype}")
         if arr.dtype not in _ALLOWED_DTYPES:
@@ -116,10 +117,8 @@ def reshape_permute(t: Tensor, new_shape, axis_order=None) -> Tensor:
     if not (all(_is_int(s) and s >= 0 for s in new_shape)
             and np.prod(new_shape, dtype=np.int64) == t.size):
         raise InvalidShapeError(f"cannot reshape {t.shape} ({t.size} values) to {new_shape}")
-    if axis_order is None:
-        axis_order = tuple(range(len(new_shape)))
-    axis_order = tuple(int(a) for a in axis_order)
-    if sorted(axis_order) != list(range(len(new_shape))):
+    axis_order = tuple(range(len(new_shape)) if axis_order is None else axis_order)
+    if not all(map(_is_int, axis_order)) or sorted(axis_order) != list(range(len(new_shape))):
         raise InvalidShapeError(f"axis_order {axis_order} is not a permutation of {len(new_shape)} axes")
     out = t.data.reshape(new_shape).transpose(axis_order)
     inverse = np.argsort(axis_order)
@@ -162,7 +161,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(t: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar."""
+    """Multiply by a real scalar."""
+    if not _is_real(factor):
+        raise InvalidCallError(f"scale factor must be a real number, got {factor!r}")
     factor = t.data.dtype.type(factor)
     out = t.data * factor
 
@@ -329,11 +330,10 @@ def gather_hw(x: Tensor, index_h: np.ndarray, index_w: np.ndarray) -> Tensor:
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     _, _, h, w = x.shape
-    index_h = np.asarray(index_h, dtype=np.int64)
-    index_w = np.asarray(index_w, dtype=np.int64)
-    if not (np.array_equal(np.sort(index_h), np.arange(h)) and
-            np.array_equal(np.sort(index_w), np.arange(w))):
-        raise InvalidShapeError("index maps must be permutations of the spatial extents")
+    index_h, index_w = np.asarray(index_h), np.asarray(index_w)
+    if not (index_h.dtype.kind in "iu" and np.array_equal(np.sort(index_h), np.arange(h)) and
+            index_w.dtype.kind in "iu" and np.array_equal(np.sort(index_w), np.arange(w))):
+        raise InvalidShapeError("index maps must be integer permutations of the spatial extents")
     out = x.data[:, :, index_h[:, None], index_w[None, :]]
 
     def vjp(g):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidShapeError, PartitionError
+from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_int
 from .rng import Rng
 from .tensor import Tensor, gather_hw, reshape_permute, result_of
 
@@ -43,6 +43,15 @@ class SpatialPermutation:
         return SpatialPermutation(n, np.arange(n, dtype=np.int64))
 
 
+def shuffle_extent_error(n: int, m: int, mode: str) -> str | None:
+    """Why `mode` cannot permute an axis of `n` tokens in windows of `m`, or None."""
+    if mode == "long-range" and n % m:
+        return f"window {m} must divide axis extent {n}"
+    if mode == "short-range" and n != m and n % (2 * m):
+        return f"2*window = {2 * m} must divide axis extent {n}"
+    return None
+
+
 def make_shuffle_permutation(n: int, m: int, mode: str,
                              rng: Rng | None = None) -> SpatialPermutation:
     """Build the shuffle permutation for an axis of `n` tokens, window size `m`.
@@ -55,20 +64,17 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
     if mode not in SHUFFLE_MODES:
         raise InvalidConfigError(
             f"unknown shuffle mode {mode!r}; expected one of {SHUFFLE_MODES}")
-    if n < 1 or m < 1:
-        raise InvalidConfigError(f"extents must be positive, got n={n}, m={m}")
-    if mode == "none":
+    if not (_is_int(n) and _is_int(m)) or n < 1 or m < 1:
+        raise InvalidConfigError(f"extents must be positive integers, got n={n!r}, m={m!r}")
+    problem = shuffle_extent_error(n, m, mode)
+    if problem:
+        raise InvalidConfigError(problem)
+    if mode == "none" or (mode == "short-range" and n == m):
         return SpatialPermutation.identity(n)
     if mode == "long-range":
-        if n % m:
-            raise InvalidConfigError(f"window {m} must divide axis extent {n}")
         perm = np.arange(n, dtype=np.int64).reshape(m, n // m).T.ravel()
         return SpatialPermutation(n, perm)
     if mode == "short-range":
-        if n == m:  # no neighbour window to pair with
-            return SpatialPermutation.identity(n)
-        if n % (2 * m):
-            raise InvalidConfigError(f"2*window = {2 * m} must divide axis extent {n}")
         perm = np.arange(n, dtype=np.int64).reshape(n // (2 * m), m, 2)
         return SpatialPermutation(n, perm.transpose(0, 2, 1).ravel())
     if rng is None:

@@ -54,6 +54,13 @@ class TestStats:
         assert code == 1
         assert "T" in err and "S" in err and "B" in err
 
+    def test_short_range_config_that_cannot_run_exit_one(self, tmp_path, capsys):
+        # T@672 has a 21x21 stage 3, which 2 x window 7 does not divide
+        code, _, err = run(["stats", "--res", "672", "--shuffle-mode", "short-range",
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 1 and "stage 3" in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestReach:
     def test_agreeing_scenario_writes_json(self, tmp_path, capsys):

@@ -127,9 +127,7 @@ class TestDepthwiseKernel:
                    "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
         _check_against_oracle(x, w, b, padding, groups=channels)
 
-    def test_row_chunks_match_oracle(self, monkeypatch):
-        # a few padded rows per chunk, so chunk edges fall inside images
-        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 200)
+    def test_row_chunks_match_oracle(self):
         rng = Rng(20)
         x = rng.normal((3, 5, 6, 6), dtype=np.float64)
         w = rng.normal((5, 1, 4, 4), dtype=np.float64)
@@ -139,12 +137,9 @@ class TestDepthwiseKernel:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [2, 7])
     @pytest.mark.parametrize("pad_rule", ["nwc", "wider-than-kernel"])
-    def test_stacked_images_match_oracle(self, kernel, pad_rule, dtype, monkeypatch):
-        # two padded images per chunk and a ragged last chunk of one image
+    def test_stacked_images_match_oracle(self, kernel, pad_rule, dtype):
         padding = {"nwc": (nwc_padding(kernel), nwc_padding(kernel)),
                    "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
-        (pt, pb), (pl, pr) = padding
-        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 2 * 3 * (5 + pt + pb) * (4 + pl + pr) + 1)
         rng = Rng(22)
         x = rng.normal((5, 3, 5, 4), dtype=np.float64)
         w = rng.normal((3, 1, kernel, kernel), dtype=np.float64)
@@ -155,9 +150,7 @@ class TestDepthwiseKernel:
         assert np.abs(got - want).max() < tol * np.abs(want).max()
 
     @pytest.mark.parametrize("kernel, chunk", [(3, None), (4, None), (4, 150)])
-    def test_gradients(self, kernel, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(conv, "_CHUNK_ELEMS", chunk)
+    def test_gradients(self, kernel, chunk):
         rng = Rng(21)
         x = Tensor(rng.normal((2, 3, 5, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((3, 1, kernel, kernel), dtype=np.float64), requires_grad=True)
@@ -166,15 +159,37 @@ class TestDepthwiseKernel:
         pad = (nwc_padding(kernel), nwc_padding(kernel))
         check_gradients(lambda: sum_all(mul(conv2d(x, w, b, 1, pad, 3), weight)), [x, w, b])
 
-    def test_gradients_of_stacked_images(self, monkeypatch):
-        # padded 8 x 6 images, two per chunk, the last chunk ragged
-        monkeypatch.setattr(conv, "_CHUNK_ELEMS", 2 * 2 * 8 * 6 + 1)
+    def test_gradients_of_stacked_images(self):
         rng = Rng(23)
         x = Tensor(rng.normal((5, 2, 5, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((2, 1, 3, 3), dtype=np.float64), requires_grad=True)
         weight = Tensor(rng.normal((5, 2, 6, 4), dtype=np.float64))
         pad = ((2, 1), (0, 2))
         check_gradients(lambda: sum_all(mul(conv2d(x, w, None, 1, pad, 2), weight)), [x, w])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [2, 7])
+    @pytest.mark.parametrize("pad_rule", ["nwc", "wider-than-kernel"])
+    def test_each_image_equals_it_alone(self, kernel, pad_rule, dtype):
+        # the rows that straddle two stacked images must not leak into either:
+        # reach at threshold 0 needs exact zeros at unreachable positions
+        padding = {"nwc": (nwc_padding(kernel), nwc_padding(kernel)),
+                   "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
+        rng = Rng(24)
+        x = rng.normal((4, 3, 5, 4), dtype=dtype)
+        w = Tensor(rng.normal((3, 1, kernel, kernel), dtype=dtype))
+        weight = rng.normal(conv2d(Tensor(x), w, None, 1, padding, 3).shape, dtype=dtype)
+
+        def run(b0, b1):
+            xt = Tensor(x[b0:b1], requires_grad=True)
+            out = conv2d(xt, w, None, 1, padding, 3)
+            backward(sum_all(mul(out, Tensor(weight[b0:b1]))))
+            return out.data, xt.grad
+
+        out, gx = run(0, 4)
+        for b in range(4):
+            out_b, gx_b = run(b, b + 1)
+            assert np.array_equal(out[b:b + 1], out_b) and np.array_equal(gx[b:b + 1], gx_b)
 
 
 class TestPointwiseKernel:

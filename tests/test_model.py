@@ -67,6 +67,20 @@ class TestBlockConfig:
         with pytest.raises(InvalidConfigError):
             ModelConfig(channels=32, depths=(2,), resolution=12, window=7)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ModelConfig(channels=8, depths=(2, 2), num_classes=3, resolution=48, window=2,
+                            head_dim=4, shuffle_mode="short-range"),
+        lambda: build_variant("T", resolution=672, shuffle_mode="short-range"),
+    ], ids=["stage1-grid-6-window-2", "T-672-stage3-grid-21"])
+    def test_short_range_stage_that_cannot_shuffle_rejected(self, build):
+        with pytest.raises(InvalidConfigError, match="2\\*window"):
+            build()
+
+    def test_short_range_configs_that_run_accepted(self):
+        build_variant("T", shuffle_mode="short-range")
+        ModelConfig(channels=32, depths=(2, 2), resolution=16, window=2,
+                    shuffle_mode="short-range")
+
     @pytest.mark.parametrize("args", [(4, 0, 2), ("4", 2, 2), (4, 2, 0), (4, 2.0, 2),
                                       (True, 1, 2)])
     def test_block_config_sizes_rejected(self, args):

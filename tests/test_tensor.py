@@ -28,6 +28,23 @@ class TestTensorData:
         assert t.dtype == np.float32 and np.array_equal(t.data, data.astype(np.float32))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: reshape_permute(Tensor(np.zeros(6)), (2, 3), ("a", 1)), InvalidShapeError),
+    (lambda: reshape_permute(Tensor(np.zeros(6)), (2, 3), (1.7, 0.2)), InvalidShapeError),
+    (lambda: gather_hw(Tensor(np.zeros((1, 1, 4, 4))), ["a"] * 4, np.arange(4)),
+     InvalidShapeError),
+    (lambda: gather_hw(Tensor(np.zeros((1, 1, 4, 4))), np.arange(4), [0.2, 1.9, 2, 3]),
+     InvalidShapeError),
+    (lambda: scale(Tensor(np.ones(3)), None), InvalidCallError),
+    (lambda: scale(Tensor(np.ones(3)), "2"), InvalidCallError),
+    (lambda: Tensor([[1], [1, 2]]), InvalidShapeError),
+], ids=["reshape-text-axis", "reshape-float-axes", "gather-text-index", "gather-float-index",
+        "scale-none", "scale-text", "ragged-data"])
+def test_bad_input_raises_package_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestReshapePermute:
     def test_reshape_transpose_flatten(self):
         t = Tensor(np.arange(4, dtype=np.float64))

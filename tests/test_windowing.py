@@ -32,6 +32,12 @@ class TestPermutations:
         p = make_shuffle_permutation(7, 7, "short-range")
         assert np.array_equal(p.map, np.arange(7))
 
+    @pytest.mark.parametrize("n, m", [(8.0, 2), ("8", 2), (8, 2.0), (8, None)],
+                             ids=["float-extent", "text-extent", "float-window", "no-window"])
+    def test_non_integer_extents_rejected(self, n, m):
+        with pytest.raises(InvalidConfigError, match="positive integers"):
+            make_shuffle_permutation(n, m, "long-range")
+
     def test_short_range_map_n8_m2(self):
         p = make_shuffle_permutation(8, 2, "short-range")
         assert p.map.tolist() == [0, 2, 1, 3, 4, 6, 5, 7]
