@@ -76,11 +76,6 @@ class TestBlockConfig:
         with pytest.raises(InvalidConfigError, match="2\\*window"):
             build()
 
-    def test_short_range_configs_that_run_accepted(self):
-        build_variant("T", shuffle_mode="short-range")
-        ModelConfig(channels=32, depths=(2, 2), resolution=16, window=2,
-                    shuffle_mode="short-range")
-
     @pytest.mark.parametrize("args", [(4, 0, 2), ("4", 2, 2), (4, 2, 0), (4, 2.0, 2),
                                       (True, 1, 2)])
     def test_block_config_sizes_rejected(self, args):
