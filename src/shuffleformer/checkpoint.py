@@ -84,6 +84,7 @@ def _checked_entries(path, header) -> list[dict]:
 
 def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Write the header, then each tensor's bytes straight from its array."""
+    _check_path(path)
     # not ascontiguousarray, which turns a 0-d array into a 1-d one
     arrays = [(name, np.asarray(arr, order="C")) for name, arr in tensors.items()]
     entries = []
@@ -154,7 +155,14 @@ def _read_into(fh, path, entry: dict, out: np.ndarray) -> None:
         out[...] = buf
 
 
+def _check_path(path) -> None:
+    # open() takes an int as a file descriptor, reads it and closes it
+    if not isinstance(path, (str, os.PathLike)):
+        raise CheckpointError(f"a container path must be a str or os.PathLike, not {path!r}")
+
+
 def _open(path):
+    _check_path(path)
     try:
         return open(path, "rb")
     except OSError as exc:

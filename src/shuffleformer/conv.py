@@ -12,6 +12,11 @@
   by the transposed bands and reads the kernel gradient off the band
   diagonals. The whole batch is stacked at once, so its scratch grows with B.
 
+Each vjp keeps only the op's inputs and per-tap weight copies: it pads x again
+and, for the depth-wise kernel, builds the bands again, so the training graph
+holds no input-sized scratch. Batch norm's vjp likewise recomputes the
+normalized input from x.
+
 Padding may be asymmetric, which even kernel extents need to keep resolution.
 """
 
@@ -101,32 +106,41 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
     Tap (u, v) adds W[:, :, u, v] @ xp[:, :, u::stride, v::stride] (cut to
     oh x ow) on (B, Cin, oh*ow), xp being x zero-padded only if padding is
     non-zero. A 1x1 tap at stride 1 covers all of xp: its view is xp itself and
-    its input gradient is written, not added into a zero-filled buffer.
+    its input gradient is written, not added into a zero-filled buffer. The
+    vjp pads x again instead of keeping xp.
     """
     batch, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     (pt, pb), (pl, pr) = pads
     oh, ow = out_hw
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if pt + pb + pl + pr else x
     taps = [(u, v, np.ascontiguousarray(w[:, :, u, v])) for u in range(kh) for v in range(kw)]
-    whole = kh * kw == 1 and (oh, ow) == xp.shape[2:]
+
+    def pad() -> np.ndarray:
+        if not pt + pb + pl + pr:
+            return x
+        xp = np.zeros((batch, cin, h + pt + pb, wd + pl + pr), x.dtype)
+        xp[:, :, pt:pt + h, pl:pl + wd] = x
+        return xp
 
     def at(a: np.ndarray, u: int, v: int) -> np.ndarray:
         return a[:, :, u:u + (oh - 1) * stride + 1:stride, v:v + (ow - 1) * stride + 1:stride]
 
-    def cols(u: int, v: int) -> np.ndarray:
+    def cols(xp: np.ndarray, u: int, v: int) -> np.ndarray:
         return at(xp, u, v).reshape(batch, cin, oh * ow)
 
-    out = np.matmul(taps[0][2], cols(0, 0))
+    xp = pad()
+    whole = kh * kw == 1 and (oh, ow) == xp.shape[2:]
+    out = np.matmul(taps[0][2], cols(xp, 0, 0))
     for u, v, wt in taps[1:]:
-        out += np.matmul(wt, cols(u, v))
+        out += np.matmul(wt, cols(xp, u, v))
 
     def vjp(g):
+        xp = pad()
         g3 = g.reshape(batch, cout, oh * ow)
         gw = np.empty(w.shape, x.dtype)
         gxp = None if whole else np.zeros(xp.shape, x.dtype)
         for u, v, wt in taps:
-            gw[:, :, u, v] = np.matmul(g3, cols(u, v).transpose(0, 2, 1)).sum(axis=0)
+            gw[:, :, u, v] = np.matmul(g3, cols(xp, u, v).transpose(0, 2, 1)).sum(axis=0)
             gt = np.matmul(wt.T, g3)
             if whole:
                 gxp = gt.reshape(xp.shape)
@@ -146,8 +160,9 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     along the rows per channel as (C, B * hp, wp). Kernel row u is then one
     batched matmul on the rows u .. u + R, R = B * hp - kh + 1, with no copy
     of its input; output rows i >= oh of each image read into the next one
-    and are dropped. The vjp stacks x again, adds gs @ T[c, u]^T into the
-    same rows of a gradient stack and takes xs[c, u:u + R]^T @ gs as a
+    and are dropped. The forward drops its bands and stack when it returns.
+    The vjp builds both again with the same code, adds gs @ T[c, u]^T into
+    the same rows of a gradient stack and takes xs[c, u:u + R]^T @ gs as a
     (wp, ow) matrix per (c, u), whose v-th band diagonal is the weight
     gradient.
     """
@@ -158,16 +173,19 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     hp, wp = h + pt + pb, wd + pl + pr
     r = batch * hp - kh + 1
     diag = np.arange(ow)
-    band = np.zeros((chans, kh, wp, ow), x.dtype)
-    for v in range(kw):
-        band[:, :, diag + v, diag] = w[:, 0, :, v, None]
+
+    def bands() -> np.ndarray:
+        band = np.zeros((chans, kh, wp, ow), x.dtype)
+        for v in range(kw):
+            band[:, :, diag + v, diag] = w[:, 0, :, v, None]
+        return band
 
     def stack() -> np.ndarray:
         xs = np.zeros((chans, batch, hp, wp), x.dtype)
         xs[:, :, pt:pt + h, pl:pl + wd] = x.transpose(1, 0, 2, 3)
         return xs.reshape(chans, -1, wp)
 
-    xs = stack()
+    xs, band = stack(), bands()
     acc = np.empty((chans, batch * hp, ow), x.dtype)
     np.matmul(xs[:, :r], band[:, 0], out=acc[:, :r])
     for u in range(1, kh):
@@ -175,7 +193,7 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     out = np.ascontiguousarray(acc.reshape(chans, batch, hp, ow)[:, :, :oh].transpose(1, 0, 2, 3))
 
     def vjp(g):
-        xs = stack()
+        xs, band = stack(), bands()
         gs = np.zeros((chans, batch, hp, ow), x.dtype)  # rows i >= oh stay zero
         gs[:, :, :oh] = g.transpose(1, 0, 2, 3)
         gs = gs.reshape(chans, -1, ow)[:, :r]
@@ -198,7 +216,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     Training mode centres x once, normalizes it by the batch statistics over
     (B, H, W) and updates the running statistics in place (mean with the
     biased estimate, var with the unbiased one). Eval mode is a fixed affine
-    map using them. Both modes share one backward.
+    map using them. Both modes share one backward, which recomputes the
+    normalized input from x with the training forward's two operations, so
+    the graph keeps no input-sized array besides x and the output.
     """
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
@@ -214,29 +234,36 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
             raise DegenerateBatchError(
                 f"training-mode batchnorm needs >=2 elements per channel, got {n}")
         mean = x.data.mean(axis=axes)
-        xhat = x.data - mean[:, None, None]
-        var = (xhat * xhat).mean(axis=axes)  # the same operations as np.var
+        out = x.data - mean[:, None, None]
+        var = (out * out).mean(axis=axes)  # the same operations as np.var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv_std[:, None, None]
+        out *= inv_std[:, None, None]  # xhat, turned into the output in place
         sc = gamma.data * inv_std
-        out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+        out *= gamma.data[:, None, None]
+        out += beta.data[:, None, None]
         running_mean[...] = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
         running_var[...] = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
     else:
-        # one pass over x: out = x * sc + sh; only the vjp forms xhat
-        mean, inv_std, xhat = running_mean.copy(), 1.0 / np.sqrt(running_var + BN_EPS), None
+        # one pass over x: out = x * sc + sh
+        mean, inv_std = running_mean.copy(), 1.0 / np.sqrt(running_var + BN_EPS)
         sc = (gamma.data * inv_std).astype(x.dtype, copy=False)
         out = x.data * sc[:, None, None]
         out += (beta.data - mean * sc).astype(x.dtype, copy=False)[:, None, None]
 
     def vjp(g):
-        xh = (x.data - mean[:, None, None]) * inv_std[:, None, None] if xhat is None else xhat
-        ggamma = (g * xh).sum(axis=axes).astype(x.dtype, copy=False)
+        xh = x.data - mean[:, None, None]  # xhat, by the training forward's operations
+        xh *= inv_std[:, None, None]
+        gx = g * xh
+        ggamma = gx.sum(axis=axes).astype(x.dtype, copy=False)
         gbeta = g.sum(axis=axes)
-        if training:  # the batch statistics' terms come from the parameter gradients
-            g = g - xh * (ggamma / n)[:, None, None]
-            g -= (gbeta / n)[:, None, None]
-        return g * sc[:, None, None], ggamma, gbeta
+        if not training:
+            return g * sc[:, None, None], ggamma, gbeta
+        # the batch statistics' terms come from the parameter gradients
+        xh *= (ggamma / n)[:, None, None]
+        np.subtract(g, xh, out=gx)
+        gx -= (gbeta / n)[:, None, None]
+        gx *= sc[:, None, None]
+        return gx, ggamma, gbeta
 
     return result_of(out.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
 

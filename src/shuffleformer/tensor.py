@@ -11,9 +11,16 @@ sum(i_j * stride_j) with stride_j = prod(shape[j+1:]), i.e. NumPy C order.
 Every operation materializes a contiguous result, so two runs over identical
 inputs produce bit-identical arrays.
 
+Memory: a vjp closure holds only its op's inputs, its output and
+parameter-sized arrays. Intermediates that only the backward needs, such as
+GELU's Phi(x), are recomputed from the inputs in the vjp.
+
 Thread-safety: operations are pure given their inputs and read no mutable
-module state, so threads may run them concurrently; a graph built in one
-thread must be walked by that thread.
+module state, and each vjp rebuilds its scratch from what its closure holds,
+so threads may run them concurrently on separate graphs; a graph built in
+one thread must be walked by that thread. Four threads training toy models
+on their own graphs get gradients bit-identical to a serial run
+(tests/test_train.py).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import InvalidCallError, InvalidShapeError, _is_int, _is_real
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
-# values per block of float32 gelu, and per image slice of the
+# values per block of gelu and its vjp, and per image slice of the
 # finite-difference reachability probe, so that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
 
@@ -113,11 +120,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def reshape_permute(t: Tensor, new_shape, axis_order=None) -> Tensor:
     """Reinterpret `t` as `new_shape` (row-major), then transpose by `axis_order`."""
-    new_shape = tuple(new_shape)
+    try:
+        new_shape = tuple(new_shape)
+        axis_order = tuple(range(len(new_shape)) if axis_order is None else axis_order)
+    except TypeError:
+        raise InvalidShapeError(f"shape {new_shape!r} and axis_order {axis_order!r} "
+                                f"must be sequences of ints") from None
     if not (all(_is_int(s) and s >= 0 for s in new_shape)
             and np.prod(new_shape, dtype=np.int64) == t.size):
         raise InvalidShapeError(f"cannot reshape {t.shape} ({t.size} values) to {new_shape}")
-    axis_order = tuple(range(len(new_shape)) if axis_order is None else axis_order)
     if not all(map(_is_int, axis_order)) or sorted(axis_order) != list(range(len(new_shape))):
         raise InvalidShapeError(f"axis_order {axis_order} is not a permutation of {len(new_shape)} axes")
     out = t.data.reshape(new_shape).transpose(axis_order)
@@ -225,32 +236,18 @@ def gelu(t: Tensor) -> Tensor:
 
     float64 uses the exact erf form. float32 takes Phi(-|x|) = erfc(|x|/sqrt 2)/2
     from Abramowitz & Stegun 7.1.26 (erfc error <= 1.5e-7) and 1 - Phi(-|x|)
-    for x >= 0, in blocks of _CHUNK_ELEMS values. Its max abs error against
-    exact GELU is below 1e-6 (4.6e-7 on [-10, 10], where float32 erf gives
-    4.5e-7); zeros, infinities and NaN come out as in the erf form.
+    for x >= 0. Its max abs error against exact GELU is below 1e-6 (4.6e-7 on
+    [-10, 10], where float32 erf gives 4.5e-7); zeros, infinities and NaN come
+    out as in the erf form. Both run in blocks of _CHUNK_ELEMS values, so Phi
+    is never a full array: the vjp recomputes Phi and phi from x, with the
+    forward's own operations, and keeps nothing but x.
     """
     x = t.data
-    const = x.dtype.type
-    if x.dtype == np.float32:
-        cdf, out = _gelu_float32(x)
-    else:
-        cdf = erf(x * const(1.0 / np.sqrt(2.0)))
-        cdf += const(1.0)
-        cdf *= const(0.5)
-        out = x * cdf
 
     def vjp(g):
-        # g * (cdf + x * pdf), built in place in one buffer
-        grad = x * x
-        grad *= const(-0.5)
-        np.exp(grad, out=grad)
-        grad *= const(1.0 / np.sqrt(2.0 * np.pi))
-        grad *= x
-        grad += cdf
-        grad *= g
-        return (grad,)
+        return (_gelu_blocks(x, g),)
 
-    return result_of(out, (t,), vjp)
+    return result_of(_gelu_blocks(x), (t,), vjp)
 
 
 # A&S 7.1.26 as 1/2 * erfc(|x|/sqrt 2) = poly(t) * exp(-x^2/2) with
@@ -260,34 +257,50 @@ _AS_HALF_A = tuple(np.float32(0.5 * a) for a in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
 
 
-def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi(x), x * Phi(x)) for a float32 array, block by block; see `gelu`."""
-    cdf, out = np.empty(x.shape, np.float32), np.empty(x.shape, np.float32)
-    xf, cf, of = x.reshape(-1), cdf.reshape(-1), out.reshape(-1)
-    t, e = np.empty((2, min(x.size, _CHUNK_ELEMS)), np.float32)
-    with np.errstate(over="ignore"):  # x*x overflows to inf for |x| > ~1.8e19
+def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """x * Phi(x), or given the output gradient g, g * (Phi(x) + x * phi(x)),
+    block by block; see `gelu`."""
+    const = x.dtype.type
+    res = np.empty(x.shape, x.dtype)
+    xf, rf, gf = x.reshape(-1), res.reshape(-1), None if g is None else g.reshape(-1)
+    t, e, c = np.empty((3, min(x.size, _CHUNK_ELEMS)), x.dtype)
+    with np.errstate(over="ignore"):  # x*x overflows to inf for large |x|
         for lo in range(0, x.size, _CHUNK_ELEMS):
             xs = xf[lo:lo + _CHUNK_ELEMS]
-            c, tk, ek = cf[lo:lo + xs.size], t[:xs.size], e[:xs.size]
-            np.abs(xs, out=tk)
-            tk *= _AS_P
-            tk += 1.0
-            np.reciprocal(tk, out=tk)
-            np.multiply(tk, _AS_HALF_A[0], out=c)
-            for a in _AS_HALF_A[1:]:
-                c += a
-                c *= tk
-            np.multiply(xs, xs, out=ek)
-            ek *= -0.5
-            c *= np.exp(ek, out=ek)  # q = Phi(-|x|)
-            # Phi(x) = q + [x >= 0] * (1 - 2q), the sign select in arithmetic
-            np.greater_equal(xs, 0.0, out=tk)
-            np.multiply(c, -2.0, out=ek)
-            ek += 1.0
-            ek *= tk
-            c += ek
-            np.multiply(xs, c, out=of[lo:lo + xs.size])
-    return cdf, out
+            tk, ek, ck, rk = t[:xs.size], e[:xs.size], c[:xs.size], rf[lo:lo + xs.size]
+            if g is not None or x.dtype == np.float32:
+                np.multiply(xs, xs, out=ek)
+                ek *= const(-0.5)
+                np.exp(ek, out=ek)  # sqrt(2 pi) * phi(x)
+            if x.dtype == np.float32:
+                np.abs(xs, out=tk)
+                tk *= _AS_P
+                tk += 1.0
+                np.reciprocal(tk, out=tk)
+                np.multiply(tk, _AS_HALF_A[0], out=ck)
+                for a in _AS_HALF_A[1:]:
+                    ck += a
+                    ck *= tk
+                ck *= ek  # q = Phi(-|x|)
+                # Phi(x) = q + [x >= 0] * (1 - 2q), the sign select in arithmetic
+                np.greater_equal(xs, 0.0, out=tk)
+                np.multiply(ck, -2.0, out=rk)
+                rk += 1.0
+                rk *= tk
+                ck += rk
+            else:
+                np.multiply(xs, const(1.0 / np.sqrt(2.0)), out=ck)
+                erf(ck, out=ck)
+                ck += const(1.0)
+                ck *= const(0.5)
+            if g is None:
+                np.multiply(xs, ck, out=rk)
+            else:  # g * (Phi + x * phi)
+                np.multiply(ek, const(1.0 / np.sqrt(2.0 * np.pi)), out=rk)
+                rk *= xs
+                rk += ck
+                rk *= gf[lo:lo + xs.size]
+    return res
 
 
 def mean_pool_hw(x: Tensor) -> Tensor:
@@ -331,8 +344,10 @@ def gather_hw(x: Tensor, index_h: np.ndarray, index_w: np.ndarray) -> Tensor:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     _, _, h, w = x.shape
     index_h, index_w = np.asarray(index_h), np.asarray(index_w)
-    if not (index_h.dtype.kind in "iu" and np.array_equal(np.sort(index_h), np.arange(h)) and
-            index_w.dtype.kind in "iu" and np.array_equal(np.sort(index_w), np.arange(w))):
+    if not (index_h.dtype.kind in "iu" and index_h.shape == (h,) and
+            np.array_equal(np.sort(index_h), np.arange(h)) and
+            index_w.dtype.kind in "iu" and index_w.shape == (w,) and
+            np.array_equal(np.sort(index_w), np.arange(w))):
         raise InvalidShapeError("index maps must be integer permutations of the spatial extents")
     out = x.data[:, :, index_h[:, None], index_w[None, :]]
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -377,6 +378,38 @@ class TestCheckpoint:
         save_tensor(path, np.zeros((2, 2), dtype=np.float32))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestPathArguments:
+    """open() takes an int as a file descriptor and closes it; paths must be paths."""
+
+    @pytest.mark.parametrize("call", [
+        read_container, load_checkpoint, load_tensor,
+        lambda fd: save_tensor(fd, np.zeros(2, np.float32)),
+        lambda fd: write_container(fd, {}, {}),
+    ], ids=["read_container", "load_checkpoint", "load_tensor", "save_tensor",
+            "write_container"])
+    def test_descriptor_rejected_and_left_open(self, saved, call):
+        path, _, _ = saved
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(CheckpointError):
+                call(fd)
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open and unread
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("path", [3.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("call", [
+        read_container, load_checkpoint, load_tensor,
+        lambda p: save_tensor(p, np.zeros(2, np.float32)),
+        lambda p: save_checkpoint(p, init_model_params(small_config(), Rng(0)),
+                                  small_config()),
+    ], ids=["read_container", "load_checkpoint", "load_tensor", "save_tensor",
+            "save_checkpoint"])
+    def test_non_path_rejected(self, call, path):
+        with pytest.raises(CheckpointError):
+            call(path)
 
 
 class TestTensorIO:

@@ -9,6 +9,7 @@ from shuffleformer import (InvalidCallError, InvalidShapeError, Rng, Tensor, add
                            mean_pool_hw, mul, reshape_permute, scale, softmax_lastdim,
                            sum_all)
 
+from shuffleformer import tensor
 from gradcheck import check_gradients
 from oracles import closed_form_softmax, naive_matmul
 
@@ -35,10 +36,14 @@ class TestTensorData:
      InvalidShapeError),
     (lambda: gather_hw(Tensor(np.zeros((1, 1, 4, 4))), np.arange(4), [0.2, 1.9, 2, 3]),
      InvalidShapeError),
+    (lambda: reshape_permute(Tensor(np.zeros(6)), 6), InvalidShapeError),
+    (lambda: reshape_permute(Tensor(np.zeros(6)), (2, 3), 5), InvalidShapeError),
+    (lambda: gather_hw(Tensor(np.zeros((1, 1, 4, 4))), 3, [0, 1]), InvalidShapeError),
     (lambda: scale(Tensor(np.ones(3)), None), InvalidCallError),
     (lambda: scale(Tensor(np.ones(3)), "2"), InvalidCallError),
     (lambda: Tensor([[1], [1, 2]]), InvalidShapeError),
 ], ids=["reshape-text-axis", "reshape-float-axes", "gather-text-index", "gather-float-index",
+        "reshape-int-shape", "reshape-int-axes", "gather-scalar-index",
         "scale-none", "scale-text", "ragged-data"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
@@ -251,6 +256,30 @@ class TestElementwise:
             want = x * cdf
             got = gelu(Tensor(x)).data
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (tensor._CHUNK_ELEMS - 1,),
+                                       (tensor._CHUNK_ELEMS + 1,), (3, 5, 7, 1249)],
+                             ids=["one", "block-less-one", "block-plus-one", "ragged"])
+    def test_float32_gelu_gradient_across_block_edges(self, shape, monkeypatch):
+        x = Rng(21).normal(shape, 3.0, dtype=np.float32)
+        g = Rng(22).normal(shape, dtype=np.float32)
+        grad = gelu(Tensor(x, requires_grad=True))._vjp(g)[0]
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 7)
+        assert grad.tobytes() == gelu(Tensor(x, requires_grad=True))._vjp(g)[0].tobytes()
+        # against the exact derivative Phi(x) + x * phi(x)
+        x64 = x.astype(np.float64)
+        slope = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))) + x64 * np.exp(-0.5 * x64 * x64) / \
+            np.sqrt(2.0 * np.pi)
+        assert grad.dtype == np.float32
+        assert np.all(np.abs(grad - g * slope) <= 1e-6 * np.abs(g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_gradient_special_values(self, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype)
+        with np.errstate(invalid="ignore"):  # 0 * inf in x * phi(x)
+            grad = gelu(Tensor(x, requires_grad=True))._vjp(np.ones(5, dtype))[0]
+        assert np.array_equal(grad, np.array([0.5, 0.5, np.nan, np.nan, np.nan], dtype),
+                              equal_nan=True)
 
     def test_mean_pool_gradient(self):
         rng = Rng(13)

@@ -1,11 +1,13 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from shuffleformer import (InvalidConfigError, Rng, ToyTrainConfig, TrainingDivergedError,
-                           parameter_list, synthetic_dataset, train_toy,
-                           window_means)
+from shuffleformer import (AdamW, InvalidConfigError, Optimizer, Rng, Tensor, ToyTrainConfig,
+                           TrainingDivergedError, backward, cross_entropy_logits,
+                           init_model_params, model_forward, parameter_list, synthetic_dataset,
+                           train_toy, window_means, zero_grads)
 
 
 def fast_config(**overrides):
@@ -103,3 +105,88 @@ def test_bad_architecture_rejected_at_construction():
 
 def test_window_means_tail():
     assert window_means([1.0, 2.0, 3.0, 4.0, 5.0], 2) == [1.5, 3.5, 5.0]
+
+
+def _held_arrays(fn, seen: set) -> list:
+    """Arrays that a vjp closure keeps, following lists, tuples and nested closures."""
+    if id(fn) in seen:
+        return []
+    seen.add(id(fn))
+    found, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif callable(value) and hasattr(value, "__closure__"):
+            found += _held_arrays(value, seen)
+    return found
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_training_graph_holds_only_op_outputs_and_parameter_sized_arrays():
+    # the default toy step: 32 samples at 56^2, width 32, depths (2, 2)
+    cfg = ToyTrainConfig()
+    model_cfg = cfg.model_config()
+    rng = Rng(0)
+    shape = (model_cfg.in_channels, cfg.resolution, cfg.resolution)
+    data, _ = synthetic_dataset(cfg.samples, cfg.classes, shape, rng)
+    params = init_model_params(model_cfg, rng)
+    logits = model_forward(Tensor(data), params, model_cfg, training=True)
+    nodes, todo, seen = [], [logits], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            todo.extend(node._parents)
+    outputs = {id(_owner(node.data)) for node in nodes}
+    closures: set = set()
+    extra = {id(a): a for node in nodes if node._vjp is not None
+             for a in _held_arrays(node._vjp, closures) if id(_owner(a)) not in outputs}
+    param_bytes = sum(t.data.nbytes for t in parameter_list(params))
+    assert sum(a.nbytes for a in extra.values()) <= param_bytes
+
+
+def _step_gradients(seed: int) -> list[bytes]:
+    """Every parameter gradient of three seeded toy training steps."""
+    cfg = fast_config(samples=8, seed=seed)
+    model_cfg = cfg.model_config()
+    rng = Rng(seed)
+    shape = (model_cfg.in_channels, cfg.resolution, cfg.resolution)
+    data, labels = synthetic_dataset(cfg.samples, cfg.classes, shape, rng)
+    params = init_model_params(model_cfg, rng)
+    tracked = parameter_list(params)
+    opt = Optimizer(tracked, AdamW(cfg.lr))
+    grads = []
+    for _ in range(3):
+        zero_grads(tracked)
+        backward(cross_entropy_logits(model_forward(Tensor(data), params, model_cfg, True),
+                                      labels))
+        grads += [p.grad.tobytes() for p in tracked]
+        opt.step()
+    return grads
+
+
+def test_threads_on_separate_graphs_match_a_serial_run():
+    seeds = range(4)
+    serial = [_step_gradients(seed) for seed in seeds]
+    threaded: dict = {}
+    start = threading.Barrier(len(seeds))
+
+    def work(seed):
+        start.wait()
+        threaded[seed] = _step_gradients(seed)
+
+    workers = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert [threaded.get(seed) for seed in seeds] == serial
