@@ -260,19 +260,30 @@ _AS_HALF_A = tuple(np.float32(0.5 * a) for a in (
 def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x), or given the output gradient g, g * (Phi(x) + x * phi(x)),
     block by block; see `gelu`."""
-    const = x.dtype.type
+    const, exact = x.dtype.type, x.dtype == np.float64
     res = np.empty(x.shape, x.dtype)
     xf, rf, gf = x.reshape(-1), res.reshape(-1), None if g is None else g.reshape(-1)
-    t, e, c = np.empty((3, min(x.size, _CHUNK_ELEMS)), x.dtype)
+    # only the blocks this call writes: an unused one still adds to peak RSS
+    n = min(x.size, _CHUNK_ELEMS)
+    c = np.empty(n, x.dtype)
+    e = None if exact and g is None else np.empty(n, x.dtype)
+    t = None if exact else np.empty(n, x.dtype)
     with np.errstate(over="ignore"):  # x*x overflows to inf for large |x|
         for lo in range(0, x.size, _CHUNK_ELEMS):
             xs = xf[lo:lo + _CHUNK_ELEMS]
-            tk, ek, ck, rk = t[:xs.size], e[:xs.size], c[:xs.size], rf[lo:lo + xs.size]
-            if g is not None or x.dtype == np.float32:
+            ck, rk = c[:xs.size], rf[lo:lo + xs.size]
+            if e is not None:
+                ek = e[:xs.size]
                 np.multiply(xs, xs, out=ek)
                 ek *= const(-0.5)
                 np.exp(ek, out=ek)  # sqrt(2 pi) * phi(x)
-            if x.dtype == np.float32:
+            if exact:
+                np.multiply(xs, const(1.0 / np.sqrt(2.0)), out=ck)
+                erf(ck, out=ck)
+                ck += const(1.0)
+                ck *= const(0.5)
+            else:
+                tk = t[:xs.size]
                 np.abs(xs, out=tk)
                 tk *= _AS_P
                 tk += 1.0
@@ -288,11 +299,6 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
                 rk += 1.0
                 rk *= tk
                 ck += rk
-            else:
-                np.multiply(xs, const(1.0 / np.sqrt(2.0)), out=ck)
-                erf(ck, out=ck)
-                ck += const(1.0)
-                ck *= const(0.5)
             if g is None:
                 np.multiply(xs, ck, out=rk)
             else:  # g * (Phi + x * phi)
