@@ -4,14 +4,17 @@
 output position of a small block stack by one-sided finite differences over
 HW+1 images, the base and one copy per position with epsilon added there; a
 position counts as influential when (bumped - base) / epsilon exceeds
-`threshold` relative to max(1, |base output|). The batch is built once per
-weight seed and goes through the stack in slices of max(1, _CHUNK_ELEMS // HW)
-images, keeping only each slice's probe column, so each activation holds about
-_CHUNK_ELEMS values per channel instead of (HW+1)·HW; the blocks run in eval
-mode, where every op is per-image, so the column equals that of one
-whole-batch forward bit for bit. Unreachable positions give a bitwise-zero
-difference, so the threshold only guards against accidental cancellation, as
-does the union over several weight seeds.
+`threshold` relative to max(1, |base output|). The images go through the
+stack in chunks of max(1, _CHUNK_ELEMS // (HW·workers)) images, one worker
+thread per CPU the process may use, each taking chunks from every weight seed.
+A chunk builds its images from its seed's base image and writes only its rows
+of that seed's (HW+1, 1) probe column, so the chunks in flight hold about
+_CHUNK_ELEMS values per channel between them and the (HW+1)·HW batch is never
+built. The blocks run in eval mode, where every op is per-image, so a column
+is the same bit for bit wherever the chunks break and however many workers
+run. Unreachable positions give a bitwise-zero difference, so the threshold
+only guards against accidental cancellation, as does the union over several
+weight seeds.
 
 `symbolic_reachability` composes the layers' index relations exactly. The
 shuffle, the window partition and the NWC kernel act on rows and columns
@@ -25,8 +28,12 @@ means a bug in one of the two routes.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +151,61 @@ def _check_query(stack, grid, probe) -> None:
         WindowGrid.for_extents(*grid, spec.window)
 
 
+def _probe_columns(stack, grid, probe, rngs, epsilon) -> list[np.ndarray]:
+    """Each seed's (HW+1, 1) column of stack outputs at `probe`: row 0 for the
+    base image, row 1 + i for the base image with epsilon added at flat
+    position i."""
+    height, width = grid
+    ph, pw = probe
+    n = height * width
+    seeds = []
+    for rng in rngs:
+        blocks = [_random_block(spec, height, width, rng) for spec in stack]
+        x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
+        seeds.append((blocks, x0, np.empty((n + 1, 1))))
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    step = max(1, _CHUNK_ELEMS // (n * workers))
+    chunks = itertools.product(seeds, range(0, n + 1, step))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def work() -> None:
+        try:
+            while not stop.is_set():
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                (blocks, x0, column), lo = chunk
+                k = min(step, n + 1 - lo)
+                images = np.repeat(x0, k, axis=0)
+                bumped = np.arange(max(lo, 1), lo + k)  # column rows, each bumping row - 1
+                images.reshape(k, n)[bumped - lo, bumped - 1] += epsilon
+                out = Tensor(images)
+                for cfg, params in blocks:
+                    out = block_forward(out, params, cfg, training=False)
+                column[lo:lo + k] = out.data[:, :, ph, pw]
+        except BaseException:
+            stop.set()  # the other workers finish their current chunk and return
+            raise
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        finally:
+            stop.set()
+    return [column for _, _, column in seeds]
+
+
 def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
                        epsilon: float = PROBE_EPSILON,
                        threshold: float = PROBE_THRESHOLD) -> ReachabilitySet:
-    """One-sided finite-difference reachability of `probe` through `BlockSpec`s."""
+    """One-sided finite-difference reachability of `probe` through `BlockSpec`s.
+
+    Runs on one worker thread per CPU the process may use and re-raises the
+    first exception a worker meets; no worker is left running on return."""
     _check_query(stack, grid, probe)
     if not (isinstance(seeds, (list, tuple)) and seeds):
         raise InvalidConfigError(f"the probe needs a list of weight seeds, got {seeds!r}")
@@ -158,22 +216,8 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
         raise InvalidConfigError(
             f"threshold must be a non-negative finite number, got {threshold!r}")
     height, width = grid
-    ph, pw = probe
     union = np.zeros((height, width), dtype=bool)
-    n = height * width
-    step = max(1, _CHUNK_ELEMS // n)
-    at_probe = np.empty((n + 1, 1))
-    for rng in rngs:
-        blocks = [_random_block(spec, height, width, rng) for spec in stack]
-        x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
-        batch = np.repeat(x0, n + 1, axis=0)
-        idx = np.arange(n)
-        batch.reshape(n + 1, n)[1 + idx, idx] += epsilon
-        for lo in range(0, n + 1, step):
-            out = Tensor(batch[lo:lo + step])
-            for cfg, params in blocks:
-                out = block_forward(out, params, cfg, training=False)
-            at_probe[lo:lo + step] = out.data[:, :, ph, pw]
+    for at_probe in _probe_columns(stack, grid, probe, rngs, epsilon):
         base_scale = max(1.0, float(np.abs(at_probe[0]).max()))
         deriv = np.abs(at_probe[1:] - at_probe[0]).max(axis=1) / epsilon
         union |= (deriv > threshold * base_scale).reshape(height, width)

@@ -34,8 +34,9 @@ from .errors import InvalidCallError, InvalidShapeError, _is_int, _is_real
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
 
-# values per block of gelu and its vjp, and per image slice of the
-# finite-difference reachability probe, so that their scratch buffers stay small
+# values per block of gelu and its vjp, and per channel across the image chunks
+# the finite-difference reachability probe runs at once on all its workers, so
+# that their scratch buffers stay small
 _CHUNK_ELEMS = 1 << 16
 
 

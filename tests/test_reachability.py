@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,9 +9,16 @@ import pytest
 from shuffleformer import (BlockSpec, InvalidConfigError, PartitionError, ReachabilitySet, Rng,
                            Tensor, block_forward, named_parameters, reachability_probe,
                            reachability_report, render_mask, symbolic_reachability)
-from shuffleformer.reachability import _apply_nwc, _random_block, dump_report
+from shuffleformer.reachability import _apply_nwc, _probe_columns, _random_block, dump_report
+from shuffleformer.windowing import SHUFFLE_MODES
 
 from oracles import window_index_oracle
+
+
+def use_cpus(monkeypatch, count):
+    """Show the probe `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def members_of(mask):
@@ -254,7 +264,9 @@ class TestProbeBlocks:
                             params, cfg)
         assert not out.requires_grad and out._parents == ()
 
-    def test_one_perturbation_per_position(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_one_perturbation_per_position(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)  # one chunk per seed up to 15 CPUs
         extents = []
 
         def recording_forward(x, *args, **kwargs):
@@ -267,7 +279,12 @@ class TestProbeBlocks:
         assert extents == [8 * 8 + 1] * (len(stack) * 2)
         assert fd.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
 
-    def test_image_chunks_with_a_ragged_last_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, affinity, per_seed", [
+        (1, True, [10] * 6 + [5]),  # 65 images
+        (3, True, [3] * 21 + [2]),
+        (3, False, [3] * 21 + [2]),  # the CPU count where there is no affinity mask
+    ])
+    def test_image_chunks_with_a_ragged_last_chunk(self, monkeypatch, cpus, affinity, per_seed):
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
         whole = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
         extents = []
@@ -276,13 +293,70 @@ class TestProbeBlocks:
             extents.append(x.shape[0])
             return block_forward(x, *args, **kwargs)
 
+        use_cpus(monkeypatch, cpus)
+        if not affinity:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
         monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 10 * 8 * 8 + 9)
-        chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
-        per_seed = [10] * 6 + [5]  # 65 images
-        assert extents == [e for e in per_seed for _ in stack] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # workers interleave often; a chunk lost or run twice shows
+        try:
+            chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(extents) == sorted([e for e in per_seed for _ in stack] * 2)
         assert chunked.members == whole.members
         assert chunked.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
+
+    @pytest.mark.parametrize("window, grid", [(2, (12, 12)), (4, (8, 8)), (4, (16, 8))])
+    def test_worker_count_keeps_columns_bitwise(self, monkeypatch, window, grid):
+        seen = []
+
+        def recording_columns(*args):
+            seen.append(_probe_columns(*args))
+            return seen[-1]
+
+        monkeypatch.setattr("shuffleformer.reachability._probe_columns", recording_columns)
+        for mode in SHUFFLE_MODES:
+            for position in ("A", "B", "C", None):
+                stack = [BlockSpec(window, "random", True, "C", perm_seed=3),
+                         BlockSpec(window, mode, position is not None, position or "B",
+                                   perm_seed=5)]
+                runs = []
+                for cpus in (1, 2, 3):
+                    use_cpus(monkeypatch, cpus)
+                    runs.append(reachability_probe(stack, grid, (3, 5), seeds=(0, 1),
+                                                   threshold=0.0))
+                columns = [[c.tobytes() for c in run] for run in seen[-3:]]
+                assert columns[0] == columns[1] == columns[2], (mode, position)
+                assert runs[0].members == runs[1].members == runs[2].members
+                assert runs[0].members == symbolic_reachability(stack, grid, (3, 5)).members
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_worker_error_reraised_and_workers_stopped(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 8 * 8 * cpus)
+        callers, lock = [], threading.Lock()
+
+        def failing_forward(x, *args, **kwargs):
+            with lock:
+                callers.append(threading.current_thread())
+                third = len(callers) == 3
+            if third:
+                raise MemoryError("third block call")
+            return block_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr("shuffleformer.reachability.block_forward", failing_forward)
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="third block call"):
+            reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
+        calls = len(callers)
+        assert threading.active_count() == threads
+        assert len(callers) == calls
+        # of 260 calls, a worker's current one-image chunk at most, and none on the caller's thread
+        assert 3 <= calls <= 3 + 2 * (cpus - 1) * len(stack)
+        assert threading.main_thread() not in callers
 
     def test_memory_bounded_by_the_batch_not_its_activations(self):
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
@@ -296,6 +370,21 @@ class TestProbeBlocks:
         # the float64 batch plus one chunk's activations; the whole-batch
         # forward held 16 batches, the attention scores alone 4
         assert peak < 3 * batch_bytes
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_batch_is_never_held(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
+        batch_bytes = (32 * 32 + 1) * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            reachability_probe(stack, (32, 32), (5, 9), seeds=(0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each chunk builds its images from the base image; the chunks in
+        # flight hold about _CHUNK_ELEMS values per channel between them
+        assert peak < 1.5 * batch_bytes
 
 
 class TestAgreement:

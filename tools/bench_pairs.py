@@ -14,8 +14,9 @@ Every workload in `BENCHMARK.json` runs for its `run_seconds`. Writes
 median and quartiles of every end-to-end metric in `BENCHMARK.json`; per
 metric, how many pairs the change won (ties count for neither) and whether
 the claim rule holds (wins in at least nine tenths of the pairs and a median
-difference larger than the base's quartile spread); plus each side's thread
-count, NumPy and BLAS versions and `src_lines` from run.py's provenance line.
+difference larger than the base's quartile spread); plus each side's BLAS
+thread count, usable CPU count, NumPy and BLAS versions and `src_lines` from
+run.py's provenance line.
 Standard library only.
 """
 
@@ -78,6 +79,7 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
             attempted=sum(r["attempted"] for r in runs[side]),
             failed=sum(r["failed"] for r in runs[side]),
             blas_threads=sorted({p["blas_threads_runtime"] for p in prov}, key=str),
+            nproc=sorted({p["nproc"] for p in prov}),
             numpy=sorted({p["numpy"] for p in prov}), blas=sorted({p["blas"] for p in prov}),
             src_lines=sorted({p["src_lines"] for p in prov}))
     comparison = {}
