@@ -179,7 +179,7 @@ def _probe_columns(stack, grid, probe, rngs, epsilon) -> list[np.ndarray]:
                 (blocks, x0, column), lo = chunk
                 k = min(step, n + 1 - lo)
                 images = np.repeat(x0, k, axis=0)
-                bumped = np.arange(max(lo, 1), lo + k)  # column rows, each bumping row - 1
+                bumped = np.arange(max(lo, 1), lo + k)  # rows whose image bumps position row - 1
                 images.reshape(k, n)[bumped - lo, bumped - 1] += epsilon
                 out = Tensor(images)
                 for cfg, params in blocks:

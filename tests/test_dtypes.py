@@ -71,16 +71,19 @@ def test_grouped_conv2d_rejected(dtype):
 
 
 def saved_float_arrays(fn, seen=None):
-    """Floating arrays held by `fn`'s closure, following closed-over functions."""
+    """Floating arrays held by `fn`'s closure, following closed-over functions,
+    lists and tuples."""
     seen = set() if seen is None else seen
     if id(fn) in seen:
         return []
     seen.add(id(fn))
-    found = []
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
+    found, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    while todo:
+        value = todo.pop()
         if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
             found.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo += value
         elif callable(value) and hasattr(value, "__closure__"):
             found += saved_float_arrays(value, seen)
     return found

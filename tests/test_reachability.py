@@ -15,9 +15,14 @@ from shuffleformer.windowing import SHUFFLE_MODES
 from oracles import window_index_oracle
 
 
-def use_cpus(monkeypatch, count):
-    """Show the probe `count` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+def use_cpus(monkeypatch, count, affinity=True):
+    """Show the probe `count` usable CPUs, through the affinity mask or, where
+    there is none, the CPU count."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
@@ -264,9 +269,7 @@ class TestProbeBlocks:
                             params, cfg)
         assert not out.requires_grad and out._parents == ()
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_one_perturbation_per_position(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)  # one chunk per seed up to 15 CPUs
+    def test_one_perturbation_per_position(self, monkeypatch):
         extents = []
 
         def recording_forward(x, *args, **kwargs):
@@ -275,16 +278,14 @@ class TestProbeBlocks:
 
         monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
-        fd = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
-        assert extents == [8 * 8 + 1] * (len(stack) * 2)
-        assert fd.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
+        for cpus in (1, 3):  # one chunk per seed up to 15 CPUs
+            use_cpus(monkeypatch, cpus)
+            extents.clear()
+            fd = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
+            assert extents == [8 * 8 + 1] * (len(stack) * 2)
+            assert fd.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
 
-    @pytest.mark.parametrize("cpus, affinity, per_seed", [
-        (1, True, [10] * 6 + [5]),  # 65 images
-        (3, True, [3] * 21 + [2]),
-        (3, False, [3] * 21 + [2]),  # the CPU count where there is no affinity mask
-    ])
-    def test_image_chunks_with_a_ragged_last_chunk(self, monkeypatch, cpus, affinity, per_seed):
+    def test_image_chunks_with_a_ragged_last_chunk(self, monkeypatch):
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
         whole = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
         extents = []
@@ -293,22 +294,26 @@ class TestProbeBlocks:
             extents.append(x.shape[0])
             return block_forward(x, *args, **kwargs)
 
-        use_cpus(monkeypatch, cpus)
-        if not affinity:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
         monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 10 * 8 * 8 + 9)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # workers interleave often; a chunk lost or run twice shows
         try:
-            chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1), threshold=0.0)
+            # 65 images per seed; the last case counts CPUs with no affinity mask
+            for cpus, affinity, per_seed in ((1, True, [10] * 6 + [5]),
+                                             (3, True, [3] * 21 + [2]),
+                                             (3, False, [3] * 21 + [2])):
+                use_cpus(monkeypatch, cpus, affinity)
+                extents.clear()
+                chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1),
+                                             threshold=0.0)
+                assert sorted(extents) == sorted([e for e in per_seed for _ in stack] * 2)
+                assert chunked.members == whole.members
+                assert chunked.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(extents) == sorted([e for e in per_seed for _ in stack] * 2)
-        assert chunked.members == whole.members
-        assert chunked.members == symbolic_reachability(stack, (8, 8), (3, 4)).members
 
-    @pytest.mark.parametrize("window, grid", [(2, (12, 12)), (4, (8, 8)), (4, (16, 8))])
+    @pytest.mark.parametrize("window, grid", [(2, (8, 12)), (4, (8, 8)), (4, (16, 8))])
     def test_worker_count_keeps_columns_bitwise(self, monkeypatch, window, grid):
         seen = []
 
@@ -317,6 +322,8 @@ class TestProbeBlocks:
             return seen[-1]
 
         monkeypatch.setattr("shuffleformer.reachability._probe_columns", recording_columns)
+        # chunks of 24, 12 and 8 images on 1, 2 and 3 CPUs
+        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 24 * grid[0] * grid[1] + 9)
         for mode in SHUFFLE_MODES:
             for position in ("A", "B", "C", None):
                 stack = [BlockSpec(window, "random", True, "C", perm_seed=3),
@@ -351,11 +358,10 @@ class TestProbeBlocks:
         threads = threading.active_count()
         with pytest.raises(MemoryError, match="third block call"):
             reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
-        calls = len(callers)
         assert threading.active_count() == threads
-        assert len(callers) == calls
-        # of 260 calls, a worker's current one-image chunk at most, and none on the caller's thread
-        assert 3 <= calls <= 3 + 2 * (cpus - 1) * len(stack)
+        # of 260 calls: each other worker runs out its current one-image chunk,
+        # and one more if it won the race with the stop; none on the caller's thread
+        assert 3 <= len(callers) <= 3 + 2 * (cpus - 1) * len(stack)
         assert threading.main_thread() not in callers
 
     def test_memory_bounded_by_the_batch_not_its_activations(self):
