@@ -5,16 +5,16 @@ output position of a small block stack by one-sided finite differences over
 HW+1 images, the base and one copy per position with epsilon added there; a
 position counts as influential when (bumped - base) / epsilon exceeds
 `threshold` relative to max(1, |base output|). The images go through the
-stack in chunks of max(1, _CHUNK_ELEMS // (HW·workers)) images, one worker
-thread per CPU the process may use, each taking chunks from every weight seed.
-A chunk builds its images from its seed's base image and writes only its rows
-of that seed's (HW+1, 1) probe column, so the chunks in flight hold about
-_CHUNK_ELEMS values per channel between them and the (HW+1)·HW batch is never
-built. The blocks run in eval mode, where every op is per-image, so a column
-is the same bit for bit wherever the chunks break and however many workers
-run. Unreachable positions give a bitwise-zero difference, so the threshold
-only guards against accidental cancellation, as does the union over several
-weight seeds.
+stack in chunks of max(1, _CHUNK_ELEMS // (HW·workers)) images on worker
+threads that take chunks from every weight seed: two where the process may use
+two CPUs and BLAS runs one thread, else one. A chunk builds its images from its
+seed's base image and writes only its rows of that seed's (HW+1, 1) probe
+column, so the chunks in flight hold about _CHUNK_ELEMS values per channel
+between them and the (HW+1)·HW batch is never built. The blocks run in eval
+mode, where every op is per-image, so a column is the same bit for bit
+wherever the chunks break and however many workers run. Unreachable positions
+give a bitwise-zero difference, so the threshold only guards against
+accidental cancellation, as does the union over several weight seeds.
 
 `symbolic_reachability` composes the layers' index relations exactly. The
 shuffle, the window partition and the NWC kernel act on rows and columns
@@ -27,7 +27,9 @@ means a bug in one of the two routes.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -35,6 +37,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -151,6 +154,36 @@ def _check_query(stack, grid, probe) -> None:
         WindowGrid.for_extents(*grid, spec.window)
 
 
+@functools.cache
+def _openblas_threads_query():
+    """OpenBLAS's thread-count getter in the library bundled with NumPy, or
+    None where NumPy runs on another BLAS."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            query = getattr(dll, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return query
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads BLAS runs now, or None where that cannot be read."""
+    query = _openblas_threads_query()
+    return None if query is None else int(query())
+
+
+def _probe_workers() -> int:
+    """Threads the probe runs its chunks on. Only one and two were measured,
+    on 2 CPUs. A threaded BLAS spreads the depth-wise conv over the CPUs
+    itself, and there its spinning helper threads made two workers slower
+    than one."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(2, cpus) if _blas_threads() == 1 else 1
+
+
 def _probe_columns(stack, grid, probe, rngs, epsilon) -> list[np.ndarray]:
     """Each seed's (HW+1, 1) column of stack outputs at `probe`: row 0 for the
     base image, row 1 + i for the base image with epsilon added at flat
@@ -163,8 +196,7 @@ def _probe_columns(stack, grid, probe, rngs, epsilon) -> list[np.ndarray]:
         blocks = [_random_block(spec, height, width, rng) for spec in stack]
         x0 = rng.normal((1, 1, height, width), 1.0, dtype=np.float64)
         seeds.append((blocks, x0, np.empty((n + 1, 1))))
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+    workers = _probe_workers()
     step = max(1, _CHUNK_ELEMS // (n * workers))
     chunks = itertools.product(seeds, range(0, n + 1, step))
     lock, stop = threading.Lock(), threading.Event()
@@ -204,8 +236,9 @@ def reachability_probe(stack, grid, probe, seeds=PROBE_SEEDS,
                        threshold: float = PROBE_THRESHOLD) -> ReachabilitySet:
     """One-sided finite-difference reachability of `probe` through `BlockSpec`s.
 
-    Runs on one worker thread per CPU the process may use and re-raises the
-    first exception a worker meets; no worker is left running on return."""
+    Runs on two worker threads where the process may use two CPUs and BLAS
+    runs one thread, else on one, and re-raises the first exception a worker
+    meets; no worker is left running on return."""
     _check_query(stack, grid, probe)
     if not (isinstance(seeds, (list, tuple)) and seeds):
         raise InvalidConfigError(f"the probe needs a list of weight seeds, got {seeds!r}")

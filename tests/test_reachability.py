@@ -9,15 +9,17 @@ import pytest
 from shuffleformer import (BlockSpec, InvalidConfigError, PartitionError, ReachabilitySet, Rng,
                            Tensor, block_forward, named_parameters, reachability_probe,
                            reachability_report, render_mask, symbolic_reachability)
-from shuffleformer.reachability import _apply_nwc, _probe_columns, _random_block, dump_report
+from shuffleformer.reachability import (_apply_nwc, _blas_threads, _probe_columns,
+                                        _probe_workers, _random_block, dump_report)
 from shuffleformer.windowing import SHUFFLE_MODES
 
 from oracles import window_index_oracle
 
 
-def use_cpus(monkeypatch, count, affinity=True):
+def use_cpus(monkeypatch, count, affinity=True, blas=1):
     """Show the probe `count` usable CPUs, through the affinity mask or, where
-    there is none, the CPU count."""
+    there is none, the CPU count, and a BLAS running `blas` threads."""
+    monkeypatch.setattr("shuffleformer.reachability._blas_threads", lambda: blas)
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
@@ -278,7 +280,7 @@ class TestProbeBlocks:
 
         monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
-        for cpus in (1, 3):  # one chunk per seed up to 15 CPUs
+        for cpus in (1, 3):  # one chunk per seed on one or two workers
             use_cpus(monkeypatch, cpus)
             extents.clear()
             fd = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
@@ -295,14 +297,15 @@ class TestProbeBlocks:
             return block_forward(x, *args, **kwargs)
 
         monkeypatch.setattr("shuffleformer.reachability.block_forward", recording_forward)
-        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 10 * 8 * 8 + 9)
+        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 14 * 8 * 8 + 9)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # workers interleave often; a chunk lost or run twice shows
         try:
-            # 65 images per seed; the last case counts CPUs with no affinity mask
-            for cpus, affinity, per_seed in ((1, True, [10] * 6 + [5]),
-                                             (3, True, [3] * 21 + [2]),
-                                             (3, False, [3] * 21 + [2])):
+            # 65 images per seed on one worker, and on two for three CPUs; the
+            # last case counts CPUs with no affinity mask
+            for cpus, affinity, per_seed in ((1, True, [14] * 4 + [9]),
+                                             (3, True, [7] * 9 + [2]),
+                                             (3, False, [7] * 9 + [2])):
                 use_cpus(monkeypatch, cpus, affinity)
                 extents.clear()
                 chunked = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1),
@@ -322,16 +325,18 @@ class TestProbeBlocks:
             return seen[-1]
 
         monkeypatch.setattr("shuffleformer.reachability._probe_columns", recording_columns)
-        # chunks of 24, 12 and 8 images on 1, 2 and 3 CPUs
-        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 24 * grid[0] * grid[1] + 9)
+        # chunks of 24 images on one worker, and of 12 and 8 on two
+        cases = [(1, 24), (2, 24), (3, 16)]
         for mode in SHUFFLE_MODES:
             for position in ("A", "B", "C", None):
                 stack = [BlockSpec(window, "random", True, "C", perm_seed=3),
                          BlockSpec(window, mode, position is not None, position or "B",
                                    perm_seed=5)]
                 runs = []
-                for cpus in (1, 2, 3):
+                for cpus, images in cases:
                     use_cpus(monkeypatch, cpus)
+                    monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS",
+                                        images * grid[0] * grid[1] + 9)
                     runs.append(reachability_probe(stack, grid, (3, 5), seeds=(0, 1),
                                                    threshold=0.0))
                 columns = [[c.tobytes() for c in run] for run in seen[-3:]]
@@ -342,7 +347,8 @@ class TestProbeBlocks:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_worker_error_reraised_and_workers_stopped(self, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 8 * 8 * cpus)
+        workers = min(2, cpus)
+        monkeypatch.setattr("shuffleformer.reachability._CHUNK_ELEMS", 8 * 8 * workers)
         callers, lock = [], threading.Lock()
 
         def failing_forward(x, *args, **kwargs):
@@ -361,36 +367,36 @@ class TestProbeBlocks:
         assert threading.active_count() == threads
         # of 260 calls: each other worker runs out its current one-image chunk,
         # and one more if it won the race with the stop; none on the caller's thread
-        assert 3 <= len(callers) <= 3 + 2 * (cpus - 1) * len(stack)
+        assert 3 <= len(callers) <= 3 + 2 * (workers - 1) * len(stack)
         assert threading.main_thread() not in callers
 
-    def test_memory_bounded_by_the_batch_not_its_activations(self):
+    def test_memory_bounded_by_the_batch_not_its_activations(self, monkeypatch):
         stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
         batch_bytes = (32 * 32 + 1) * 32 * 32 * 8
-        tracemalloc.start()
-        try:
-            reachability_probe(stack, (32, 32), (5, 9), seeds=(0,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the float64 batch plus one chunk's activations; the whole-batch
-        # forward held 16 batches, the attention scores alone 4
-        assert peak < 3 * batch_bytes
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                reachability_probe(stack, (32, 32), (5, 9), seeds=(0,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # each chunk builds its images from the base image, so the batch is
+            # never held; the chunks in flight hold about _CHUNK_ELEMS values per
+            # channel between them. A held batch plus one chunk measured 1.95.
+            assert peak < 1.5 * batch_bytes, cpus
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_the_batch_is_never_held(self, monkeypatch, cpus):
-        use_cpus(monkeypatch, cpus)
-        stack = [BlockSpec(2), BlockSpec(2, "long-range", True, "B")]
-        batch_bytes = (32 * 32 + 1) * 32 * 32 * 8
-        tracemalloc.start()
-        try:
-            reachability_probe(stack, (32, 32), (5, 9), seeds=(0,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # each chunk builds its images from the base image; the chunks in
-        # flight hold about _CHUNK_ELEMS values per channel between them
-        assert peak < 1.5 * batch_bytes
+    @pytest.mark.parametrize("cpus, blas, workers", [
+        (1, 1, 1), (2, 1, 2), (3, 1, 2), (64, 1, 2), (4, 2, 1), (4, None, 1), (1, None, 1)])
+    def test_two_workers_only_beside_a_one_thread_blas(self, monkeypatch, cpus, blas, workers):
+        use_cpus(monkeypatch, cpus, blas=blas)
+        assert _probe_workers() == workers
+
+    def test_blas_threads_read_from_the_library(self):
+        threads = _blas_threads()
+        assert threads is None or threads >= 1
+        if threads is not None and os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert threads == 1
 
 
 class TestAgreement:
