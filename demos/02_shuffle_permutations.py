@@ -4,10 +4,9 @@ window partition for free."""
 
 import numpy as np
 
-from shuffleformer import (Rng, Tensor, aligned_window_reverse,
-                           apply_spatial_permutation_2d, invert_permutation,
+from shuffleformer import (Rng, Tensor, aligned_window_reverse, invert_permutation,
                            make_shuffle_permutation, shuffle_permutations,
-                           shuffled_window_partition, window_partition)
+                           shuffled_window_partition)
 
 print("=" * 64)
 print("1. The three shuffle families on a 12-token axis, window 3")
@@ -35,12 +34,15 @@ x = np.arange(n * n, dtype=np.float32).reshape(1, 1, n, n)
 perms = shuffle_permutations(n, n, m, "long-range")
 
 fused = shuffled_window_partition(Tensor(x), m, perms)
-unfused = window_partition(apply_spatial_permutation_2d(Tensor(x), *perms), m)
+# the same in plain NumPy: shuffle rows and columns, then cut m x m windows
+shuffled = x[:, :, perms[0].map][:, :, :, perms[1].map]
+unfused = shuffled.reshape(n // m, m, n // m, m).transpose(0, 2, 1, 3).reshape(-1, 1, m, m)
 print(f"fused output shape: {fused.shape} ({n * n // (m * m)} windows)")
-print(f"fused == shuffle-then-partition, bit for bit: "
-      f"{fused.data.tobytes() == unfused.data.tobytes()}")
+same = fused.data.tobytes() == unfused.tobytes()
+print(f"fused == shuffle-then-partition, bit for bit: {same}")
+assert same
 
-plain_window0 = window_partition(Tensor(x), m).data[0, 0].astype(int)
+plain_window0 = x[0, 0, :m, :m].astype(int)
 shuffled_window0 = fused.data[0, 0].astype(int)
 print(f"window 0 without shuffle (contiguous pixels):\n{plain_window0}")
 print(f"window 0 with long-range shuffle (strided pixels):\n{shuffled_window0}")

@@ -28,7 +28,6 @@ from .tensor import (Tensor, add, backward, cross_entropy_logits, gather_hw,
                      scale, softmax_lastdim, sum_all, zero_grads)
 from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy, window_means
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, WindowGrid,
-                        aligned_window_reverse, apply_spatial_permutation_2d,
-                        invert_permutation, make_shuffle_permutation,
-                        shuffle_permutations, shuffled_window_partition,
-                        window_partition)
+                        aligned_window_reverse, invert_permutation,
+                        make_shuffle_permutation, shuffle_permutations,
+                        shuffled_window_partition)

@@ -1,14 +1,17 @@
 """Window partition/reverse and the spatial shuffle/alignment permutations.
 
 A spatial permutation acts on one axis of the token grid; the 2-D shuffle
-factorizes into independent row and column permutations. The fused entry
-points fold the permutation into the window gather, so shuffling costs no
-extra pass over the data, and are value-for-value identical to composing
-`apply_spatial_permutation_2d` with `window_partition`.
+factorizes into independent row and column permutations. The window
+partition folds the permutation into its gather, so shuffling costs no extra
+pass over the data, and `aligned_window_reverse` undoes both at once.
 
-Window layout contract: `window_partition` returns (batch * gh * gw, C, m, m)
-with window index wh * gw + ww (row-major over windows, appended after the
-batch axis, batch-major) and row-major intra-window positions.
+Window layout contract: `shuffled_window_partition(x, m, (ph, pw))` equals
+shuffling x to s[b, c, i, j] = x[b, c, ph.map[i], pw.map[j]] and cutting s
+into m x m windows. It returns (batch * gh * gw, C, m, m) with window index
+wh * gw + ww (row-major over windows, appended after the batch axis,
+batch-major) and row-major intra-window positions: window (wh, ww) of image
+b holds s[b, :, wh*m:(wh+1)*m, ww*m:(ww+1)*m]. Identity permutations give
+the plain partition.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_int
 from .rng import Rng
-from .tensor import Tensor, gather_hw, reshape_permute, result_of
+from .tensor import Tensor, result_of
 
 # the one vocabulary for shuffle modes; configs and checkpoints store "none"
 SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
@@ -33,10 +36,14 @@ class SpatialPermutation:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64)
-        object.__setattr__(self, "map", m)
-        if m.shape != (self.n,) or not np.array_equal(np.sort(m), np.arange(self.n)):
-            raise InvalidConfigError(f"map is not a permutation of range({self.n})")
+        try:
+            m = np.asarray(self.map)
+        except ValueError:  # a ragged nested sequence
+            m = np.asarray(None)
+        if not (_is_int(self.n) and m.dtype.kind in "iu" and m.shape == (self.n,)
+                and np.array_equal(np.sort(m), np.arange(self.n))):
+            raise InvalidConfigError(f"map is not a permutation of range({self.n!r})")
+        object.__setattr__(self, "map", m.astype(np.int64, copy=False))
 
     @staticmethod
     def identity(n: int) -> "SpatialPermutation":
@@ -92,6 +99,8 @@ def shuffle_permutations(height: int, width: int, m: int, mode: str,
 
 def invert_permutation(p: SpatialPermutation) -> SpatialPermutation:
     """The alignment permutation: composing with `p` gives the identity."""
+    if not isinstance(p, SpatialPermutation):
+        raise InvalidConfigError(f"expected a SpatialPermutation, got {type(p).__name__}")
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.map] = np.arange(p.n, dtype=np.int64)
     return SpatialPermutation(p.n, inv)
@@ -107,8 +116,9 @@ class WindowGrid:
 
     @staticmethod
     def for_extents(height: int, width: int, m: int) -> "WindowGrid":
-        if m < 1:
-            raise InvalidConfigError(f"window size must be positive, got {m}")
+        if not all(_is_int(v) and v >= 1 for v in (height, width, m)):
+            raise InvalidConfigError(f"grid extents and window size must be positive "
+                                     f"integers, got {height!r}, {width!r}, {m!r}")
         if height % m or width % m:
             raise PartitionError(
                 f"grid {height}x{width} is not divisible by window size {m}")
@@ -119,31 +129,12 @@ class WindowGrid:
         return self.gh * self.gw
 
 
-def window_partition(x: Tensor, m: int) -> Tensor:
-    """(B, C, H, W) -> (B*gh*gw, C, m, m), lossless regrouping."""
-    if x.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    b, c, h, w = x.shape
-    grid = WindowGrid.for_extents(h, w, m)
-    t = reshape_permute(x, (b, c, grid.gh, m, grid.gw, m), (0, 2, 4, 1, 3, 5))
-    return reshape_permute(t, (b * grid.windows, c, m, m))
-
-
-def apply_spatial_permutation_2d(x: Tensor, ph: SpatialPermutation,
-                                 pw: SpatialPermutation) -> Tensor:
-    """out[b,c,i,j] = x[b,c, ph.map[i], pw.map[j]]."""
-    if x.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    _, _, h, w = x.shape
-    if ph.n != h or pw.n != w:
-        raise InvalidShapeError(
-            f"permutation lengths ({ph.n}, {pw.n}) do not match grid ({h}, {w})")
-    return gather_hw(x, ph.map, pw.map)
-
-
 def _window_index(grid: WindowGrid, perms) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) fancy index that reads the grid in (gh, gw, m, m) window
     order through the (ph, pw) permutations."""
+    if not (isinstance(perms, (tuple, list)) and len(perms) == 2
+            and all(isinstance(p, SpatialPermutation) for p in perms)):
+        raise InvalidConfigError("perms must be a (row, column) pair of SpatialPermutations")
     ph, pw = perms
     height, width = grid.gh * grid.m, grid.gw * grid.m
     if ph.n != height or pw.n != width:
@@ -172,11 +163,8 @@ def _scatter_windows(wins: np.ndarray, grid: WindowGrid, rows, cols) -> np.ndarr
 
 
 def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
-    """Window partition with the spatial shuffle folded into the gather.
-
-    Equals window_partition(apply_spatial_permutation_2d(x, ph, pw), m) value
-    for value, where `perms` is the (ph, pw) pair from `shuffle_permutations`.
-    """
+    """(B, C, H, W) -> (B*gh*gw, C, m, m) windows of x shuffled by the (ph, pw)
+    pair from `shuffle_permutations`, in one gather; see the module docstring."""
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     grid = WindowGrid.for_extents(x.shape[2], x.shape[3], m)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from shuffleformer import (BlockConfig, InvalidConfigError, ModelConfig, Rng,
-                           Tensor, apply_bn, backward, block_forward,
+from shuffleformer import (SHUFFLE_MODES, BlockConfig, InvalidConfigError, ModelConfig,
+                           Rng, Tensor, apply_bn, backward, block_forward,
                            build_variant, cross_entropy_logits,
                            init_block_params, init_model_params,
-                           mean_pool_hw, model_forward, mul, named_parameters,
-                           parameter_list, sum_all, token_embed, token_merge,
-                           matmul, add)
+                           mean_pool_hw, model_forward, mul, named_buffers,
+                           named_parameters, parameter_list, sum_all, token_embed,
+                           token_merge, matmul, add)
+from shuffleformer.model import NWC_POSITIONS
 
 from gradcheck import check_gradients
+from oracles import reference_model_forward
 
 
 def tiny_config(**overrides):
@@ -316,3 +318,38 @@ class TestModelForward:
         total = sum(t.size for t in parameter_list(params))
         from shuffleformer import count_flops
         assert total == count_flops(cfg).total_params
+
+
+def random_reference_model(mode, position, rng):
+    """A tiny model with every parameter and running statistic drawn from `rng`.
+    Init leaves NWC kernels and biases at zero and batch norm at identity, where
+    y == x and the second batch norm's input and the MLP residual cannot be told
+    apart, so every value is redrawn."""
+    cfg = ModelConfig(channels=8, depths=(2, 2), num_classes=5, resolution=32, window=2,
+                      head_dim=4, shuffle_mode=mode, nwc_position=position)
+    params = init_model_params(cfg, rng, dtype=np.float64)
+    for _, t in named_parameters(params):
+        t.data = rng.normal(t.shape, 0.5, dtype=np.float64)
+    for name, buf in named_buffers(params):
+        draw = rng.normal(buf.shape, 0.5, dtype=np.float64)
+        buf[...] = draw if name.endswith("running_mean") else np.exp(draw)
+    return cfg, params
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("position", NWC_POSITIONS)
+@pytest.mark.parametrize("mode", SHUFFLE_MODES)
+def test_model_forward_matches_reference(mode, position, training):
+    rng = Rng(0)
+    cfg, params = random_reference_model(mode, position, rng)
+    # copied before the forward, which updates the running statistics in training
+    arrays = {name: t.data.copy() for name, t in named_parameters(params)}
+    arrays.update((name, buf.copy()) for name, buf in named_buffers(params))
+    random_maps = {f"stage{s}.block{i}": tuple(p.map for p in blk.shuffle_perms)
+                   for s, stage in enumerate(params.stages)
+                   for i, blk in enumerate(stage.blocks) if blk.shuffle_perms}
+    image = rng.normal((2, 3, 32, 32), dtype=np.float64)
+    logits = model_forward(Tensor(image), params, cfg, training).data
+    ref = reference_model_forward(image, arrays, random_maps, cfg.depths, cfg.window,
+                                  cfg.head_dim, mode, position, training)
+    assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -412,6 +412,24 @@ class TestAgreement:
             sym = symbolic_reachability(stack, (grid, grid), probe)
             assert fd.members == sym.members, f"case {case}: {stack} probe {probe}"
 
+    @pytest.mark.parametrize("zeroed", [0, 1], ids=["first-seed", "last-seed"])
+    def test_union_covers_a_seed_that_misses(self, monkeypatch, zeroed):
+        # a zeroed NWC kernel leaves only the NWC's bias, so that seed alone misses
+        # what the kernel adds; the union must still find it, whichever seed comes last
+        def random_block(spec, height, width, rng):
+            cfg, params = _random_block(spec, height, width, rng)
+            if rng.seed == zeroed and params.nwc is not None:
+                params.nwc.kernel.data[...] = 0.0
+            return cfg, params
+
+        monkeypatch.setattr("shuffleformer.reachability._random_block", random_block)
+        stack = [BlockSpec(2), BlockSpec(2, "long-range", nwc=True, nwc_position="B")]
+        sym = symbolic_reachability(stack, (8, 8), (3, 4))
+        union = reachability_probe(stack, (8, 8), (3, 4), seeds=(0, 1))
+        alone = reachability_probe(stack, (8, 8), (3, 4), seeds=(zeroed,))
+        assert union.members == sym.members
+        assert alone.members < sym.members and len(sym) - len(alone) == 16
+
     def test_report_bundles_agreement(self):
         stack = [BlockSpec(2), BlockSpec(2, "long-range")]
         report = reachability_report(stack, (8, 8), (3, 3))

@@ -5,17 +5,48 @@ from hypothesis import strategies as st
 
 from shuffleformer import (InvalidConfigError, InvalidShapeError,
                            PartitionError, Rng, SpatialPermutation, Tensor,
-                           WindowGrid, aligned_window_reverse,
-                           apply_spatial_permutation_2d, backward,
+                           WindowGrid, aligned_window_reverse, backward,
                            invert_permutation, make_shuffle_permutation, mul,
-                           shuffle_permutations, shuffled_window_partition, sum_all,
-                           window_partition)
+                           shuffle_permutations, shuffled_window_partition, sum_all)
 
-from oracles import composes_to_identity, gather_2d, window_index_oracle
+from oracles import (composes_to_identity, gather_2d, shuffle_then_partition,
+                     window_index_oracle)
 
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def partition(x, m):
+    """The window partition without a shuffle."""
+    return shuffled_window_partition(x, m, tuple(map(SpatialPermutation.identity, x.shape[2:])))
+
+
+_X = Tensor(np.zeros((1, 1, 4, 4)))
+_PERMS = shuffle_permutations(4, 4, 2, "long-range")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shuffled_window_partition(_X, 2, None),
+    lambda: shuffled_window_partition(_X, 2, _PERMS[:1]),
+    lambda: shuffled_window_partition(_X, 2, tuple(p.map for p in _PERMS)),
+    lambda: shuffled_window_partition(_X, "2", _PERMS),
+    lambda: shuffled_window_partition(_X, 2.0, _PERMS),
+    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, 4.0, 4, _PERMS),
+    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, 4, 4, None),
+    lambda: WindowGrid.for_extents(4, 4, "2"),
+    lambda: WindowGrid.for_extents(4.0, 4, 2),
+    lambda: SpatialPermutation(3, [[0], [1, 2]]),
+    lambda: SpatialPermutation(3, ["a", "b", "c"]),
+    lambda: SpatialPermutation(3, [0.0, 1.0, 2.0]),
+    lambda: invert_permutation(np.arange(3)),
+], ids=["partition-no-perms", "partition-one-perm", "partition-array-perms",
+        "partition-text-window", "partition-float-window", "reverse-float-height",
+        "reverse-no-perms", "grid-text-window", "grid-float-height", "ragged-map",
+        "text-map", "float-map", "invert-array"])
+def test_bad_input_raises_package_error(call):
+    with pytest.raises(InvalidConfigError):
+        call()
 
 
 class TestPermutations:
@@ -111,13 +142,13 @@ class TestWindowPartition:
     def test_single_window_unchanged(self):
         rng = Rng(0)
         x = rng.normal((2, 3, 4, 4), dtype=np.float32)
-        wins = window_partition(Tensor(x), 4)
+        wins = partition(Tensor(x), 4)
         assert wins.shape == (2, 3, 4, 4)
         assert np.array_equal(wins.data, x)
 
     def test_index_arithmetic(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        wins = window_partition(Tensor(x), 2).data
+        wins = partition(Tensor(x), 2).data
         grid = WindowGrid.for_extents(4, 4, 2)
         for h in range(4):
             for w in range(4):
@@ -127,7 +158,7 @@ class TestWindowPartition:
     def test_window_content_multisets_match(self):
         rng = Rng(2)
         x = rng.normal((1, 2, 6, 6), dtype=np.float64)
-        wins = window_partition(Tensor(x), 3).data
+        wins = partition(Tensor(x), 3).data
         grid = WindowGrid.for_extents(6, 6, 3)
         for win in range(grid.windows):
             wh, ww = divmod(win, grid.gw)
@@ -136,46 +167,53 @@ class TestWindowPartition:
 
     def test_indivisible_raises(self):
         with pytest.raises(PartitionError):
-            window_partition(Tensor(np.zeros((1, 1, 5, 5))), 2)
+            partition(Tensor(np.zeros((1, 1, 5, 5))), 2)
 
     def test_gradient_through_partition(self):
         from gradcheck import check_gradients
         rng = Rng(3)
         x = Tensor(rng.normal((1, 2, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((4, 2, 2, 2), dtype=np.float64))
-        check_gradients(lambda: sum_all(mul(window_partition(x, 2), w)), [x])
+        perms = shuffle_permutations(4, 4, 2, "long-range")
+        check_gradients(lambda: sum_all(mul(shuffled_window_partition(x, 2, perms), w)), [x])
 
 
 class TestApplyPermutation2d:
+    """The 2-D shuffle as the partition applies it, against gathers done elementwise."""
+
     def test_identity(self):
         rng = Rng(4)
         x = rng.normal((2, 2, 4, 4), dtype=np.float32)
-        out = apply_spatial_permutation_2d(
-            Tensor(x), SpatialPermutation.identity(4), SpatialPermutation.identity(4))
-        assert np.array_equal(out.data, x)
+        wins = partition(Tensor(x), 2)
+        assert wins.data.tobytes() == shuffle_then_partition(x, range(4), range(4), 2).tobytes()
 
     def test_round_trip(self):
+        # the shuffled grid read through the alignment maps is the plain partition
         rng = Rng(5)
         x = rng.normal((1, 3, 8, 6), dtype=np.float64)
         ph = make_shuffle_permutation(8, 2, "long-range")
         pw = make_shuffle_permutation(6, 2, "long-range")
-        mixed = apply_spatial_permutation_2d(Tensor(x), ph, pw)
-        back = apply_spatial_permutation_2d(mixed, invert_permutation(ph),
-                                            invert_permutation(pw))
-        assert np.array_equal(back.data, x)
+        mixed = gather_2d(x, ph.map, pw.map)
+        back = shuffled_window_partition(Tensor(mixed), 2,
+                                          (invert_permutation(ph), invert_permutation(pw)))
+        assert np.array_equal(back.data, partition(Tensor(x), 2).data)
+        restored = aligned_window_reverse(shuffled_window_partition(Tensor(x), 2, (ph, pw)),
+                                          2, 8, 6, (ph, pw))
+        assert np.array_equal(restored.data, x)
 
     def test_matches_gather_oracle(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         ph = make_shuffle_permutation(4, 2, "long-range")
         pw = make_shuffle_permutation(4, 2, "long-range")
-        out = apply_spatial_permutation_2d(Tensor(x), ph, pw).data
-        assert np.array_equal(out, gather_2d(x, ph.map, pw.map))
+        out = shuffled_window_partition(Tensor(x), 2, (ph, pw)).data
+        assert np.array_equal(out, shuffle_then_partition(gather_2d(x, ph.map, pw.map),
+                                                          range(4), range(4), 2))
 
     def test_extent_mismatch(self):
         with pytest.raises(InvalidShapeError):
-            apply_spatial_permutation_2d(Tensor(np.zeros((1, 1, 4, 4))),
-                                         SpatialPermutation.identity(5),
-                                         SpatialPermutation.identity(4))
+            shuffled_window_partition(Tensor(np.zeros((1, 1, 4, 4))), 2,
+                                      (SpatialPermutation.identity(5),
+                                       SpatialPermutation.identity(4)))
 
 
 def _perms_for(mode, n, m, seed=0):
@@ -198,9 +236,8 @@ class TestFusedShuffleWindows:
         x = rng.normal((2, 3, n, n), dtype=np.float32)
         perms = _perms_for(mode, n, m)
         fused = shuffled_window_partition(Tensor(x), m, perms)
-        unfused = window_partition(
-            apply_spatial_permutation_2d(Tensor(x), *perms), m)
-        assert fused.data.tobytes() == unfused.data.tobytes()
+        unfused = shuffle_then_partition(x, perms[0].map, perms[1].map, m)
+        assert fused.data.tobytes() == unfused.tobytes()
         restored = aligned_window_reverse(fused, m, n, n, perms)
         assert restored.data.tobytes() == x.tobytes()
 
@@ -208,11 +245,11 @@ class TestFusedShuffleWindows:
         rng = Rng(10)
         x = rng.normal((1, 2, 6, 6), dtype=np.float64)
         fused = shuffled_window_partition(Tensor(x), 2, shuffle_permutations(6, 6, 2, "none"))
-        plain = window_partition(Tensor(x), 2)
-        assert np.array_equal(fused.data, plain.data)
+        plain = shuffle_then_partition(x, range(6), range(6), 2)
+        assert fused.data.tobytes() == plain.tobytes()
 
     def test_reverse_validates_extents(self):
-        wins = window_partition(Tensor(np.zeros((1, 1, 4, 4))), 2)
+        wins = partition(Tensor(np.zeros((1, 1, 4, 4))), 2)
         with pytest.raises(InvalidShapeError):
             aligned_window_reverse(wins, 2, 6, 6, shuffle_permutations(6, 6, 2, "long-range"))
 

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Mutation check: tier-1 must fail on every mutant in the catalogue.
+
+A mutant is a (file, old text, new text) triple: a small defect made by
+replacing old text, which must occur exactly once in the file, with new
+text. For each mutant the tree is copied to a temporary directory, the
+mutant is applied there, and tier-1 runs with -x. A failing run means the
+mutant was caught; a passing one means it survived. Exits 1 if any mutant
+survived or if an old text is missing or occurs more than once.
+
+    python3 tools/mutants.py          # apply each mutant and run tier-1 on it
+    python3 tools/mutants.py --check  # only check each old text occurs once
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PKG = "src/shuffleformer/"
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
+         "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                              ".bench_build", ".benchmarks")
+
+MUTANTS = [
+    # the block equations: x = WMSA(BN(z)) + z, y = NWC(x), z' = MLP(BN(y)) + y
+    (PKG + "layers.py", "1.0 / math.sqrt(head_dim)", "1.0 / head_dim"),
+    (PKG + "model.py", "inner_nwc=inner), y)", "inner_nwc=inner), x)"),
+    (PKG + "model.py", "yn = apply_bn(y, params.bn2, training)",
+     "yn = apply_bn(x, params.bn2, training)"),
+    (PKG + "model.py", "height, width, perms), z)", "height, width, perms), zn)"),
+    (PKG + "model.py", "zn = nwc_forward(zn, params.nwc)", "zn = nwc_forward(z, params.nwc)"),
+    (PKG + "model.py", 'mode = "none" if index % 2 == 0 else', 'mode = "none" if index % 2 else'),
+    (PKG + "model.py", "x = apply_bn(x, params.head.bn, training)",
+     "x = apply_bn(x, params.head.bn, False)"),
+    (PKG + "layers.py", "    return add(x, local)", "    return local"),
+    # the NWC's extra pad row and column go after, not before
+    (PKG + "layers.py", "return (extent - 1) // 2, extent // 2",
+     "return extent // 2, (extent - 1) // 2"),
+    # the shuffle maps and the window reverse
+    (PKG + "windowing.py", "perm.transpose(0, 2, 1).ravel()", "perm.ravel()"),
+    (PKG + "windowing.py", "reshape(m, n // m).T.ravel()", "reshape(m, n // m).ravel()"),
+    (PKG + "windowing.py",
+     "    rows, cols = _window_index(grid, perms)\n\n    def vjp(g):\n"
+     "        return (_gather_windows(",
+     "    rows, cols = _window_index(grid, perms[::-1])\n\n    def vjp(g):\n"
+     "        return (_gather_windows("),
+    # batch norm, the engine and the optimizer
+    (PKG + "conv.py", "BN_MOMENTUM * var * (n / (n - 1))", "BN_MOMENTUM * var"),
+    (PKG + "conv.py", "out += (beta.data - mean * sc)", "out += (beta.data + mean * sc)"),
+    (PKG + "tensor.py", "pending[key] = pending[key] + pg", "pending[key] = pg"),
+    (PKG + "tensor.py", "np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)",
+     "np.subtract(g, gx.mean(axis=-1, keepdims=True), out=gx)"),
+    (PKG + "tensor.py", "g[:, :, None, None] / (h * w)", "g[:, :, None, None] / h"),
+    (PKG + "tensor.py", "np.multiply(xs, const(1.0 / np.sqrt(2.0)), out=ck)",
+     "np.multiply(xs, const(1.0 / 2.0), out=ck)"),
+    (PKG + "optim.py", "mhat = m / (1.0 - BETA1 ** opt.steps)", "mhat = m"),
+    # reachability: the exact relations and the probe's union over seeds
+    (PKG + "reachability.py", "(d < extent - pad_before)", "(d <= extent - pad_before)"),
+    (PKG + "reachability.py", "windows = [invert_permutation(p).map // m for p in perms]",
+     "windows = [p.map // m for p in perms]"),
+    (PKG + "reachability.py", "union |= (deriv > threshold * base_scale)",
+     "union = (deriv > threshold * base_scale)"),
+]
+
+
+def stale(root: Path) -> list[str]:
+    """A line for each mutant whose old text is not in its file exactly once."""
+    problems = []
+    for i, (name, old, _) in enumerate(MUTANTS):
+        path = root / name
+        count = path.read_text(encoding="utf-8").count(old) if path.is_file() else 0
+        if count != 1:
+            problems.append(f"mutant {i} ({name}): old text occurs {count} times")
+    return problems
+
+
+def run_mutant(name: str, old: str, new: str) -> str:
+    """'caught', 'survived' or 'timed out' for one mutant, in a temporary copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=SKIP)
+        path = tree / name
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        try:
+            result = subprocess.run(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, timeout=900)
+        except subprocess.TimeoutExpired:
+            return "timed out"
+    return "survived" if result.returncode == 0 else "caught"
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: python3 tools/mutants.py [--check]", file=sys.stderr)
+        return 2
+    problems = stale(ROOT)
+    for line in problems:
+        print(line)
+    if problems or argv:
+        print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants apply")
+        return 1 if problems else 0
+    survived = 0
+    for i, (name, old, new) in enumerate(MUTANTS):
+        verdict = run_mutant(name, old, new)
+        survived += verdict == "survived"
+        print(f"{i:2d} {verdict:9s} {name}: {new.strip().splitlines()[0]}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
