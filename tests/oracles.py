@@ -22,7 +22,8 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def naive_conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
-    """Seven explicit loops over batch, out-channel, output position, kernel."""
+    """Explicit loops over batch, out-channel and output position; each output
+    is the product-sum of the out-channel's kernel with its input patch."""
     sh = sw = stride
     if isinstance(padding, tuple):
         (pt, pb), (pl, pr) = padding
@@ -39,15 +40,12 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
     for b in range(batch):
         for o in range(cout):
             g = o // og
+            xg = xp[b, g * cin_g:(g + 1) * cin_g]
+            shift = 0.0 if bias is None else bias[o]
             for i in range(oh):
                 for j in range(ow):
-                    acc = 0.0
-                    for c in range(cin_g):
-                        for u in range(kh):
-                            for v in range(kw):
-                                acc += (w[o, c, u, v]
-                                        * xp[b, g * cin_g + c, i * sh + u, j * sw + v])
-                    out[b, o, i, j] = acc + (0.0 if bias is None else bias[o])
+                    patch = xg[:, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                    out[b, o, i, j] = np.vdot(w[o], patch) + shift
     return out
 
 

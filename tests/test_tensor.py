@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,43 @@ class TestTensorData:
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
         call()
+
+
+# A float32 forward and training step leave scipy.special unloaded; a float64
+# gelu loads it and still equals the erf form.
+LAZY_ERF_SCRIPT = """
+import sys
+import numpy as np
+from shuffleformer import (AdamW, ModelConfig, Optimizer, Rng, Tensor, backward,
+                           cross_entropy_logits, gelu, init_model_params, model_forward,
+                           parameter_list, zero_grads)
+assert "scipy.special" not in sys.modules
+cfg = ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16, window=2, head_dim=4)
+rng = Rng(0)
+params = init_model_params(cfg, rng)
+x = Tensor(rng.normal((2, 3, 16, 16), dtype=np.float32))
+model_forward(x, params, cfg, training=False)
+tracked = parameter_list(params)
+opt = Optimizer(tracked, AdamW(1e-3))
+loss = cross_entropy_logits(model_forward(x, params, cfg, training=True), np.array([0, 3]))
+zero_grads(tracked)
+backward(loss)
+opt.step()
+assert "scipy.special" not in sys.modules, "float32 forward or training loaded scipy.special"
+x64 = np.linspace(-6.0, 6.0, 1001)
+got = gelu(Tensor(x64)).data
+assert "scipy.special" in sys.modules
+from scipy.special import erf
+assert np.abs(got - x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))).max() <= 1e-12
+"""
+
+
+def _package_env() -> dict:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class TestReshapePermute:
@@ -246,6 +287,12 @@ class TestElementwise:
         x64 = x.astype(np.float64)
         want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
         assert np.abs(got - want).max() <= 1e-6
+
+    def test_scipy_special_loads_only_with_float64_gelu(self):
+        # in a fresh interpreter: this test module's own imports load scipy.special
+        result = subprocess.run([sys.executable, "-W", "error", "-c", LAZY_ERF_SCRIPT],
+                                env=_package_env(), capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
 
     def test_float32_gelu_special_values_match_erf_form(self):
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20], np.float32)

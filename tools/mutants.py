@@ -59,6 +59,13 @@ MUTANTS = [
     (PKG + "tensor.py", "np.multiply(xs, const(1.0 / np.sqrt(2.0)), out=ck)",
      "np.multiply(xs, const(1.0 / 2.0), out=ck)"),
     (PKG + "optim.py", "mhat = m / (1.0 - BETA1 ** opt.steps)", "mhat = m"),
+    # the block-wise draws: each block's place in the result, the positions its
+    # out-of-bound values are recorded at, and where accepted redraws are written
+    (PKG + "rng.py", "for lo in range(0, flat.size, _CHUNK_ELEMS):",
+     "for lo in range(1, flat.size, _CHUNK_ELEMS):"),
+    (PKG + "rng.py", "np.flatnonzero(np.abs(block) > bound) + lo)",
+     "np.flatnonzero(np.abs(block) > bound))"),
+    (PKG + "rng.py", "flat[bad[~keep]] = redraw[~keep]", "flat[bad[keep]] = redraw[keep]"),
     # reachability: the exact relations and the probe's union over seeds
     (PKG + "reachability.py", "(d < extent - pad_before)", "(d <= extent - pad_before)"),
     (PKG + "reachability.py", "windows = [invert_permutation(p).map // m for p in perms]",
