@@ -20,7 +20,9 @@ module state, and each vjp rebuilds its scratch from what its closure holds,
 so threads may run them concurrently on separate graphs; a graph built in
 one thread must be walked by that thread. Four threads training toy models
 on their own graphs get gradients bit-identical to a serial run
-(tests/test_train.py).
+(tests/test_train.py). The one import made after start-up, `scipy.special`
+on the first float64 `gelu`, may run in a worker thread: Python's import
+lock makes any other thread that reaches it wait until it has loaded.
 """
 
 from __future__ import annotations
@@ -241,6 +243,10 @@ def gelu(t: Tensor) -> Tensor:
     out as in the erf form. Both run in blocks of _CHUNK_ELEMS values, so Phi
     is never a full array: the vjp recomputes Phi and phi from x, with the
     forward's own operations, and keeps nothing but x.
+
+    `scipy.special` (~25 MiB resident and ~0.3 s to import) is loaded when
+    the first float64 input reaches this function, not with the package, so
+    float32 inference and training never load it.
     """
     x = t.data
 
@@ -261,7 +267,7 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x), or given the output gradient g, g * (Phi(x) + x * phi(x)),
     block by block; see `gelu`."""
     const, exact = x.dtype.type, x.dtype == np.float64
-    if exact:  # ~25 MiB and ~0.3 s that float32 never needs: loaded on first use
+    if exact:  # loaded here, on first use; see gelu
         from scipy.special import erf
     res = np.empty(x.shape, x.dtype)
     xf, rf, gf = x.reshape(-1), res.reshape(-1), None if g is None else g.reshape(-1)
