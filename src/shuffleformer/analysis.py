@@ -15,6 +15,7 @@ import dataclasses
 import io
 from dataclasses import dataclass
 
+from .errors import InvalidConfigError
 from .model import BlockConfig, ModelConfig, _nwc_channels
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
@@ -89,10 +90,9 @@ def _bn_params(channels: int) -> int:
 
 def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
     ch, window = cfg.channels, cfg.window
-    bias = 1 if cfg.attn_bias else 0
     rows = [
         CostRow(f"{prefix}.bn1", _bn_params(ch), 0),
-        CostRow(f"{prefix}.attn", 4 * (ch * ch + bias * ch),
+        CostRow(f"{prefix}.attn", 4 * (ch * ch + ch),
                 wmsa_attention_flops(hw, ch, window * window)),
     ]
     nwc_ch = _nwc_channels(cfg)
@@ -110,6 +110,8 @@ def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
 def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
     """Parameter and FLOP ledger at a square input resolution, by default the
     config's own. Parameter counts do not depend on the resolution."""
+    if not isinstance(cfg, ModelConfig):
+        raise InvalidConfigError(f"count_flops needs a ModelConfig, got {type(cfg).__name__}")
     # validates the resolution against the config's stages and stores a Python int
     cfg = dataclasses.replace(cfg, resolution=cfg.resolution if resolution is None else resolution)
     res = cfg.resolution

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer and
-real-number tests its input checks share."""
+"""Exception hierarchy shared across the package, and the integer,
+real-number and choice tests its input checks share."""
 
 import numbers
 
@@ -14,6 +14,12 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """A Python or NumPy real number; bools are not numbers here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_choice(value, choices: tuple[str, ...]) -> bool:
+    """One of `choices`; only a str is, since `in` would compare an array
+    element-wise and raise on its truth value."""
+    return isinstance(value, str) and value in choices
 
 
 class ShuffleFormerError(Exception):

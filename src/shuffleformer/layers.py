@@ -28,17 +28,17 @@ INIT_STD = 0.02
 @dataclass
 class WmsaParams:
     """Projection weights for window attention, each (C, C, 1, 1), and their
-    biases, each (C,) or None."""
+    biases, each (C,)."""
 
     heads: int
     wq: Tensor
-    bq: Tensor | None
+    bq: Tensor
     wk: Tensor
-    bk: Tensor | None
+    bk: Tensor
     wv: Tensor
-    bv: Tensor | None
+    bv: Tensor
     wo: Tensor
-    bo: Tensor | None
+    bo: Tensor
 
     @property
     def channels(self) -> int:
@@ -52,8 +52,7 @@ def init_weight(shape, rng: Rng | None, dtype=np.float32) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def init_wmsa(channels: int, heads: int, rng: Rng | None, bias: bool = True,
-              dtype=np.float32) -> WmsaParams:
+def init_wmsa(channels: int, heads: int, rng: Rng | None, dtype=np.float32) -> WmsaParams:
     if channels % heads:
         raise InvalidConfigError(f"{heads} heads do not divide {channels} channels")
 
@@ -61,7 +60,7 @@ def init_wmsa(channels: int, heads: int, rng: Rng | None, bias: bool = True,
         return init_weight((channels, channels, 1, 1), rng, dtype)
 
     def b():
-        return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True) if bias else None
+        return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     return WmsaParams(heads, w(), b(), w(), b(), w(), b(), w(), b())
 
@@ -98,7 +97,7 @@ class NwcParams:
     """Depth-wise kernel with spatial extent equal to the window size."""
 
     kernel: Tensor  # (C, 1, M, M)
-    bias: Tensor | None = None
+    bias: Tensor  # (C,)
 
     @property
     def channels(self) -> int:
@@ -109,10 +108,9 @@ class NwcParams:
         return self.kernel.shape[2]
 
 
-def init_nwc(channels: int, window: int, rng: Rng | None = None,
-             dtype=np.float32) -> NwcParams:
-    """Zero-initialized by default so the residual connection starts as identity."""
-    return NwcParams(init_weight((channels, 1, window, window), rng, dtype),
+def init_nwc(channels: int, window: int, dtype=np.float32) -> NwcParams:
+    """Zero-initialized, so the residual connection starts as identity."""
+    return NwcParams(init_weight((channels, 1, window, window), None, dtype),
                      Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import BnParams, ConvParams, apply_bn, conv2d
-from .errors import InvalidConfigError, InvalidShapeError, _is_int
+from .errors import InvalidConfigError, InvalidShapeError, _is_choice, _is_int
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng
@@ -34,7 +34,7 @@ NWC_POSITIONS = ("A", "B", "C", "none")
 
 
 def _check_fields(cfg) -> None:
-    """Shared by BlockConfig and ModelConfig: int and bool fields, shuffle mode, NWC position."""
+    """Shared by BlockConfig and ModelConfig: int fields, shuffle mode, NWC position."""
     fields = [(f.name, f.type, getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
     bad = [n for n, t, v in fields if t in ("int", int) and not (_is_int(v) and v >= 1)]
     if bad:
@@ -43,12 +43,9 @@ def _check_fields(cfg) -> None:
     for n, t, v in fields:
         if t in ("int", int):
             object.__setattr__(cfg, n, int(v))
-    bad = [n for n, t, v in fields if t in ("bool", bool) and not isinstance(v, bool)]
-    if bad:
-        raise InvalidConfigError(f"expected true or false for {', '.join(bad)}")
-    if cfg.shuffle_mode not in SHUFFLE_MODES:
+    if not _is_choice(cfg.shuffle_mode, SHUFFLE_MODES):
         raise InvalidConfigError(f"shuffle_mode {cfg.shuffle_mode!r} not in {SHUFFLE_MODES}")
-    if cfg.nwc_position not in NWC_POSITIONS:
+    if not _is_choice(cfg.nwc_position, NWC_POSITIONS):
         raise InvalidConfigError(f"nwc_position {cfg.nwc_position!r} not in {NWC_POSITIONS}")
 
 
@@ -60,7 +57,6 @@ class BlockConfig:
     shuffle_mode: str = "none"
     nwc_position: str = "B"
     mlp_ratio: int = 4
-    attn_bias: bool = True
 
     def __post_init__(self):
         _check_fields(self)
@@ -82,9 +78,15 @@ class BlockParams:
     shuffle_perms: tuple[SpatialPermutation, SpatialPermutation] | None = None
 
 
+# headers written before these values were fixed store them; `from_dict`
+# takes, and drops, each only at the one value the model takes
+_FIXED_KEYS = {"attn_bias": True, "mlp_ratio": 4, "in_channels": 3}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyper-parameters for one model variant."""
+    """Architecture hyper-parameters for one model variant. RGB input, an MLP
+    ratio of 4 and attention biases are fixed, not fields."""
 
     channels: int
     depths: tuple[int, ...]
@@ -92,11 +94,9 @@ class ModelConfig:
     resolution: int = 224
     window: int = 7
     head_dim: int = 32
-    mlp_ratio: int = 4
-    in_channels: int = 3
     shuffle_mode: str = "long-range"
     nwc_position: str = "B"
-    attn_bias: bool = True
+    in_channels = 3  # RGB input; a class constant, not a field
 
     def __post_init__(self):
         if not isinstance(self.depths, (list, tuple)) or not all(map(_is_int, self.depths)):
@@ -146,7 +146,7 @@ class ModelConfig:
         """Even block indices use the plain partition, odd ones the shuffled."""
         mode = "none" if index % 2 == 0 else self.shuffle_mode
         return BlockConfig(self.stage_channels(stage), self.stage_heads(stage),
-                           self.window, mode, self.nwc_position, self.mlp_ratio, self.attn_bias)
+                           self.window, mode, self.nwc_position)
 
     def to_dict(self) -> dict:
         """JSON-ready field values, with the stage depths as a list."""
@@ -158,6 +158,11 @@ class ModelConfig:
         """Inverse of `to_dict`; unknown or missing keys raise InvalidConfigError."""
         if not isinstance(d, dict):
             raise InvalidConfigError(f"model config must be a mapping, got {type(d).__name__}")
+        for key, value in _FIXED_KEYS.items():
+            if key in d and not (type(d[key]) is type(value) and d[key] == value):
+                raise InvalidConfigError(f"model config {key} is fixed at {value!r}, "
+                                         f"got {d[key]!r}")
+        d = {k: v for k, v in d.items() if k not in _FIXED_KEYS}
         fields = dataclasses.fields(ModelConfig)
         unknown = sorted(set(d) - {f.name for f in fields})
         missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
@@ -176,7 +181,7 @@ _VARIANTS = {
 
 def build_variant(name: str, **overrides) -> ModelConfig:
     """The published tiny/small/base configurations (window 7, head width 32)."""
-    key = name.upper()
+    key = name.upper() if isinstance(name, str) else None
     if key not in _VARIANTS:
         raise InvalidConfigError(
             f"unknown variant {name!r}; valid options: {', '.join(sorted(_VARIANTS))}")
@@ -234,7 +239,7 @@ def init_block_params(cfg: BlockConfig, rng: Rng | None, resolution: int | None 
         perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
     return BlockParams(
         bn1=BnParams.identity(cfg.channels, dtype),
-        attn=init_wmsa(cfg.channels, cfg.heads, rng, bias=cfg.attn_bias, dtype=dtype),
+        attn=init_wmsa(cfg.channels, cfg.heads, rng, dtype=dtype),
         bn2=BnParams.identity(cfg.channels, dtype),
         mlp=init_mlp(cfg.channels, cfg.channels * cfg.mlp_ratio, rng, dtype),
         nwc=None if nwc_ch is None else init_nwc(nwc_ch, cfg.window, dtype=dtype),

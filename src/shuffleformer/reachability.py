@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfigError, _is_int, _is_real
+from .errors import InvalidConfigError, _is_choice, _is_int, _is_real
 from .layers import nwc_padding
 from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
 from .rng import Rng
@@ -69,10 +69,10 @@ class BlockSpec:
             raise InvalidConfigError(f"window {self.window!r} must be a positive integer")
         if not isinstance(self.nwc, bool):
             raise InvalidConfigError(f"nwc {self.nwc!r} must be true or false")
-        if self.shuffle not in SHUFFLE_MODES:
+        if not _is_choice(self.shuffle, SHUFFLE_MODES):
             raise InvalidConfigError(
                 f"unknown shuffle mode {self.shuffle!r}; expected one of {SHUFFLE_MODES}")
-        if self.nwc_position not in ("A", "B", "C"):
+        if not _is_choice(self.nwc_position, ("A", "B", "C")):
             raise InvalidConfigError(f"unknown NWC position {self.nwc_position!r}")
         # NumPy integers pass the checks; keep Python ints so reports serialize
         object.__setattr__(self, "window", int(self.window))

@@ -42,7 +42,8 @@ def _check_std(std) -> float:
 
 def _check_dtype(dtype) -> np.dtype:
     try:
-        dt = np.dtype(dtype)
+        # np.dtype(None) is float64, so None is refused before it
+        dt = None if dtype is None else np.dtype(dtype)
     except TypeError:
         dt = None
     if dt not in _ALLOWED_DTYPES:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_int
+from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_choice, _is_int
 from .rng import Rng
 from .tensor import Tensor, result_of
 
@@ -68,7 +68,7 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
     transpose the last two axes, flatten; an axis one window wide is left as
     it is. random: a uniform draw from `rng`.
     """
-    if mode not in SHUFFLE_MODES:
+    if not _is_choice(mode, SHUFFLE_MODES):
         raise InvalidConfigError(
             f"unknown shuffle mode {mode!r}; expected one of {SHUFFLE_MODES}")
     if not (_is_int(n) and _is_int(m)) or n < 1 or m < 1:

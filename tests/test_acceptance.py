@@ -10,11 +10,11 @@ import functools
 import numpy as np
 import pytest
 
-from shuffleformer import (BlockConfig, BlockSpec, Rng, Tensor,
+from shuffleformer import (BlockConfig, BlockSpec, NwcParams, Rng, Tensor,
                            ToyTrainConfig, add, batchnorm2d, block_forward,
                            build_variant, conv2d, count_flops,
                            cross_entropy_logits, gather_hw, gelu,
-                           init_block_params, init_mlp, init_nwc, init_model_params,
+                           init_block_params, init_mlp, init_model_params,
                            init_wmsa, make_shuffle_permutation, matmul,
                            mean_pool_hw, mlp_forward, mul, nwc_forward,
                            parameter_list, reachability_probe, reshape_permute,
@@ -22,6 +22,7 @@ from shuffleformer import (BlockConfig, BlockSpec, Rng, Tensor,
                            synthetic_dataset, train_toy, aligned_window_reverse,
                            shuffled_window_partition, invert_permutation,
                            wmsa_forward)
+from shuffleformer.layers import init_weight
 
 from gradcheck import check_gradients
 from oracles import composes_to_identity, shuffle_then_partition
@@ -220,7 +221,8 @@ def test_criterion_6_gradients():
     track(lambda: sum_all(mul(wmsa_forward(xa, attn), wa)),
           xa, attn.wq, attn.wk, attn.wv, attn.wo, attn.bq, attn.bo)
 
-    nwc = init_nwc(2, 3, rng, dtype=f64)
+    nwc = NwcParams(init_weight((2, 1, 3, 3), rng, f64),
+                    Tensor(np.zeros(2, f64), requires_grad=True))
     xn = Tensor(rng.normal((1, 2, 4, 4), dtype=f64), requires_grad=True)
     wn = Tensor(rng.normal((1, 2, 4, 4), dtype=f64))
     track(lambda: sum_all(mul(nwc_forward(xn, nwc), wn)), xn, nwc.kernel, nwc.bias)

@@ -117,6 +117,8 @@ class TestFlops:
         for resolution in (100, 224.9, "224"):
             with pytest.raises(InvalidConfigError):
                 count_flops(build_variant("T"), resolution)
+        with pytest.raises(InvalidConfigError, match="ModelConfig"):
+            count_flops("x")
 
     def test_numpy_integer_resolution_kept_as_python_int(self):
         cfg = build_variant("T")

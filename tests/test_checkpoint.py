@@ -177,6 +177,26 @@ class TestMalformedModelMeta:
             load_checkpoint(bad)
         assert "stage0.block1" in str(err.value)
 
+    def test_header_with_fixed_keys_loads(self, saved, tmp_path):
+        # headers written before attention biases, the MLP ratio and the input
+        # channels were fixed store them, at the values every model used
+        path, params, _ = saved
+        old = self._rewrite(saved, tmp_path, lambda m: m["config"].update(
+            attn_bias=True, mlp_ratio=4, in_channels=3))
+        loaded, cfg, _ = load_checkpoint(old)
+        for (name, want), (_, got) in zip(named_parameters(params), named_parameters(loaded)):
+            assert np.array_equal(got.data, want.data), name
+        again = tmp_path / "again.sfc"
+        save_checkpoint(again, loaded, cfg)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("attn_bias", False), ("attn_bias", 1),
+                                            ("mlp_ratio", 2), ("in_channels", 1)])
+    def test_fixed_key_at_another_value_rejected(self, saved, tmp_path, key, value):
+        bad = self._rewrite(saved, tmp_path, lambda m: m["config"].update({key: value}))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(bad)
+
     def test_shuffle_perms_must_be_an_object(self, saved_random, tmp_path):
         bad = self._rewrite(saved_random, tmp_path, lambda m: m.update(shuffle_perms=[]))
         with pytest.raises(CheckpointError):
@@ -193,8 +213,7 @@ class TestMalformedModelMeta:
         assert "stage0.block1" in str(err.value)
 
     def test_small_file_cannot_request_a_large_skeleton(self, tmp_path):
-        config = small_config(channels=2 ** 20, head_dim=32, nwc_position="none",
-                              attn_bias=False).to_dict()
+        config = small_config(channels=2 ** 20, head_dim=32, nwc_position="none").to_dict()
         path = write_raw(tmp_path / "huge.sfc",
                          {"meta": {"kind": "model", "config": config}, "tensors": []})
         assert path.stat().st_size < 300
@@ -341,15 +360,13 @@ class TestCheckpoint:
     BLOCK_ENTRIES = ["bn1.gamma", "bn1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
                      "attn.wv", "attn.bv", "attn.wo", "attn.bo", "nwc.kernel", "nwc.bias",
                      "bn2.gamma", "bn2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
-    PLAIN_BLOCK_ENTRIES = ["bn1.gamma", "bn1.beta", "attn.wq", "attn.wk", "attn.wv",
-                           "attn.wo", "bn2.gamma", "bn2.beta", "mlp.w1", "mlp.b1",
-                           "mlp.w2", "mlp.b2"]
+    NO_NWC_BLOCK_ENTRIES = [name for name in BLOCK_ENTRIES if not name.startswith("nwc.")]
 
     @pytest.mark.parametrize("overrides, block, perm_keys", [
         (dict(shuffle_mode="random", nwc_position="C"), BLOCK_ENTRIES,
          ["stage0.block1", "stage1.block1"]),
-        (dict(nwc_position="none", attn_bias=False), PLAIN_BLOCK_ENTRIES, []),
-    ], ids=["random-nwc-C", "no-bias-no-nwc"])
+        (dict(nwc_position="none"), NO_NWC_BLOCK_ENTRIES, []),
+    ], ids=["random-nwc-C", "no-nwc"])
     def test_entry_names_and_order(self, tmp_path, overrides, block, perm_keys):
         cfg = small_config(depths=(2, 2), resolution=32, **overrides)
         path = tmp_path / "model.sfc"

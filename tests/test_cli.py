@@ -260,8 +260,9 @@ class TestInfer:
         assert code == 1
         assert "magic" in err or "checkpoint" in err.lower()
 
-    @pytest.mark.parametrize("config_edit", [{"sneaky": 1}, {"depths": 5}],
-                             ids=["unknown-key", "int-depths"])
+    @pytest.mark.parametrize("config_edit", [{"sneaky": 1}, {"depths": 5},
+                                             {"attn_bias": False}, {"mlp_ratio": 2}],
+                             ids=["unknown-key", "int-depths", "no-attn-bias", "mlp-ratio-2"])
     def test_bad_config_in_checkpoint_exit_one(self, trained, tmp_path, capsys, config_edit):
         meta, tensors = read_container(trained)
         meta["config"].update(config_edit)
@@ -272,8 +273,8 @@ class TestInfer:
         code, _, err = run(["infer", "--checkpoint", str(bad), "--input", str(xin),
                             "--output", str(tmp_path / "o.sfc")], capsys)
         assert code == 1
-        assert err.startswith("ERROR:") and "config" in err
-        assert "Traceback" not in err
+        assert err.startswith("ERROR:") and "config" in err and next(iter(config_edit)) in err
+        assert err.count("ERROR:") == 1 and "Traceback" not in err
 
 
 def test_config_file_parser(tmp_path):
@@ -323,8 +324,7 @@ def _raw_container(path, header):
 def _huge_channels_checkpoint(tmp_path):
     """A model header asking for 2**20 base channels and storing no tensors."""
     config = dict(channels=2**20, depths=[2], num_classes=2, resolution=16, window=2,
-                  head_dim=32, mlp_ratio=4, in_channels=3, shuffle_mode="none",
-                  nwc_position="none", attn_bias=False)
+                  head_dim=32, shuffle_mode="none", nwc_position="none")
     return _raw_container(tmp_path / "huge.sfc",
                           {"meta": {"kind": "model", "config": config}, "tensors": []})
 

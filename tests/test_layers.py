@@ -5,14 +5,20 @@ from shuffleformer import (InvalidConfigError, MlpParams, NwcParams, Rng,
                            Tensor, WmsaParams, conv2d, init_mlp, init_nwc,
                            init_wmsa, mlp_forward, mul, nwc_forward, sum_all,
                            wmsa_forward)
-from shuffleformer.layers import nwc_padding
+from shuffleformer.layers import init_weight, nwc_padding
 
 from gradcheck import check_gradients
 from oracles import per_pixel_mlp
 
 
-def _wmsa(channels, heads, seed=0, dtype=np.float64, bias=True):
-    return init_wmsa(channels, heads, Rng(seed), bias=bias, dtype=dtype)
+def _wmsa(channels, heads, seed=0, dtype=np.float64):
+    return init_wmsa(channels, heads, Rng(seed), dtype=dtype)
+
+
+def _random_nwc(channels, window, rng, dtype=np.float64):
+    """A truncated-normal kernel at the training init's scale, and a zero bias."""
+    return NwcParams(init_weight((channels, 1, window, window), rng, dtype),
+                     Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
 
 
 def _random_wmsa(channels, heads, seed=0, dtype=np.float64):
@@ -113,7 +119,7 @@ class TestNwc:
     def test_channels_never_mix(self):
         rng = Rng(2)
         kernel = Tensor(rng.normal((3, 1, 3, 3), 0.5, dtype=np.float64))
-        p = NwcParams(kernel, None)
+        p = NwcParams(kernel, Tensor(np.zeros(3)))
         x = rng.normal((1, 3, 6, 6), dtype=np.float64)
         base = nwc_forward(Tensor(x), p).data
         bumped = x.copy()
@@ -126,7 +132,7 @@ class TestNwc:
     def test_even_kernel_needs_pad_rule(self):
         # even extent k pads (k-1)//2 before and k//2 after: a 2x2 ones kernel
         # sums each pixel with its right, lower and lower-right neighbours
-        p = NwcParams(Tensor(np.ones((1, 1, 2, 2))), None)
+        p = NwcParams(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.zeros(1)))
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         out = nwc_forward(Tensor(x), p).data
         padded = np.pad(x[0, 0], ((0, 1), (0, 1)))
@@ -137,13 +143,13 @@ class TestNwc:
         assert nwc_padding(7) == (3, 3)
 
     def test_resolution_preserved(self):
-        p = init_nwc(2, 7, Rng(3), dtype=np.float64)
+        p = _random_nwc(2, 7, Rng(3))
         out = nwc_forward(Tensor(np.zeros((1, 2, 14, 14), dtype=np.float64)), p)
         assert out.shape == (1, 2, 14, 14)
 
     def test_gradients(self):
         rng = Rng(4)
-        p = init_nwc(2, 3, rng, dtype=np.float64)
+        p = _random_nwc(2, 3, rng)
         x = Tensor(rng.normal((1, 2, 4, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((1, 2, 4, 4), dtype=np.float64))
         check_gradients(lambda: sum_all(mul(nwc_forward(x, p), w)),
@@ -205,7 +211,7 @@ class TestMlp:
     def test_gradients_with_inner_nwc(self):
         rng = Rng(5)
         p = init_mlp(2, 4, rng, dtype=np.float64)
-        inner = init_nwc(4, 3, rng, dtype=np.float64)
+        inner = _random_nwc(4, 3, rng)
         x = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64))
         check_gradients(

@@ -16,7 +16,7 @@ from oracles import reference_model_forward
 
 def tiny_config(**overrides):
     base = dict(channels=8, depths=(2,), num_classes=4, resolution=16, window=2,
-                head_dim=4, in_channels=3)
+                head_dim=4)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -29,7 +29,7 @@ class TestBlockConfig:
         assert (s.channels, s.depths) == (96, (2, 2, 18, 2))
         b = build_variant("B")
         assert (b.channels, b.depths) == (128, (2, 2, 18, 2))
-        assert (t.window, t.head_dim, t.mlp_ratio) == (7, 32, 4)
+        assert (t.window, t.head_dim, t.block_config(0, 0).mlp_ratio) == (7, 32, 4)
 
     def test_heads_per_stage(self):
         t = build_variant("T")
@@ -49,6 +49,8 @@ class TestBlockConfig:
         assert "B" in str(err.value) and "S" in str(err.value) and "T" in str(err.value)
         with pytest.raises(InvalidConfigError, match="foo"):
             build_variant("T", foo=1)
+        with pytest.raises(InvalidConfigError, match="None"):
+            build_variant(None)
 
     def test_stage_resolutions(self):
         t = build_variant("T")
@@ -83,6 +85,10 @@ class TestBlockConfig:
     def test_block_config_sizes_rejected(self, args):
         with pytest.raises(InvalidConfigError, match="positive integers"):
             BlockConfig(*args)
+
+    def test_array_nwc_position_rejected(self):
+        with pytest.raises(InvalidConfigError, match="nwc_position"):
+            BlockConfig(4, 1, 2, "none", np.array(["A", "B"]))
 
 
 def make_block(seed=0, channels=4, heads=2, window=2, shuffle="none",

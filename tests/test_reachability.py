@@ -189,8 +189,9 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("kwargs", [
         dict(window=2.0), dict(window=True), dict(window=0), dict(window=2, nwc="yes"),
-        dict(window=2, nwc=1),
-    ], ids=["float-window", "bool-window", "zero-window", "string-nwc", "int-nwc"])
+        dict(window=2, nwc=1), dict(window=2, nwc_position=np.array(["A", "B"])),
+    ], ids=["float-window", "bool-window", "zero-window", "string-nwc", "int-nwc",
+            "array-nwc-position"])
     def test_block_spec_fields_checked(self, kwargs):
         with pytest.raises(InvalidConfigError):
             BlockSpec(**kwargs)

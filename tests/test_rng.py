@@ -104,6 +104,7 @@ def test_float32_trunc_normal_peaks_below_twice_its_result():
     lambda r: r.trunc_normal((2,), 0.02, dtype=np.int32),
     lambda r: r.trunc_normal((2,), 0.02, dtype=np.float16),
     lambda r: r.normal((2,), dtype="not-a-dtype"),
+    lambda r: r.normal(3, dtype=None),
     lambda r: r.permutation(-1),
     lambda r: r.permutation(2.0),
     lambda r: r.integers(5, 2),
@@ -112,7 +113,7 @@ def test_float32_trunc_normal_peaks_below_twice_its_result():
     lambda r: r.integers(0, 2, (-1,)),
 ], ids=["negative-dim", "float-dim", "text-shape", "negative-int-shape", "none-shape",
         "negative-std", "text-std", "infinite-std", "nan-std", "bool-std", "int-dtype",
-        "half-dtype", "text-dtype", "negative-n", "float-n", "low-above-high",
+        "half-dtype", "text-dtype", "none-dtype", "negative-n", "float-n", "low-above-high",
         "empty-range", "float-low", "negative-integers-shape"])
 def test_bad_input_raises_package_error(call):
     with pytest.raises(InvalidConfigError):

@@ -1,5 +1,6 @@
 """Every component that takes a shuffle mode accepts exactly SHUFFLE_MODES."""
 
+import numpy as np
 import pytest
 
 from shuffleformer import (SHUFFLE_MODES, BlockConfig, BlockSpec, InvalidConfigError,
@@ -52,3 +53,10 @@ def test_accepts_exactly_the_shuffle_modes(component, tmp_path, capsys):
         assert check(mode, tmp_path) == 0, mode
     for mode in ("identity", "long_range", ""):
         assert check(mode, tmp_path) == 1, mode
+
+
+@pytest.mark.parametrize("component", sorted(set(COMPONENTS) - {"stats --shuffle-mode"}))
+def test_array_mode_rejected(component, tmp_path):
+    # `in` would compare an array element-wise and raise a bare ValueError
+    for mode in (np.array(["none", "random"]), np.array("none")):
+        assert COMPONENTS[component](mode, tmp_path) == 1

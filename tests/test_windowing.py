@@ -40,10 +40,12 @@ _PERMS = shuffle_permutations(4, 4, 2, "long-range")
     lambda: SpatialPermutation(3, ["a", "b", "c"]),
     lambda: SpatialPermutation(3, [0.0, 1.0, 2.0]),
     lambda: invert_permutation(np.arange(3)),
+    lambda: make_shuffle_permutation(4, 2, np.array(["none", "random"])),
+    lambda: shuffle_permutations(4, 4, 2, np.zeros((2, 2))),
 ], ids=["partition-no-perms", "partition-one-perm", "partition-array-perms",
         "partition-text-window", "partition-float-window", "reverse-float-height",
         "reverse-no-perms", "grid-text-window", "grid-float-height", "ragged-map",
-        "text-map", "float-map", "invert-array"])
+        "text-map", "float-map", "invert-array", "array-mode", "grid-array-mode"])
 def test_bad_input_raises_package_error(call):
     with pytest.raises(InvalidConfigError):
         call()

@@ -66,6 +66,9 @@ MUTANTS = [
     (PKG + "rng.py", "np.flatnonzero(np.abs(block) > bound) + lo)",
      "np.flatnonzero(np.abs(block) > bound))"),
     (PKG + "rng.py", "flat[bad[~keep]] = redraw[~keep]", "flat[bad[keep]] = redraw[keep]"),
+    # headers from before the fixed values load only at those values
+    (PKG + "model.py", "if key in d and not (type(d[key]) is type(value) and d[key] == value):",
+     "if key in d and False:"),
     # reachability: the exact relations and the probe's union over seeds
     (PKG + "reachability.py", "(d < extent - pad_before)", "(d <= extent - pad_before)"),
     (PKG + "reachability.py", "windows = [invert_permutation(p).map // m for p in perms]",
