@@ -52,11 +52,11 @@ print("=" * 64)
 print("3. Alignment restores the image exactly")
 print("=" * 64)
 
-restored = aligned_window_reverse(fused, m, n, n, perms)
+restored = aligned_window_reverse(fused, m, perms)
 print(f"round trip identical: {np.array_equal(restored.data, x)}")
 
 rand_perms = shuffle_permutations(n, n, m, "random", Rng(42))
 rand_wins = shuffled_window_partition(Tensor(x), m, rand_perms)
-rand_back = aligned_window_reverse(rand_wins, m, n, n, rand_perms)
+rand_back = aligned_window_reverse(rand_wins, m, rand_perms)
 print(f"random mode round trip (same permutations both ways): "
       f"{np.array_equal(rand_back.data, x)}")

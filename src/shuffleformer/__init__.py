@@ -27,7 +27,6 @@ from .tensor import (Tensor, add, backward, cross_entropy_logits, gather_hw,
                      gelu, matmul, mean_all, mean_pool_hw, mul, reshape_permute,
                      scale, softmax_lastdim, sum_all, zero_grads)
 from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy, window_means
-from .windowing import (SHUFFLE_MODES, SpatialPermutation, WindowGrid,
-                        aligned_window_reverse, invert_permutation,
-                        make_shuffle_permutation, shuffle_permutations,
-                        shuffled_window_partition)
+from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
+                        invert_permutation, make_shuffle_permutation,
+                        shuffle_permutations, shuffled_window_partition, window_grid)

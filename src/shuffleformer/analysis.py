@@ -11,11 +11,10 @@ input resolution.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, _is_int
 from .model import BlockConfig, ModelConfig, _nwc_channels
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
@@ -69,6 +68,9 @@ class CostReport:
 def conv_cost(cin: int, cout: int, kernel: int, out_hw: int,
               groups: int = 1) -> tuple[int, int]:
     """(parameters with the bias, MACs) of a square-kernel convolution."""
+    if not all(_is_int(v) and v >= 1 for v in (cin, cout, kernel, out_hw, groups)):
+        raise InvalidConfigError(f"conv extents must be positive integers, got {cin!r}, "
+                                 f"{cout!r}, {kernel!r}, {out_hw!r}, groups={groups!r}")
     params = kernel * kernel * cin * cout // groups + cout
     flops = kernel * kernel * cin * cout * out_hw // groups
     return params, flops
@@ -107,13 +109,12 @@ def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
     return rows
 
 
-def count_flops(cfg: ModelConfig, resolution: int | None = None) -> CostReport:
-    """Parameter and FLOP ledger at a square input resolution, by default the
-    config's own. Parameter counts do not depend on the resolution."""
+def count_flops(cfg: ModelConfig) -> CostReport:
+    """Parameter and FLOP ledger at the config's square input resolution; for
+    another, pass `dataclasses.replace(cfg, resolution=r)`. Parameter counts do
+    not depend on the resolution."""
     if not isinstance(cfg, ModelConfig):
         raise InvalidConfigError(f"count_flops needs a ModelConfig, got {type(cfg).__name__}")
-    # validates the resolution against the config's stages and stores a Python int
-    cfg = dataclasses.replace(cfg, resolution=cfg.resolution if resolution is None else resolution)
     res = cfg.resolution
     rows: list[CostRow] = []
     half = cfg.channels // 2

@@ -268,7 +268,7 @@ def _stored_perms(path, key: str, entry, side: int) -> tuple[SpatialPermutation,
                 and sorted(values) == list(range(side))):
             raise CheckpointError(
                 f"{path}: frozen {axis!r} map for {key} is not a permutation of range({side})")
-        perms.append(SpatialPermutation(side, np.asarray(values, np.int64)))
+        perms.append(SpatialPermutation(np.asarray(values, np.int64)))
     return perms[0], perms[1]
 
 

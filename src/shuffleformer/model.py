@@ -335,7 +335,7 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
     if cfg.nwc_position == "A":
         zn = nwc_forward(zn, params.nwc)
     wins = wmsa_forward(shuffled_window_partition(zn, cfg.window, perms), params.attn)
-    x = add(aligned_window_reverse(wins, cfg.window, height, width, perms), z)
+    x = add(aligned_window_reverse(wins, cfg.window, perms), z)
 
     y = nwc_forward(x, params.nwc) if cfg.nwc_position == "B" else x
     yn = apply_bn(y, params.bn2, training)

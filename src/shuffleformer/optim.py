@@ -57,5 +57,5 @@ def optimizer_step(opt: Optimizer) -> None:
         v += (1.0 - BETA2) * g * g
         mhat = m / (1.0 - BETA1 ** opt.steps)
         vhat = v / (1.0 - BETA2 ** opt.steps)
-        update = mhat / (np.sqrt(vhat) + EPS) + rule.weight_decay * p.data
-        p.data -= (p.dtype.type(rule.lr) * update).astype(p.dtype)
+        update = mhat / (np.sqrt(vhat) + EPS) + p.dtype.type(rule.weight_decay) * p.data
+        p.data -= p.dtype.type(rule.lr) * update

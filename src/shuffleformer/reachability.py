@@ -46,7 +46,7 @@ from .layers import nwc_padding
 from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
 from .rng import Rng
 from .tensor import _CHUNK_ELEMS, Tensor
-from .windowing import SHUFFLE_MODES, WindowGrid, invert_permutation, shuffle_permutations
+from .windowing import SHUFFLE_MODES, invert_permutation, shuffle_permutations, window_grid
 
 PROBE_THRESHOLD = 1e-9
 PROBE_EPSILON = 1e-4
@@ -151,7 +151,7 @@ def _check_query(stack, grid, probe) -> None:
     for spec in stack:
         if not isinstance(spec, BlockSpec):
             raise InvalidConfigError(f"unknown stack element {spec!r}")
-        WindowGrid.for_extents(*grid, spec.window)
+        window_grid(*grid, spec.window)
 
 
 @functools.cache

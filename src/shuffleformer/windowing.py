@@ -5,6 +5,9 @@ factorizes into independent row and column permutations. The window
 partition folds the permutation into its gather, so shuffling costs no extra
 pass over the data, and `aligned_window_reverse` undoes both at once.
 
+The (ph, pw) pair alone sets the geometry: the grid's extents are the
+permutations' lengths, ph.n x pw.n, cut into gh = ph.n/m by gw = pw.n/m windows.
+
 Window layout contract: `shuffled_window_partition(x, m, (ph, pw))` equals
 shuffling x to s[b, c, i, j] = x[b, c, ph.map[i], pw.map[j]] and cutting s
 into m x m windows. It returns (batch * gh * gw, C, m, m) with window index
@@ -32,7 +35,6 @@ SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
 class SpatialPermutation:
     """A bijection over one spatial axis: position k reads source `map[k]`."""
 
-    n: int
     map: np.ndarray
 
     def __post_init__(self):
@@ -40,14 +42,20 @@ class SpatialPermutation:
             m = np.asarray(self.map)
         except ValueError:  # a ragged nested sequence
             m = np.asarray(None)
-        if not (_is_int(self.n) and m.dtype.kind in "iu" and m.shape == (self.n,)
-                and np.array_equal(np.sort(m), np.arange(self.n))):
-            raise InvalidConfigError(f"map is not a permutation of range({self.n!r})")
+        if not (m.dtype.kind in "iu" and m.ndim == 1
+                and np.array_equal(np.sort(m), np.arange(m.size))):
+            raise InvalidConfigError("map must be a 1-D integer permutation of range(len(map))")
         object.__setattr__(self, "map", m.astype(np.int64, copy=False))
+
+    @property
+    def n(self) -> int:
+        return len(self.map)
 
     @staticmethod
     def identity(n: int) -> "SpatialPermutation":
-        return SpatialPermutation(n, np.arange(n, dtype=np.int64))
+        if not (_is_int(n) and n >= 0):
+            raise InvalidConfigError(f"extent must be a non-negative integer, got {n!r}")
+        return SpatialPermutation(np.arange(n, dtype=np.int64))
 
 
 def shuffle_extent_error(n: int, m: int, mode: str) -> str | None:
@@ -80,13 +88,13 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
         return SpatialPermutation.identity(n)
     if mode == "long-range":
         perm = np.arange(n, dtype=np.int64).reshape(m, n // m).T.ravel()
-        return SpatialPermutation(n, perm)
+        return SpatialPermutation(perm)
     if mode == "short-range":
         perm = np.arange(n, dtype=np.int64).reshape(n // (2 * m), m, 2)
-        return SpatialPermutation(n, perm.transpose(0, 2, 1).ravel())
+        return SpatialPermutation(perm.transpose(0, 2, 1).ravel())
     if rng is None:
         raise InvalidConfigError("random mode needs an explicit Rng")
-    return SpatialPermutation(n, rng.permutation(n))
+    return SpatialPermutation(rng.permutation(n))
 
 
 def shuffle_permutations(height: int, width: int, m: int, mode: str,
@@ -103,62 +111,48 @@ def invert_permutation(p: SpatialPermutation) -> SpatialPermutation:
         raise InvalidConfigError(f"expected a SpatialPermutation, got {type(p).__name__}")
     inv = np.empty(p.n, dtype=np.int64)
     inv[p.map] = np.arange(p.n, dtype=np.int64)
-    return SpatialPermutation(p.n, inv)
+    return SpatialPermutation(inv)
 
 
-@dataclass(frozen=True)
-class WindowGrid:
-    """Even partition of an (H, W) grid into gh x gw windows of m x m tokens."""
-
-    m: int
-    gh: int
-    gw: int
-
-    @staticmethod
-    def for_extents(height: int, width: int, m: int) -> "WindowGrid":
-        if not all(_is_int(v) and v >= 1 for v in (height, width, m)):
-            raise InvalidConfigError(f"grid extents and window size must be positive "
-                                     f"integers, got {height!r}, {width!r}, {m!r}")
-        if height % m or width % m:
-            raise PartitionError(
-                f"grid {height}x{width} is not divisible by window size {m}")
-        return WindowGrid(m, height // m, width // m)
-
-    @property
-    def windows(self) -> int:
-        return self.gh * self.gw
+def window_grid(height: int, width: int, m: int) -> tuple[int, int]:
+    """(gh, gw): the m x m windows that tile an (height, width) grid."""
+    if not all(_is_int(v) and v >= 1 for v in (height, width, m)):
+        raise InvalidConfigError(f"grid extents and window size must be positive "
+                                 f"integers, got {height!r}, {width!r}, {m!r}")
+    if height % m or width % m:
+        raise PartitionError(f"grid {height}x{width} is not divisible by window size {m}")
+    return height // m, width // m
 
 
-def _window_index(grid: WindowGrid, perms) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) fancy index that reads the grid in (gh, gw, m, m) window
-    order through the (ph, pw) permutations."""
+def _window_index(m: int, perms, extents=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) fancy index of shapes (gh, 1, m, 1) and (1, gw, 1, m) that
+    reads the ph.n x pw.n grid in (gh, gw, m, m) window order through the
+    (ph, pw) permutations; `extents`, when given, must be their lengths."""
     if not (isinstance(perms, (tuple, list)) and len(perms) == 2
             and all(isinstance(p, SpatialPermutation) for p in perms)):
         raise InvalidConfigError("perms must be a (row, column) pair of SpatialPermutations")
     ph, pw = perms
-    height, width = grid.gh * grid.m, grid.gw * grid.m
-    if ph.n != height or pw.n != width:
+    if extents is not None and extents != (ph.n, pw.n):
         raise InvalidShapeError(
-            f"permutation lengths ({ph.n}, {pw.n}) do not match grid ({height}, {width})")
-    src_h = ph.map.reshape(grid.gh, grid.m)
-    src_w = pw.map.reshape(grid.gw, grid.m)
-    return src_h[:, None, :, None], src_w[None, :, None, :]
+            f"permutation lengths ({ph.n}, {pw.n}) do not match grid {extents}")
+    gh, gw = window_grid(ph.n, pw.n, m)
+    return ph.map.reshape(gh, m)[:, None, :, None], pw.map.reshape(gw, m)[None, :, None, :]
 
 
-def _gather_windows(x: np.ndarray, grid: WindowGrid, rows, cols) -> np.ndarray:
+def _gather_windows(x: np.ndarray, rows, cols) -> np.ndarray:
     """(B, C, H, W) -> (B*gh*gw, C, m, m), reading x through the index."""
     b, c = x.shape[:2]
-    m = grid.m
-    wins = x[:, :, rows, cols].transpose(0, 2, 3, 1, 4, 5).reshape(b * grid.windows, c, m, m)
+    gh, gw, m = rows.shape[0], cols.shape[1], rows.shape[2]
+    wins = x[:, :, rows, cols].transpose(0, 2, 3, 1, 4, 5).reshape(b * gh * gw, c, m, m)
     return np.ascontiguousarray(wins)
 
 
-def _scatter_windows(wins: np.ndarray, grid: WindowGrid, rows, cols) -> np.ndarray:
+def _scatter_windows(wins: np.ndarray, rows, cols) -> np.ndarray:
     """Inverse of `_gather_windows`: (B*gh*gw, C, m, m) -> (B, C, H, W)."""
-    c, m = wins.shape[1], grid.m
-    b = wins.shape[0] // grid.windows
-    out = np.empty((b, c, grid.gh * m, grid.gw * m), dtype=wins.dtype)
-    out[:, :, rows, cols] = wins.reshape(b, grid.gh, grid.gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
+    gh, gw, m = rows.shape[0], cols.shape[1], rows.shape[2]
+    b, c = wins.shape[0] // (gh * gw), wins.shape[1]
+    out = np.empty((b, c, gh * m, gw * m), dtype=wins.dtype)
+    out[:, :, rows, cols] = wins.reshape(b, gh, gw, c, m, m).transpose(0, 3, 1, 2, 4, 5)
     return out
 
 
@@ -167,27 +161,26 @@ def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
     pair from `shuffle_permutations`, in one gather; see the module docstring."""
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    grid = WindowGrid.for_extents(x.shape[2], x.shape[3], m)
-    rows, cols = _window_index(grid, perms)
+    rows, cols = _window_index(m, perms, x.shape[2:])
 
     def vjp(g):
-        return (_scatter_windows(g, grid, rows, cols),)
+        return (_scatter_windows(g, rows, cols),)
 
-    return result_of(_gather_windows(x.data, grid, rows, cols), (x,), vjp)
+    return result_of(_gather_windows(x.data, rows, cols), (x,), vjp)
 
 
-def aligned_window_reverse(wins: Tensor, m: int, height: int, width: int,
-                           perms) -> Tensor:
-    """Exact inverse of `shuffled_window_partition` for the same permutations."""
+def aligned_window_reverse(wins: Tensor, m: int, perms) -> Tensor:
+    """Exact inverse of `shuffled_window_partition` for the same permutations;
+    the grid it restores is ph.n x pw.n."""
+    rows, cols = _window_index(m, perms)
+    per_image = rows.shape[0] * cols.shape[1]
     if wins.ndim != 4 or wins.shape[2:] != (m, m):
         raise InvalidShapeError(f"expected (*, C, {m}, {m}) windows, got {wins.shape}")
-    grid = WindowGrid.for_extents(height, width, m)
-    if wins.shape[0] % grid.windows:
+    if wins.shape[0] % per_image:
         raise InvalidShapeError(
-            f"{wins.shape[0]} windows is not a multiple of the {grid.windows} per image")
-    rows, cols = _window_index(grid, perms)
+            f"{wins.shape[0]} windows is not a multiple of the {per_image} per image")
 
     def vjp(g):
-        return (_gather_windows(g, grid, rows, cols),)
+        return (_gather_windows(g, rows, cols),)
 
-    return result_of(_scatter_windows(wins.data, grid, rows, cols), (wins,), vjp)
+    return result_of(_scatter_windows(wins.data, rows, cols), (wins,), vjp)

@@ -56,7 +56,7 @@ OPS = {
     "batchnorm2d-eval": (_bn(False), [(2, 3, 4, 4), (3,), (3,)]),
     "shuffled_window_partition": (lambda x: shuffled_window_partition(x, 2, PERMS),
                                   [(2, 3, 4, 4)]),
-    "aligned_window_reverse": (lambda w: aligned_window_reverse(w, 2, 4, 4, PERMS),
+    "aligned_window_reverse": (lambda w: aligned_window_reverse(w, 2, PERMS),
                                [(8, 3, 2, 2)]),
 }
 

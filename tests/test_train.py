@@ -107,6 +107,13 @@ def test_window_means_tail():
     assert window_means([1.0, 2.0, 3.0, 4.0, 5.0], 2) == [1.5, 3.5, 5.0]
 
 
+@pytest.mark.parametrize("values, window", [(None, 2), ([1.0], 0)],
+                         ids=["no-values", "zero-window"])
+def test_window_means_bad_input_rejected(values, window):
+    with pytest.raises(InvalidConfigError):
+        window_means(values, window)
+
+
 def _held_arrays(fn, seen: set) -> list:
     """Arrays that a vjp closure keeps, following lists, tuples and nested closures."""
     if id(fn) in seen:

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from shuffleformer import (InvalidConfigError, InvalidShapeError,
                            PartitionError, Rng, SpatialPermutation, Tensor,
-                           WindowGrid, aligned_window_reverse, backward,
+                           aligned_window_reverse, backward,
                            invert_permutation, make_shuffle_permutation, mul,
-                           shuffle_permutations, shuffled_window_partition, sum_all)
+                           shuffle_permutations, shuffled_window_partition, sum_all,
+                           window_grid)
 
 from oracles import (composes_to_identity, gather_2d, shuffle_then_partition,
                      window_index_oracle)
@@ -32,18 +33,18 @@ _PERMS = shuffle_permutations(4, 4, 2, "long-range")
     lambda: shuffled_window_partition(_X, 2, tuple(p.map for p in _PERMS)),
     lambda: shuffled_window_partition(_X, "2", _PERMS),
     lambda: shuffled_window_partition(_X, 2.0, _PERMS),
-    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, 4.0, 4, _PERMS),
-    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, 4, 4, None),
-    lambda: WindowGrid.for_extents(4, 4, "2"),
-    lambda: WindowGrid.for_extents(4.0, 4, 2),
-    lambda: SpatialPermutation(3, [[0], [1, 2]]),
-    lambda: SpatialPermutation(3, ["a", "b", "c"]),
-    lambda: SpatialPermutation(3, [0.0, 1.0, 2.0]),
+    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), "2", _PERMS),
+    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, None),
+    lambda: window_grid(4, 4, "2"),
+    lambda: window_grid(4.0, 4, 2),
+    lambda: SpatialPermutation([[0], [1, 2]]),
+    lambda: SpatialPermutation(["a", "b", "c"]),
+    lambda: SpatialPermutation([0.0, 1.0, 2.0]),
     lambda: invert_permutation(np.arange(3)),
     lambda: make_shuffle_permutation(4, 2, np.array(["none", "random"])),
     lambda: shuffle_permutations(4, 4, 2, np.zeros((2, 2))),
 ], ids=["partition-no-perms", "partition-one-perm", "partition-array-perms",
-        "partition-text-window", "partition-float-window", "reverse-float-height",
+        "partition-text-window", "partition-float-window", "reverse-text-window",
         "reverse-no-perms", "grid-text-window", "grid-float-height", "ragged-map",
         "text-map", "float-map", "invert-array", "array-mode", "grid-array-mode"])
 def test_bad_input_raises_package_error(call):
@@ -137,7 +138,7 @@ class TestPermutations:
 
     def test_non_bijection_rejected(self):
         with pytest.raises(InvalidConfigError):
-            SpatialPermutation(3, np.array([0, 0, 2]))
+            SpatialPermutation(np.array([0, 0, 2]))
 
 
 class TestWindowPartition:
@@ -151,19 +152,19 @@ class TestWindowPartition:
     def test_index_arithmetic(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         wins = partition(Tensor(x), 2).data
-        grid = WindowGrid.for_extents(4, 4, 2)
+        _, gw = window_grid(4, 4, 2)
         for h in range(4):
             for w in range(4):
-                win, (ih, iw) = window_index_oracle(h, w, 2, grid.gw)
+                win, (ih, iw) = window_index_oracle(h, w, 2, gw)
                 assert wins[win, 0, ih, iw] == x[0, 0, h, w]
 
     def test_window_content_multisets_match(self):
         rng = Rng(2)
         x = rng.normal((1, 2, 6, 6), dtype=np.float64)
         wins = partition(Tensor(x), 3).data
-        grid = WindowGrid.for_extents(6, 6, 3)
-        for win in range(grid.windows):
-            wh, ww = divmod(win, grid.gw)
+        gh, gw = window_grid(6, 6, 3)
+        for win in range(gh * gw):
+            wh, ww = divmod(win, gw)
             block = x[0, :, wh * 3:(wh + 1) * 3, ww * 3:(ww + 1) * 3]
             assert sorted(block.ravel()) == sorted(wins[win].ravel())
 
@@ -200,7 +201,7 @@ class TestApplyPermutation2d:
                                           (invert_permutation(ph), invert_permutation(pw)))
         assert np.array_equal(back.data, partition(Tensor(x), 2).data)
         restored = aligned_window_reverse(shuffled_window_partition(Tensor(x), 2, (ph, pw)),
-                                          2, 8, 6, (ph, pw))
+                                          2, (ph, pw))
         assert np.array_equal(restored.data, x)
 
     def test_matches_gather_oracle(self):
@@ -240,7 +241,7 @@ class TestFusedShuffleWindows:
         fused = shuffled_window_partition(Tensor(x), m, perms)
         unfused = shuffle_then_partition(x, perms[0].map, perms[1].map, m)
         assert fused.data.tobytes() == unfused.tobytes()
-        restored = aligned_window_reverse(fused, m, n, n, perms)
+        restored = aligned_window_reverse(fused, m, perms)
         assert restored.data.tobytes() == x.tobytes()
 
     def test_identity_mode_equals_plain_partition(self):
@@ -253,7 +254,7 @@ class TestFusedShuffleWindows:
     def test_reverse_validates_extents(self):
         wins = partition(Tensor(np.zeros((1, 1, 4, 4))), 2)
         with pytest.raises(InvalidShapeError):
-            aligned_window_reverse(wins, 2, 6, 6, shuffle_permutations(6, 6, 2, "long-range"))
+            aligned_window_reverse(wins, 2, shuffle_permutations(6, 6, 2, "long-range"))
 
     def test_random_mode_with_rng_argument(self):
         rng = Rng(11)
@@ -261,7 +262,7 @@ class TestFusedShuffleWindows:
         wins = shuffled_window_partition(
             Tensor(x), 2, shuffle_permutations(8, 8, 2, "random", Rng(3)))
         back = aligned_window_reverse(
-            wins, 2, 8, 8, shuffle_permutations(8, 8, 2, "random", Rng(3)))
+            wins, 2, shuffle_permutations(8, 8, 2, "random", Rng(3)))
         assert np.array_equal(back.data, x)
 
     def test_gradient_round_trips_through_fusion(self):

@@ -32,7 +32,7 @@ MUTANTS = [
     (PKG + "model.py", "inner_nwc=inner), y)", "inner_nwc=inner), x)"),
     (PKG + "model.py", "yn = apply_bn(y, params.bn2, training)",
      "yn = apply_bn(x, params.bn2, training)"),
-    (PKG + "model.py", "height, width, perms), z)", "height, width, perms), zn)"),
+    (PKG + "model.py", "cfg.window, perms), z)", "cfg.window, perms), zn)"),
     (PKG + "model.py", "zn = nwc_forward(zn, params.nwc)", "zn = nwc_forward(z, params.nwc)"),
     (PKG + "model.py", 'mode = "none" if index % 2 == 0 else', 'mode = "none" if index % 2 else'),
     (PKG + "model.py", "x = apply_bn(x, params.head.bn, training)",
@@ -44,11 +44,8 @@ MUTANTS = [
     # the shuffle maps and the window reverse
     (PKG + "windowing.py", "perm.transpose(0, 2, 1).ravel()", "perm.ravel()"),
     (PKG + "windowing.py", "reshape(m, n // m).T.ravel()", "reshape(m, n // m).ravel()"),
-    (PKG + "windowing.py",
-     "    rows, cols = _window_index(grid, perms)\n\n    def vjp(g):\n"
-     "        return (_gather_windows(",
-     "    rows, cols = _window_index(grid, perms[::-1])\n\n    def vjp(g):\n"
-     "        return (_gather_windows("),
+    (PKG + "windowing.py", "    rows, cols = _window_index(m, perms)\n",
+     "    rows, cols = _window_index(m, perms[::-1])\n"),
     # batch norm, the engine and the optimizer
     (PKG + "conv.py", "BN_MOMENTUM * var * (n / (n - 1))", "BN_MOMENTUM * var"),
     (PKG + "conv.py", "out += (beta.data - mean * sc)", "out += (beta.data + mean * sc)"),
