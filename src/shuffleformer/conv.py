@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError, _is_int
-from .tensor import Tensor, _check_same_dtype, result_of
+from .tensor import Tensor, _check_operands, result_of
 
 # batch-norm running-statistics momentum and variance floor
 BN_MOMENTUM = 0.1
@@ -61,11 +61,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     Output extent per axis: floor((in + pad_before + pad_after - k)/stride) + 1.
     Differentiable w.r.t. x, w, and bias.
     """
+    operands = (x, w) if bias is None else (x, w, bias)
+    _check_operands("conv2d", *operands)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
     if w.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D kernel, got shape {w.shape}")
-    _check_same_dtype(x, w, *([bias] if bias is not None else []))
     _, cin, h_in, w_in = x.shape
     cout, cin_g, kh, kw = w.shape
     if not (_is_int(stride) and stride >= 1):
@@ -97,7 +98,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     def vjp(g):
         return (*vjp_xw(g), g.sum(axis=(0, 2, 3)))
 
-    return result_of(out, (x, w, bias), vjp)
+    return result_of(out, operands, vjp)
 
 
 def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
@@ -218,11 +219,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     biased estimate, var with the unbiased one). Eval mode is a fixed affine
     map using them. Both modes share one backward, which recomputes the
     normalized input from x with the training forward's two operations, so
-    the graph keeps no input-sized array besides x and the output.
+    the graph keeps no input-sized array besides x.
     """
+    _check_operands("batchnorm2d", x, gamma, beta)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
-    _check_same_dtype(x, gamma, beta)
     batch, channels, height, width = x.shape
     if not all(isinstance(a, np.ndarray) and a.shape == (channels,)
                for a in (gamma.data, beta.data, running_mean, running_var)):
@@ -250,11 +251,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         out = x.data * sc[:, None, None]
         out += (beta.data - mean * sc).astype(x.dtype, copy=False)[:, None, None]
 
+    x_data = x.data
+
     def vjp(g):
-        xh = x.data - mean[:, None, None]  # xhat, by the training forward's operations
+        xh = x_data - mean[:, None, None]  # xhat, by the training forward's operations
         xh *= inv_std[:, None, None]
         gx = g * xh
-        ggamma = gx.sum(axis=axes).astype(x.dtype, copy=False)
+        ggamma = gx.sum(axis=axes).astype(x_data.dtype, copy=False)
         gbeta = g.sum(axis=axes)
         if not training:
             return g * sc[:, None, None], ggamma, gbeta

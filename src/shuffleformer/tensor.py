@@ -1,19 +1,22 @@
 """Reverse-mode autodiff over row-major NumPy arrays.
 
-A `Tensor` wraps a C-contiguous float32/float64 array. Operations return new
-tensors that record their parents and a vector-Jacobian product, so the
-tensors themselves form the computation graph: `backward` walks that graph
-once in reverse topological order and accumulates `.grad` on every tensor
-with `requires_grad`.
+A `Tensor` wraps a C-contiguous float32/float64 array. An operation whose
+operand needs grad gives its result a graph node that holds a vector-Jacobian
+product and its parents' nodes; a leaf parent is its own tensor. `backward`
+walks the nodes once in reverse topological order and accumulates `.grad` on
+every leaf tensor with `requires_grad`.
 
 Layout contract: the flat index of coordinate (i0, ..., ik) in `data` is
 sum(i_j * stride_j) with stride_j = prod(shape[j+1:]), i.e. NumPy C order.
 Every operation materializes a contiguous result, so two runs over identical
 inputs produce bit-identical arrays.
 
-Memory: a vjp closure holds only its op's inputs, its output and
-parameter-sized arrays. Intermediates that only the backward needs, such as
-GELU's Phi(x), are recomputed from the inputs in the vjp.
+Memory: the graph holds no tensor but its leaves, and each vjp closure holds
+only the arrays, shapes and dtypes its backward reads. The vjps of `add`,
+`scale`, `reshape_permute` and softmax keep none of their inputs, so an
+array that only such ops read is freed once its caller drops its tensor.
+Intermediates that only the backward needs, such as GELU's Phi(x), are
+recomputed from the inputs in the vjp.
 
 Thread-safety: operations are pure given their inputs and read no mutable
 module state, and each vjp rebuilds its scratch from what its closure holds,
@@ -51,7 +54,7 @@ def _contig(arr: np.ndarray) -> np.ndarray:
 class Tensor:
     """A dense N-D float array plus optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         try:
@@ -65,8 +68,7 @@ class Tensor:
         self.data = _contig(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,23 +86,57 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def _parents(self) -> tuple:
+        """The graph entries of the op that made this tensor; () for a leaf."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._node._vjp = vjp
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """An op result's place in the graph: its vjp and its parents' entries
+    (see `_entry`). It holds no array, so an output no vjp reads dies with its tensor."""
+
+    __slots__ = ("_vjp", "_parents")
+
+    def __init__(self, vjp, parents: tuple) -> None:
+        self._vjp = vjp
+        self._parents = parents
+
+
+def _entry(t: Tensor) -> _Node | Tensor | None:
+    """Where the graph reaches `t`: its node, itself as a leaf, or None."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def result_of(data: np.ndarray, parents: tuple[Tensor, ...],
               vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    """Build an op result, recording graph edges only when a parent needs grad."""
+    """Build an op result, recording a graph node only when a parent needs grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple(map(_entry, parents)))
     return out
 
 
-def _check_same_dtype(*tensors: Tensor) -> None:
-    dtypes = {t.data.dtype for t in tensors}
+def _check_operands(op: str, *operands) -> None:
+    """Every op's entry check: Tensor operands, all of one dtype."""
+    for t in operands:
+        if not isinstance(t, Tensor):
+            raise InvalidCallError(f"{op} takes Tensor operands, got {type(t).__name__}")
+    dtypes = {t.data.dtype for t in operands}
     if len(dtypes) > 1:
         raise InvalidShapeError(f"mixed dtypes {sorted(d.name for d in dtypes)}; cast explicitly")
 
@@ -122,6 +158,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def reshape_permute(t: Tensor, new_shape, axis_order=None) -> Tensor:
     """Reinterpret `t` as `new_shape` (row-major), then transpose by `axis_order`."""
+    _check_operands("reshape_permute", t)
     try:
         new_shape = tuple(new_shape)
         axis_order = tuple(range(len(new_shape)) if axis_order is None else axis_order)
@@ -145,36 +182,39 @@ def reshape_permute(t: Tensor, new_shape, axis_order=None) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with NumPy broadcasting."""
-    _check_same_dtype(a, b)
+    _check_operands("add", a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
         raise InvalidShapeError(f"cannot broadcast {a.shape} with {b.shape}") from exc
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return result_of(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with NumPy broadcasting."""
-    _check_same_dtype(a, b)
+    _check_operands("mul", a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError as exc:
         raise InvalidShapeError(f"cannot broadcast {a.shape} with {b.shape}") from exc
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return result_of(out, (a, b), vjp)
 
 
 def scale(t: Tensor, factor: float) -> Tensor:
     """Multiply by a real scalar."""
+    _check_operands("scale", t)
     if not _is_real(factor):
         raise InvalidCallError(f"scale factor must be a real number, got {factor!r}")
     factor = t.data.dtype.type(factor)
@@ -188,18 +228,19 @@ def scale(t: Tensor, factor: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading batch axes must match exactly."""
-    _check_same_dtype(a, b)
+    _check_operands("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidShapeError("matmul needs at least 2-D operands")
     if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise InvalidShapeError(f"batch axes differ: {a.shape} vs {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise InvalidShapeError(f"inner extents differ: {a.shape} vs {b.shape}")
-    out = np.matmul(a.data, b.data)
+    a_data, b_data = a.data, b.data
+    out = np.matmul(a_data, b_data)
 
     def vjp(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
+        ga = np.matmul(g, b_data.swapaxes(-1, -2))
+        gb = np.matmul(a_data.swapaxes(-1, -2), g)
         return ga, gb
 
     return result_of(out, (a, b), vjp)
@@ -212,6 +253,7 @@ def softmax_lastdim(t: Tensor) -> Tensor:
     beats a `max(axis=-1)` reduction on the probe's many 4-token rows; the
     row sum then reuses its buffer. Both match the plain reductions bit for bit.
     """
+    _check_operands("softmax_lastdim", t)
     x = t.data
     if x.ndim == 0 or x.shape[-1] == 0:
         raise InvalidShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
@@ -248,6 +290,7 @@ def gelu(t: Tensor) -> Tensor:
     the first float64 input reaches this function, not with the package, so
     float32 inference and training never load it.
     """
+    _check_operands("gelu", t)
     x = t.data
 
     def vjp(g):
@@ -319,41 +362,47 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
 
 def mean_pool_hw(x: Tensor) -> Tensor:
     """Global average over the two trailing spatial axes: (B,C,H,W) -> (B,C)."""
+    _check_operands("mean_pool_hw", x)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     b, c, h, w = x.shape
+    dtype = x.dtype
     out = x.data.mean(axis=(2, 3))
 
     def vjp(g):
         gx = np.broadcast_to(g[:, :, None, None] / (h * w), (b, c, h, w))
-        return (np.ascontiguousarray(gx.astype(x.dtype)),)
+        return (np.ascontiguousarray(gx.astype(dtype)),)
 
     return result_of(out, (x,), vjp)
 
 
 def sum_all(t: Tensor) -> Tensor:
     """Sum of every element, as a 0-D tensor."""
-    out = np.asarray(t.data.sum(), dtype=t.dtype)
+    _check_operands("sum_all", t)
+    shape, dtype = t.shape, t.dtype
+    out = np.asarray(t.data.sum(), dtype=dtype)
 
     def vjp(g):
-        return (np.full(t.shape, g, dtype=t.dtype),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return result_of(out, (t,), vjp)
 
 
 def mean_all(t: Tensor) -> Tensor:
     """Mean of every element, as a 0-D tensor."""
-    n = t.size
-    out = np.asarray(t.data.mean(), dtype=t.dtype)
+    _check_operands("mean_all", t)
+    n, shape, dtype = t.size, t.shape, t.dtype
+    out = np.asarray(t.data.mean(), dtype=dtype)
 
     def vjp(g):
-        return (np.full(t.shape, g / n, dtype=t.dtype),)
+        return (np.full(shape, g / n, dtype=dtype),)
 
     return result_of(out, (t,), vjp)
 
 
 def gather_hw(x: Tensor, index_h: np.ndarray, index_w: np.ndarray) -> Tensor:
     """out[b,c,i,j] = x[b,c, index_h[i], index_w[j]] for bijective index maps."""
+    _check_operands("gather_hw", x)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     _, _, h, w = x.shape
@@ -364,9 +413,10 @@ def gather_hw(x: Tensor, index_h: np.ndarray, index_w: np.ndarray) -> Tensor:
             np.array_equal(np.sort(index_w), np.arange(w))):
         raise InvalidShapeError("index maps must be integer permutations of the spatial extents")
     out = x.data[:, :, index_h[:, None], index_w[None, :]]
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        gx = np.empty_like(x.data)
+        gx = np.empty(shape, dtype)
         gx[:, :, index_h[:, None], index_w[None, :]] = g
         return (gx,)
 
@@ -375,6 +425,7 @@ def gather_hw(x: Tensor, index_h: np.ndarray, index_w: np.ndarray) -> Tensor:
 
 def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer `labels` under row-wise softmax of `logits`."""
+    _check_operands("cross_entropy_logits", logits)
     if logits.ndim != 2:
         raise InvalidShapeError(f"expected (batch, classes) logits, got {logits.shape}")
     n, k = logits.shape
@@ -392,13 +443,14 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     total = probs.sum(axis=1, keepdims=True)
     lse = np.log(total[:, 0]) + top[:, 0]
     picked = logits.data[np.arange(n), labels]
-    out = np.asarray((lse - picked).mean(), dtype=logits.dtype)
+    dtype = logits.dtype
+    out = np.asarray((lse - picked).mean(), dtype=dtype)
     probs /= total
 
     def vjp(g):
         gl = probs.copy()
         gl[np.arange(n), labels] -= 1.0
-        return ((g / n) * gl.astype(logits.dtype),)
+        return ((g / n) * gl.astype(dtype),)
 
     return result_of(out, (logits,), vjp)
 
@@ -408,15 +460,21 @@ def cross_entropy_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d loss / d t into `t.grad` for every reachable tensor with
-    `requires_grad`. `loss` must be scalar; each graph node's vector-Jacobian
-    product runs exactly once, in reverse topological order."""
+    """Accumulate d loss / d t into `t.grad` for every leaf tensor with
+    `requires_grad` that `loss` depends on. `loss` must be scalar; each graph
+    node's vector-Jacobian product runs exactly once, in reverse topological
+    order."""
+    _check_operands("backward", loss)
     if loss.size != 1:
         raise InvalidCallError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # iterative DFS post-order; recursion would overflow on deep graphs
-    topo: list[Tensor] = []
+    root = _entry(loss)
+    if root is None:
+        return
+    # iterative DFS post-order over nodes and leaves; recursion would
+    # overflow on deep graphs
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -427,21 +485,19 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
 
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    pending: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._vjp is None:
+        if isinstance(node, Tensor):  # a leaf
             node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is None:
             continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if parent is None or pg is None:
                 continue
             key = id(parent)
             if key in pending:
@@ -451,5 +507,9 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
+    if not isinstance(params, (list, tuple)):
+        raise InvalidCallError(f"zero_grads takes a list of Tensors, got {type(params).__name__}")
+    for p in params:  # one at a time: parameters may differ in dtype
+        _check_operands("zero_grads", p)
     for p in params:
         p.grad = None

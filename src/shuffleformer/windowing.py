@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_choice, _is_int
 from .rng import Rng
-from .tensor import Tensor, result_of
+from .tensor import Tensor, _check_operands, result_of
 
 # the one vocabulary for shuffle modes; configs and checkpoints store "none"
 SHUFFLE_MODES = ("none", "long-range", "short-range", "random")
@@ -159,6 +159,7 @@ def _scatter_windows(wins: np.ndarray, rows, cols) -> np.ndarray:
 def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
     """(B, C, H, W) -> (B*gh*gw, C, m, m) windows of x shuffled by the (ph, pw)
     pair from `shuffle_permutations`, in one gather; see the module docstring."""
+    _check_operands("shuffled_window_partition", x)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
     rows, cols = _window_index(m, perms, x.shape[2:])
@@ -172,6 +173,7 @@ def shuffled_window_partition(x: Tensor, m: int, perms) -> Tensor:
 def aligned_window_reverse(wins: Tensor, m: int, perms) -> Tensor:
     """Exact inverse of `shuffled_window_partition` for the same permutations;
     the grid it restores is ph.n x pw.n."""
+    _check_operands("aligned_window_reverse", wins)
     rows, cols = _window_index(m, perms)
     per_image = rows.shape[0] * cols.shape[1]
     if wins.ndim != 4 or wins.shape[2:] != (m, m):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from scipy.special import erf
 
 from shuffleformer import (InvalidCallError, InvalidShapeError, Rng, Tensor, add,
-                           backward, cross_entropy_logits, gather_hw, gelu, matmul,
-                           mean_pool_hw, mul, reshape_permute, scale, softmax_lastdim,
-                           sum_all)
+                           aligned_window_reverse, backward, batchnorm2d, conv2d,
+                           cross_entropy_logits, gather_hw, gelu, matmul, mean_all,
+                           mean_pool_hw, mul, reshape_permute, scale, shuffle_permutations,
+                           shuffled_window_partition, softmax_lastdim, sum_all, zero_grads)
 
 from shuffleformer import tensor
 from gradcheck import check_gradients
@@ -46,9 +48,39 @@ class TestTensorData:
     (lambda: scale(Tensor(np.ones(3)), None), InvalidCallError),
     (lambda: scale(Tensor(np.ones(3)), "2"), InvalidCallError),
     (lambda: Tensor([[1], [1, 2]]), InvalidShapeError),
+    # every op, backward and zero_grads take only Tensor operands
+    (lambda: reshape_permute(np.zeros(6), (2, 3)), InvalidCallError),
+    (lambda: add(1.0, Tensor(np.ones(2))), InvalidCallError),
+    (lambda: mul(Tensor(np.ones(2)), np.ones(2)), InvalidCallError),
+    (lambda: scale([1.0, 2.0], 2.0), InvalidCallError),
+    (lambda: matmul(np.eye(2), Tensor(np.eye(2))), InvalidCallError),
+    (lambda: softmax_lastdim([1.0, 2.0]), InvalidCallError),
+    (lambda: gelu(np.ones(2)), InvalidCallError),
+    (lambda: mean_pool_hw(np.zeros((1, 1, 2, 2))), InvalidCallError),
+    (lambda: sum_all(None), InvalidCallError),
+    (lambda: mean_all(3.0), InvalidCallError),
+    (lambda: gather_hw(np.zeros((1, 1, 2, 2)), np.arange(2), np.arange(2)), InvalidCallError),
+    (lambda: cross_entropy_logits(np.zeros((2, 3)), np.array([0, 1])), InvalidCallError),
+    (lambda: backward(np.ones(())), InvalidCallError),
+    (lambda: zero_grads([None]), InvalidCallError),
+    (lambda: zero_grads(None), InvalidCallError),
+    (lambda: conv2d(np.zeros((1, 1, 3, 3)), Tensor(np.ones((1, 1, 1, 1)))), InvalidCallError),
+    (lambda: conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), [0.0]),
+     InvalidCallError),
+    (lambda: batchnorm2d(Tensor(np.zeros((2, 1, 2, 2))), None, Tensor(np.zeros(1)),
+                         np.zeros(1), np.ones(1), True), InvalidCallError),
+    (lambda: shuffled_window_partition(np.zeros((1, 1, 2, 2)), 2,
+                                       shuffle_permutations(2, 2, 2, "none")), InvalidCallError),
+    (lambda: aligned_window_reverse(np.zeros((1, 1, 2, 2)), 2,
+                                    shuffle_permutations(2, 2, 2, "none")), InvalidCallError),
 ], ids=["reshape-text-axis", "reshape-float-axes", "gather-text-index", "gather-float-index",
         "reshape-int-shape", "reshape-int-axes", "gather-scalar-index",
-        "scale-none", "scale-text", "ragged-data"])
+        "scale-none", "scale-text", "ragged-data",
+        "reshape-array", "add-float", "mul-array", "scale-list", "matmul-array",
+        "softmax-list", "gelu-array", "pool-array", "sum-none", "mean-float", "gather-array",
+        "cross-entropy-array", "backward-array", "zero-grads-none-entry", "zero-grads-none",
+        "conv-array", "conv-list-bias", "batchnorm-none-gamma", "partition-array",
+        "reverse-array"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
         call()
@@ -379,6 +411,20 @@ class TestBackward:
         loss = sum_all(add(scale(x, 3.0), scale(x, -1.0)))
         backward(loss)
         assert np.allclose(x.grad, 2.0)
+
+    def test_output_that_no_vjp_reads_is_freed(self):
+        # the graph keeps vjps and parents' nodes, not op results: add's vjp
+        # reads only shapes, so scale's output dies with its tensor
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        s = scale(x, 2.0)
+        dead = weakref.ref(s.data)
+        y = add(s, w)
+        del s
+        assert dead() is None
+        backward(sum_all(y))
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(w.grad, np.full(3, 2.0))
 
 
 class TestCrossEntropy:

@@ -50,6 +50,9 @@ MUTANTS = [
     (PKG + "conv.py", "BN_MOMENTUM * var * (n / (n - 1))", "BN_MOMENTUM * var"),
     (PKG + "conv.py", "out += (beta.data - mean * sc)", "out += (beta.data + mean * sc)"),
     (PKG + "tensor.py", "pending[key] = pending[key] + pg", "pending[key] = pg"),
+    # a vjp that reads its input tensor keeps the input's array in the graph
+    (PKG + "tensor.py", "return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)",
+     "return _unbroadcast(g, a.shape), _unbroadcast(g, b_shape)"),
     (PKG + "tensor.py", "np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)",
      "np.subtract(g, gx.mean(axis=-1, keepdims=True), out=gx)"),
     (PKG + "tensor.py", "g[:, :, None, None] / (h * w)", "g[:, :, None, None] / h"),
