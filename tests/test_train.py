@@ -142,7 +142,8 @@ def test_training_graph_holds_only_what_its_vjps_read():
     # vjps read 50.9 MiB here: the inputs of the convs, batch norms and GELUs,
     # the softmax outputs and the attention operands, parameters included. A
     # graph that also keeps every op's output, as one made of the op results
-    # themselves does, holds 76.6 MiB.
+    # themselves does, holds 76.6 MiB. The budget leaves room for scratch of
+    # the parameters' size on top of 51 MiB.
     cfg = ToyTrainConfig()
     model_cfg = cfg.model_config()
     rng = Rng(0)
