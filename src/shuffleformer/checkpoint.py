@@ -22,7 +22,9 @@ field order (`named_parameters`, then `named_buffers`), so save -> load -> save
 is byte-identical. "shuffle_perms" holds the frozen maps of each random-mode
 block, keyed by the block's path: {"stage0.block1": {"h": [...], "w": [...],
 "mode": "random"}}. Standalone tensors use {"kind": "tensor"} and one entry
-named "data".
+named "data". Save and load check the entry names and shapes against the
+config's `state_shapes` and the frozen maps against its random-mode blocks,
+so a save refuses what a load would refuse.
 
 `load_checkpoint` returns frozen parameters: none has `requires_grad` set, so
 a forward through them records no autograd graph. To fine-tune a loaded
@@ -42,7 +44,7 @@ import numpy as np
 from .analysis import count_flops
 from .errors import CheckpointError, InvalidConfigError
 from .model import (BlockParams, ModelConfig, ModelParams, _leaves, init_model_params,
-                    named_buffers, named_parameters)
+                    named_buffers, named_parameters, state_shapes)
 from .windowing import SpatialPermutation
 
 MAGIC = b"SHFCONT1"
@@ -97,15 +99,21 @@ def write_container(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         entries.append({"name": name, "dtype": arr.dtype.name,
                         "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
-    header = json.dumps({"meta": meta, "tensors": entries},
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, arr in arrays:
-            fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).data)
+    try:
+        header = json.dumps({"meta": meta, "tensors": entries},
+                            sort_keys=True, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: meta cannot be written as JSON ({exc})") from exc
+    try:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for _, arr in arrays:
+                fh.write(arr.astype(_DTYPES[arr.dtype.name], copy=False).data)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 def _read_header(fh, path) -> tuple[dict, list[dict]]:
@@ -194,13 +202,58 @@ def _frozen_perms(params: ModelParams) -> dict:
             for key, blk in _leaves(params, BlockParams) if blk.shuffle_perms is not None}
 
 
+def _check_entries(path, expected: dict[str, tuple], found: dict[str, tuple]) -> None:
+    """Refuse unless `found` holds exactly the names of `expected`, each at its shape."""
+    missing = [name for name in expected if name not in found]
+    unexpected = [name for name in found if name not in expected]
+    if missing or unexpected:
+        raise CheckpointError(
+            f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
+    for name, shape in expected.items():
+        if found[name] != shape:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {found[name]}, expected {shape}")
+
+
+def _random_block_perms(path, cfg: ModelConfig, stored):
+    """(stage, index, frozen maps) of each random-mode block of `cfg`, the maps
+    taken from meta's "shuffle_perms" and checked."""
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: shuffle_perms must be an object")
+    for s in range(cfg.stages):
+        for i in range(cfg.depths[s]):
+            if cfg.block_config(s, i).shuffle_mode != "random":
+                continue
+            key = f"stage{s}.block{i}"
+            if key not in stored:
+                raise CheckpointError(f"{path}: missing frozen permutations for {key}")
+            yield s, i, _stored_perms(path, key, stored[key], cfg.stage_resolution(s))
+
+
+def _with_extra(path, meta: dict, extra_meta) -> dict:
+    """`meta` plus the caller's `extra_meta`, which may replace none of its keys."""
+    if extra_meta is None:
+        return meta
+    if not isinstance(extra_meta, dict) or meta.keys() & extra_meta.keys():
+        raise CheckpointError(f"{path}: extra_meta must be a dict without the keys {sorted(meta)}")
+    return {**meta, **extra_meta}
+
+
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
                     extra_meta: dict | None = None) -> None:
-    meta = {"kind": "model", "config": cfg.to_dict(),
-            "shuffle_perms": _frozen_perms(params)}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_container(path, _state_dict(params), meta)
+    """Write `params` and `cfg`. Params that `load_checkpoint` would refuse for
+    `cfg`, by an entry's name or shape or a missing frozen map, are refused
+    before the file is opened."""
+    if not (isinstance(params, ModelParams) and isinstance(cfg, ModelConfig)):
+        raise CheckpointError(f"{path}: save_checkpoint takes ModelParams and a ModelConfig, "
+                              f"got {type(params).__name__} and {type(cfg).__name__}")
+    state = _state_dict(params)
+    _check_entries(path, state_shapes(cfg), {name: arr.shape for name, arr in state.items()})
+    perms = _frozen_perms(params)
+    for _ in _random_block_perms(path, cfg, perms):
+        pass
+    meta = {"kind": "model", "config": cfg.to_dict(), "shuffle_perms": perms}
+    write_container(path, state, _with_extra(path, meta, extra_meta))
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, dict]:
@@ -223,34 +276,16 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
         if sum(cfg.depths) > len(entries) \
                 or count_flops(cfg).total_params > _SKELETON_SLACK * held:
             raise CheckpointError(f"{path}: config needs far more than the {held} values stored")
-        params = init_model_params(cfg, None, dtype=dtype)
-        expected = _state_dict(params)
         stored = {entry["name"]: entry for entry in entries}
-        missing = [name for name in expected if name not in stored]
-        unexpected = [name for name in stored if name not in expected]
-        if missing or unexpected:
-            raise CheckpointError(
-                f"{path}: missing parameters {missing}; unexpected parameters {unexpected}")
-        for name, target in expected.items():
-            shape = tuple(stored[name]["shape"])
-            if shape != target.shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has shape {shape}, expected {target.shape}")
+        _check_entries(path, state_shapes(cfg),
+                       {name: tuple(entry["shape"]) for name, entry in stored.items()})
+        params = init_model_params(cfg, None, dtype=dtype)
+        for name, target in _state_dict(params).items():
             _read_into(fh, path, stored[name], target)
     for _, param in named_parameters(params):
         param.requires_grad = False
-    stored_perms = meta.get("shuffle_perms", {})
-    if not isinstance(stored_perms, dict):
-        raise CheckpointError(f"{path}: shuffle_perms must be an object")
-    for s, stage in enumerate(params.stages):
-        for i, blk in enumerate(stage.blocks):
-            if cfg.block_config(s, i).shuffle_mode != "random":
-                continue
-            key = f"stage{s}.block{i}"
-            if key not in stored_perms:
-                raise CheckpointError(f"{path}: missing frozen permutations for {key}")
-            blk.shuffle_perms = _stored_perms(path, key, stored_perms[key],
-                                              cfg.stage_resolution(s))
+    for s, i, perms in _random_block_perms(path, cfg, meta.get("shuffle_perms", {})):
+        params.stages[s].blocks[i].shuffle_perms = perms
     return params, cfg, meta
 
 
@@ -273,10 +308,8 @@ def _stored_perms(path, key: str, entry, side: int) -> tuple[SpatialPermutation,
 
 
 def save_tensor(path, array: np.ndarray, extra_meta: dict | None = None) -> None:
-    meta = {"kind": "tensor"}
-    if extra_meta:
-        meta.update(extra_meta)
-    write_container(path, {"data": np.asarray(array)}, meta)
+    write_container(path, {"data": np.asarray(array)},
+                    _with_extra(path, {"kind": "tensor"}, extra_meta))
 
 
 def load_tensor(path) -> tuple[np.ndarray, dict]:

@@ -8,6 +8,11 @@ permutations of the tokens inside a window.
 Neighbor-window connection: a residual depth-wise convolution whose kernel
 extent equals the window size. The MLP is two 1x1 convolutions around an
 activation, so it is pointwise in space.
+
+Each forward leaves its input checks to the ops it calls: its first `conv2d`
+refuses a non-Tensor input, a wrong rank and a channel count the weights do
+not take, and a later op the other mismatches. A forward checks only what no
+op checks: the head count, and that the NWC kernel is square.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import conv2d
-from .errors import InvalidConfigError, InvalidShapeError
+from .errors import InvalidConfigError, _is_int
 from .rng import Rng
 from .tensor import Tensor, add, gelu, matmul, reshape_permute, scale, softmax_lastdim
 
@@ -40,10 +45,6 @@ class WmsaParams:
     wo: Tensor
     bo: Tensor
 
-    @property
-    def channels(self) -> int:
-        return self.wq.shape[0]
-
 
 def init_weight(shape, rng: Rng | None, dtype=np.float32) -> Tensor:
     """A trainable truncated-normal weight, or zeros when `rng` is None."""
@@ -52,9 +53,14 @@ def init_weight(shape, rng: Rng | None, dtype=np.float32) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def _check_heads(channels: int, heads) -> None:
+    if not (_is_int(heads) and heads >= 1 and channels % heads == 0):
+        raise InvalidConfigError(
+            f"heads must be a positive integer that divides {channels} channels, got {heads!r}")
+
+
 def init_wmsa(channels: int, heads: int, rng: Rng | None, dtype=np.float32) -> WmsaParams:
-    if channels % heads:
-        raise InvalidConfigError(f"{heads} heads do not divide {channels} channels")
+    _check_heads(channels, heads)
 
     def w():
         return init_weight((channels, channels, 1, 1), rng, dtype)
@@ -66,18 +72,13 @@ def init_wmsa(channels: int, heads: int, rng: Rng | None, dtype=np.float32) -> W
 
 
 def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
-    """Multi-head self-attention inside each (m x m)-token window."""
-    if wins.ndim != 4 or wins.shape[2] != wins.shape[3]:
-        raise InvalidShapeError(f"expected square windows, got shape {wins.shape}")
-    bw, c, m, _ = wins.shape
-    if c != p.channels:
-        raise InvalidConfigError(f"params built for {p.channels} channels, input has {c}")
-    if c % p.heads:
-        raise InvalidConfigError(f"{p.heads} heads do not divide {c} channels")
+    """Multi-head self-attention inside each (m x m)-token window. Windows
+    that are not square fail at the head reshape."""
+    q = conv2d(wins, p.wq, p.bq)
+    bw, c, m, _ = q.shape
+    _check_heads(c, p.heads)
     head_dim = c // p.heads
     tokens = m * m
-
-    q = conv2d(wins, p.wq, p.bq)
     k = conv2d(wins, p.wk, p.bk)
     v = conv2d(wins, p.wv, p.bv)
     # (bw, heads, tokens, head_dim); k stays (bw, heads, head_dim, tokens) as Kᵀ
@@ -99,14 +100,6 @@ class NwcParams:
     kernel: Tensor  # (C, 1, M, M)
     bias: Tensor  # (C,)
 
-    @property
-    def channels(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def extent(self) -> int:
-        return self.kernel.shape[2]
-
 
 def init_nwc(channels: int, window: int, dtype=np.float32) -> NwcParams:
     """Zero-initialized, so the residual connection starts as identity."""
@@ -122,14 +115,10 @@ def nwc_padding(extent: int) -> tuple[int, int]:
 
 def nwc_forward(x: Tensor, p: NwcParams) -> Tensor:
     """x + depthwise(x); output resolution equals input resolution."""
-    if x.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    if x.shape[1] != p.channels:
-        raise InvalidConfigError(f"params built for {p.channels} channels, input has {x.shape[1]}")
     if p.kernel.shape[2] != p.kernel.shape[3]:
         raise InvalidConfigError(f"kernel must be square, got {p.kernel.shape}")
-    pad = nwc_padding(p.extent)
-    local = conv2d(x, p.kernel, p.bias, stride=1, padding=(pad, pad), groups=p.channels)
+    pad = nwc_padding(p.kernel.shape[2])
+    local = conv2d(x, p.kernel, p.bias, stride=1, padding=(pad, pad), groups=p.kernel.shape[0])
     return add(x, local)
 
 
@@ -141,14 +130,6 @@ class MlpParams:
     b1: Tensor
     w2: Tensor  # (C, hidden, 1, 1)
     b2: Tensor
-
-    @property
-    def channels(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
 
 
 def init_mlp(channels: int, hidden: int, rng: Rng | None, dtype=np.float32) -> MlpParams:
@@ -163,13 +144,6 @@ def init_mlp(channels: int, hidden: int, rng: Rng | None, dtype=np.float32) -> M
 def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> Tensor:
     """conv1x1 -> GELU -> conv1x1, optionally with a residual depth-wise
     convolution on the hidden activation (the inside-the-MLP placement)."""
-    if x.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    if x.shape[1] != p.channels:
-        raise InvalidConfigError(f"params built for {p.channels} channels, input has {x.shape[1]}")
-    if p.w2.shape != (p.channels, p.hidden, 1, 1):
-        raise InvalidConfigError(
-            f"second projection {p.w2.shape} inconsistent with first {p.w1.shape}")
     h = gelu(conv2d(x, p.w1, p.b1))
     if inner_nwc is not None:
         h = nwc_forward(h, inner_nwc)

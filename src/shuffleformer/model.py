@@ -26,7 +26,7 @@ from .errors import InvalidConfigError, InvalidShapeError, _is_choice, _is_int
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng
-from .tensor import Tensor, add, gelu, matmul, mean_pool_hw
+from .tensor import Tensor, _check_operands, add, gelu, matmul, mean_pool_hw
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
                         shuffle_extent_error, shuffle_permutations, shuffled_window_partition)
 
@@ -284,6 +284,47 @@ def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> Mo
     return ModelParams(embed, stages, head)
 
 
+def state_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every entry of `init_model_params(cfg, ...)`, as
+    `named_parameters` and then `named_buffers` list them, worked out without
+    allocating a weight."""
+    params, buffers = {}, {}
+
+    def conv(name, cout, cin, k):
+        params.update({f"{name}.weight": (cout, cin, k, k), f"{name}.bias": (cout,)})
+
+    def bn(name, ch):
+        params.update({f"{name}.gamma": (ch,), f"{name}.beta": (ch,)})
+        buffers.update({f"{name}.running_mean": (ch,), f"{name}.running_var": (ch,)})
+
+    half = cfg.channels // 2
+    conv("embed.conv1", half, cfg.in_channels, 3)
+    bn("embed.bn1", half)
+    conv("embed.conv2", cfg.channels, half, 3)
+    bn("embed.bn2", cfg.channels)
+    for stage in range(cfg.stages):
+        ch = cfg.stage_channels(stage)
+        if stage > 0:
+            conv(f"stage{stage}.merge", ch, ch // 2, 2)
+        for i in range(cfg.depths[stage]):
+            blk, bcfg = f"stage{stage}.block{i}", cfg.block_config(stage, i)
+            bn(f"{blk}.bn1", ch)
+            for x in "qkvo":
+                params.update({f"{blk}.attn.w{x}": (ch, ch, 1, 1), f"{blk}.attn.b{x}": (ch,)})
+            nwc_ch = _nwc_channels(bcfg)
+            if nwc_ch is not None:
+                params.update({f"{blk}.nwc.kernel": (nwc_ch, 1, cfg.window, cfg.window),
+                               f"{blk}.nwc.bias": (nwc_ch,)})
+            bn(f"{blk}.bn2", ch)
+            hidden = ch * bcfg.mlp_ratio
+            params.update({f"{blk}.mlp.w1": (hidden, ch, 1, 1), f"{blk}.mlp.b1": (hidden,),
+                           f"{blk}.mlp.w2": (ch, hidden, 1, 1), f"{blk}.mlp.b2": (ch,)})
+    last = cfg.stage_channels(cfg.stages - 1)
+    bn("head.bn", last)
+    params.update({"head.weight": (last, cfg.num_classes), "head.bias": (cfg.num_classes,)})
+    return {**params, **buffers}
+
+
 def _leaves(node, kind, name: str = ""):
     """(field path, value) of every `kind` value in a parameter tree, in field
     order. The items of a list field are named by the field's singular and
@@ -321,6 +362,7 @@ def parameter_list(params: ModelParams) -> list[Tensor]:
 def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
                   training: bool = False) -> Tensor:
     """One (Shuffle-)WMSA block with the NWC at its configured position."""
+    _check_operands("block_forward", z)
     if z.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {z.shape}")
     _, c, height, width = z.shape
@@ -345,12 +387,9 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
 
 def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> Tensor:
     """Two stride-2 3x3 convolutions with BN and GELU: (B,3,H,W) -> (B,C,H/4,W/4)."""
-    if image.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D image batch, got shape {image.shape}")
-    _, _, h, w = image.shape
-    if h % 4 or w % 4:
-        raise InvalidShapeError(f"input extents {(h, w)} must be divisible by 4")
     x = conv2d(image, params.conv1.weight, params.conv1.bias, stride=2, padding=1)
+    if image.shape[2] % 4 or image.shape[3] % 4:
+        raise InvalidShapeError(f"input extents {image.shape[2:]} must be divisible by 4")
     x = gelu(apply_bn(x, params.bn1, training))
     x = conv2d(x, params.conv2.weight, params.conv2.bias, stride=2, padding=1)
     return apply_bn(x, params.bn2, training)
@@ -358,12 +397,10 @@ def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> T
 
 def token_merge(x: Tensor, params: ConvParams) -> Tensor:
     """Non-overlapping 2x2 patches projected to doubled channels."""
-    if x.ndim != 4:
-        raise InvalidShapeError(f"expected a 4-D feature map, got shape {x.shape}")
-    _, _, h, w = x.shape
-    if h % 2 or w % 2:
-        raise InvalidShapeError(f"extents {(h, w)} must be even to merge tokens")
-    return conv2d(x, params.weight, params.bias, stride=2, padding=0)
+    out = conv2d(x, params.weight, params.bias, stride=2, padding=0)
+    if x.shape[2] % 2 or x.shape[3] % 2:
+        raise InvalidShapeError(f"extents {x.shape[2:]} must be even to merge tokens")
+    return out
 
 
 def model_forward(image: Tensor, params: ModelParams, cfg: ModelConfig,

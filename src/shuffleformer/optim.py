@@ -7,12 +7,12 @@ parameter's `.grad`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidCallError
+from .errors import InvalidCallError, InvalidConfigError, _is_real
 from .tensor import Tensor
 
 
@@ -23,14 +23,25 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class AdamW:
+    """The learning rate and decoupled weight decay, each a finite real >= 0."""
+
     lr: float
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        bad = [name for name in ("lr", "weight_decay")
+               if not (_is_real(v := getattr(self, name)) and math.isfinite(v) and v >= 0)]
+        if bad:
+            raise InvalidConfigError(f"{', '.join(bad)} must be finite and non-negative")
 
 
 class Optimizer:
     """AdamW over `params`, with zero moments at step 0."""
 
-    def __init__(self, params: Sequence[Tensor], rule: AdamW) -> None:
+    def __init__(self, params: list[Tensor] | tuple[Tensor, ...], rule: AdamW) -> None:
+        if not (isinstance(params, (list, tuple)) and all(isinstance(p, Tensor) for p in params)
+                and isinstance(rule, AdamW)):
+            raise InvalidCallError("Optimizer takes a list or tuple of Tensors and an AdamW")
         self.params = list(params)
         self.rule = rule
         self.steps = 0

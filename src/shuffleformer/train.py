@@ -7,7 +7,6 @@ that a model of this size must be able to memorize.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +39,7 @@ class ToyTrainConfig:
                if not (_is_int(v := getattr(self, name)) and v >= 1)]
         if bad:
             raise InvalidConfigError(f"{', '.join(bad)} must be positive integers")
-        bad = [name for name in ("lr", "weight_decay")
-               if not (_is_real(v := getattr(self, name)) and math.isfinite(v) and v >= 0)]
-        if bad:
-            raise InvalidConfigError(f"{', '.join(bad)} must be finite and non-negative")
+        AdamW(self.lr, weight_decay=self.weight_decay)  # checks the rates
         if not (_is_int(self.seed) and self.seed >= 0):
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         acc = self.target_accuracy

@@ -15,6 +15,7 @@ from shuffleformer import (SHUFFLE_MODES, CheckpointError, ModelConfig, Rng, Ten
                            load_checkpoint, load_tensor, model_forward, named_buffers,
                            named_parameters, read_container, save_checkpoint,
                            save_tensor, write_container, init_model_params)
+from shuffleformer.model import NWC_POSITIONS, state_shapes
 
 
 def small_config(**overrides):
@@ -386,6 +387,37 @@ class TestCheckpoint:
         assert sorted(meta["shuffle_perms"]) == perm_keys
         assert all(p["mode"] == "random" for p in meta["shuffle_perms"].values())
 
+    @pytest.mark.parametrize("mode", ["long-range", "random"])
+    @pytest.mark.parametrize("position", NWC_POSITIONS)
+    def test_state_shapes_list_the_skeleton(self, mode, position):
+        cfg = small_config(depths=(2, 2), resolution=32, shuffle_mode=mode,
+                           nwc_position=position)
+        skeleton = init_model_params(cfg, None)
+        entries = [(name, t.shape) for name, t in named_parameters(skeleton)]
+        entries += [(name, buf.shape) for name, buf in named_buffers(skeleton)]
+        assert list(state_shapes(cfg).items()) == entries
+
+    @pytest.mark.parametrize("params, cfg", [
+        (lambda: None, small_config),
+        (lambda: init_model_params(small_config(), Rng(0)), lambda: None),
+        (lambda: init_model_params(small_config(), Rng(0)),
+         lambda: small_config(channels=16)),
+        (lambda: init_model_params(small_config(), Rng(0)),
+         lambda: small_config(nwc_position="none")),
+        (lambda: init_model_params(small_config(), Rng(0)),
+         lambda: small_config(depths=(2, 2), resolution=32)),
+        (lambda: init_model_params(small_config(shuffle_mode="random"), None),
+         lambda: small_config(shuffle_mode="random")),
+        (lambda: init_model_params(small_config(), Rng(0)),
+         lambda: small_config(shuffle_mode="random")),
+    ], ids=["none-params", "none-config", "other-width", "other-nwc", "other-depths",
+            "random-skeleton", "random-without-maps"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, params, cfg):
+        path = tmp_path / "model.sfc"
+        with pytest.raises(CheckpointError):
+            save_checkpoint(path, params(), cfg())
+        assert not path.exists()
+
     def test_missing_file_is_a_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):
             read_container(tmp_path / "absent.sfc")
@@ -428,6 +460,17 @@ class TestPathArguments:
         with pytest.raises(CheckpointError):
             call(path)
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("call", [
+        lambda p: write_container(p, {}, {}),
+        lambda p: save_tensor(p, np.zeros(2, np.float32)),
+        lambda p: save_checkpoint(p, init_model_params(small_config(), Rng(0)),
+                                  small_config()),
+    ], ids=["write_container", "save_tensor", "save_checkpoint"])
+    def test_unwritable_path_rejected(self, tmp_path, call, where):
+        with pytest.raises(CheckpointError):
+            call(tmp_path / "absent" / "x.sfc" if where == "missing-directory" else tmp_path)
+
 
 class TestTensorIO:
     def test_tensor_round_trip(self, tmp_path):
@@ -449,6 +492,20 @@ class TestTensorIO:
     def test_more_than_32_dimensions_rejected_on_write(self, tmp_path):
         with pytest.raises(CheckpointError):
             save_tensor(tmp_path / "x.sfc", np.zeros((1,) * 33, np.float32))
+
+    @pytest.mark.parametrize("meta", [{"k": object()}, {"kind": "other"}, "ab"],
+                             ids=["object-value", "kind-key", "text"])
+    @pytest.mark.parametrize("call", [
+        lambda p, meta: save_tensor(p, np.zeros(2, np.float32), extra_meta=meta),
+        lambda p, meta: save_checkpoint(p, init_model_params(small_config(), Rng(0)),
+                                        small_config(), extra_meta=meta),
+    ], ids=["save_tensor", "save_checkpoint"])
+    def test_bad_extra_meta_rejected(self, tmp_path, call, meta):
+        # JSON cannot hold an object; a "kind" key would give a file the load refuses
+        path = tmp_path / "x.sfc"
+        with pytest.raises(CheckpointError):
+            call(path, meta)
+        assert not path.exists()
 
     def test_model_container_is_not_a_tensor(self, saved):
         path, _, _ = saved

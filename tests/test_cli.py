@@ -360,6 +360,7 @@ HOSTILE = {
     "infer-huge-channels": lambda t: _infer_argv(t, checkpoint=_huge_channels_checkpoint(t)),
     "infer-unallocatable-input": lambda t: _infer_argv(t, tensor=_unallocatable_tensor(t)),
     "infer-unwritable-output": lambda t: _infer_argv(t, output=str(t / "no" / "o.sfc")),
+    "infer-output-is-a-directory": lambda t: _infer_argv(t, output=str(t)),
     "stats-unwritable-out-dir": lambda t: ["stats", "--out-dir",
                                            str(Path(_text_file(t, "")) / "sub")],
     "reach-unwritable-out": lambda t: REACH + ["--out", str(t / "no" / "r.json")],

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from shuffleformer import (InvalidConfigError, MlpParams, NwcParams, Rng,
-                           Tensor, WmsaParams, conv2d, init_mlp, init_nwc,
-                           init_wmsa, mlp_forward, mul, nwc_forward, sum_all,
-                           wmsa_forward)
+from shuffleformer import (BlockConfig, InvalidCallError, InvalidConfigError,
+                           InvalidShapeError, MlpParams, ModelConfig, NwcParams, Rng,
+                           Tensor, WmsaParams, block_forward, conv2d, init_block_params,
+                           init_mlp, init_model_params, init_nwc, init_wmsa, mlp_forward,
+                           mul, nwc_forward, sum_all, token_embed, token_merge, wmsa_forward)
+from shuffleformer.conv import ConvParams
 from shuffleformer.layers import init_weight, nwc_padding
 
 from gradcheck import check_gradients
@@ -217,3 +219,68 @@ class TestMlp:
         check_gradients(
             lambda: sum_all(mul(mlp_forward(x, p, inner_nwc=inner), w)),
             [x, inner.kernel])
+
+
+def _z(*shape):
+    return Tensor(np.zeros(shape, dtype=np.float32))
+
+
+def _with_heads(heads):
+    p = init_wmsa(4, 2, Rng(0))
+    return WmsaParams(heads, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
+
+
+def _mlp_with_short_second_projection():
+    p = init_mlp(4, 16, Rng(0))
+    return MlpParams(p.w1, p.b1, _z(4, 8, 1, 1), p.b2)
+
+
+_BLOCK_CFG = BlockConfig(4, 2, 2)
+_BLOCK = init_block_params(_BLOCK_CFG, Rng(0))
+_EMBED = init_model_params(ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16,
+                                       window=2, head_dim=4), Rng(0)).embed
+_MERGE = ConvParams(_z(8, 4, 2, 2), _z(8))
+_WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng(0))
+
+
+# The layer forwards take their rank, channel and Tensor checks from the ops
+# they call; each row pins the class a bad call raises.
+@pytest.mark.parametrize("call, error", [
+    (lambda: wmsa_forward(_z(4, 2, 2), _WMSA), InvalidShapeError),
+    (lambda: wmsa_forward(_z(1, 4, 2, 3), _WMSA), InvalidShapeError),
+    (lambda: wmsa_forward(_z(1, 6, 2, 2), _WMSA), InvalidConfigError),
+    (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads(3)), InvalidConfigError),
+    (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads(0)), InvalidConfigError),
+    (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads("2")), InvalidConfigError),
+    (lambda: wmsa_forward([1.0], _WMSA), InvalidCallError),
+    (lambda: init_wmsa(4, 0, Rng(0)), InvalidConfigError),
+    (lambda: init_wmsa(4, "2", Rng(0)), InvalidConfigError),
+    (lambda: nwc_forward(_z(4, 3, 3), _NWC), InvalidShapeError),
+    (lambda: nwc_forward(_z(1, 6, 3, 3), _NWC), InvalidConfigError),
+    (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(_z(4, 1, 3, 2), _z(4))), InvalidConfigError),
+    (lambda: nwc_forward([1.0], _NWC), InvalidCallError),
+    (lambda: mlp_forward(_z(4, 3, 3), _MLP), InvalidShapeError),
+    (lambda: mlp_forward(_z(1, 3, 3, 3), _MLP), InvalidConfigError),
+    (lambda: mlp_forward(_z(1, 4, 3, 3), _mlp_with_short_second_projection()),
+     InvalidConfigError),
+    (lambda: mlp_forward(None, _MLP), InvalidCallError),
+    (lambda: token_embed(_z(3, 16, 16), _EMBED), InvalidShapeError),
+    (lambda: token_embed(_z(1, 4, 16, 16), _EMBED), InvalidConfigError),
+    (lambda: token_embed(_z(1, 3, 18, 18), _EMBED), InvalidShapeError),
+    (lambda: token_embed("img", _EMBED), InvalidCallError),
+    (lambda: token_merge(_z(4, 4, 4), _MERGE), InvalidShapeError),
+    (lambda: token_merge(_z(1, 4, 6, 5), _MERGE), InvalidShapeError),
+    (lambda: token_merge([1], _MERGE), InvalidCallError),
+    (lambda: block_forward(_z(4, 4, 4), _BLOCK, _BLOCK_CFG), InvalidShapeError),
+    (lambda: block_forward(_z(1, 6, 4, 4), _BLOCK, _BLOCK_CFG), InvalidConfigError),
+    (lambda: block_forward("x", _BLOCK, _BLOCK_CFG), InvalidCallError),
+], ids=["wmsa-rank", "wmsa-non-square", "wmsa-channels", "wmsa-heads-3", "wmsa-heads-0",
+        "wmsa-heads-str", "wmsa-list", "init-wmsa-heads-0", "init-wmsa-heads-str",
+        "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
+        "mlp-rank", "mlp-channels", "mlp-second-projection", "mlp-none",
+        "embed-rank", "embed-channels", "embed-extent", "embed-str",
+        "merge-rank", "merge-odd", "merge-list",
+        "block-rank", "block-channels", "block-str"])
+def test_bad_layer_call_raises_package_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from shuffleformer import (InvalidCallError, InvalidShapeError, Rng, Tensor, add,
+from shuffleformer import (AdamW, InvalidCallError, InvalidConfigError, InvalidShapeError,
+                           Optimizer, Rng, Tensor, add,
                            aligned_window_reverse, backward, batchnorm2d, conv2d,
                            cross_entropy_logits, gather_hw, gelu, matmul, mean_all,
                            mean_pool_hw, mul, reshape_permute, scale, shuffle_permutations,
@@ -73,6 +74,15 @@ class TestTensorData:
                                        shuffle_permutations(2, 2, 2, "none")), InvalidCallError),
     (lambda: aligned_window_reverse(np.zeros((1, 1, 2, 2)), 2,
                                     shuffle_permutations(2, 2, 2, "none")), InvalidCallError),
+    # AdamW's rates are finite reals >= 0; an Optimizer takes Tensors and an AdamW
+    (lambda: AdamW(1e-3, weight_decay=None), InvalidConfigError),
+    (lambda: AdamW(float("nan")), InvalidConfigError),
+    (lambda: AdamW(float("inf")), InvalidConfigError),
+    (lambda: AdamW(-1e-3), InvalidConfigError),
+    (lambda: AdamW("a"), InvalidConfigError),
+    (lambda: Optimizer(None, AdamW(0.1)), InvalidCallError),
+    (lambda: Optimizer([Tensor(np.ones(2), requires_grad=True)], None), InvalidCallError),
+    (lambda: Optimizer([np.ones(2)], AdamW(0.1)), InvalidCallError),
 ], ids=["reshape-text-axis", "reshape-float-axes", "gather-text-index", "gather-float-index",
         "reshape-int-shape", "reshape-int-axes", "gather-scalar-index",
         "scale-none", "scale-text", "ragged-data",
@@ -80,7 +90,9 @@ class TestTensorData:
         "softmax-list", "gelu-array", "pool-array", "sum-none", "mean-float", "gather-array",
         "cross-entropy-array", "backward-array", "zero-grads-none-entry", "zero-grads-none",
         "conv-array", "conv-list-bias", "batchnorm-none-gamma", "partition-array",
-        "reverse-array"])
+        "reverse-array", "adamw-none-decay", "adamw-nan-lr", "adamw-inf-lr",
+        "adamw-negative-lr", "adamw-text-lr", "optimizer-none-params", "optimizer-none-rule",
+        "optimizer-array-param"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
         call()

@@ -75,6 +75,8 @@ MUTANTS = [
      "windows = [p.map // m for p in perms]"),
     (PKG + "reachability.py", "union |= (deriv > threshold * base_scale)",
      "union = (deriv > threshold * base_scale)"),
+    # a head count of 0 must raise the package's error, not ZeroDivisionError
+    (PKG + "layers.py", "_is_int(heads) and heads >= 1 and", "_is_int(heads) and"),
 ]
 
 
