@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, InvalidConfigError, InvalidShapeError, _is_int
+from .errors import (DegenerateBatchError, InvalidConfigError, InvalidShapeError, _check_arg,
+                     _is_int)
 from .tensor import Tensor, _check_operands, result_of
 
 # batch-norm running-statistics momentum and variance floor
@@ -52,17 +53,17 @@ def conv_output_extent(extent: int, kernel: int, stride: int, pad_before: int,
     return (extent + pad_before + pad_after - kernel) // stride + 1
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
-           padding=0, groups: int = 1) -> Tensor:
-    """Cross-correlate (B, Cin, H, W) with (Cout, Cin/groups, kh, kw).
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0,
+           groups: int = 1) -> Tensor:
+    """Cross-correlate (B, Cin, H, W) with (Cout, Cin/groups, kh, kw) and add
+    the (Cout,) bias.
 
     `stride` is a positive int, `padding` a non-negative int or ((top, bottom),
     (left, right)), `groups` 1 or, at stride 1, Cin == Cout (depth-wise).
     Output extent per axis: floor((in + pad_before + pad_after - k)/stride) + 1.
     Differentiable w.r.t. x, w, and bias.
     """
-    operands = (x, w) if bias is None else (x, w, bias)
-    _check_operands("conv2d", *operands)
+    _check_operands("conv2d", x, w, bias)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
     if w.ndim != 4:
@@ -79,7 +80,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     if cin_g != cin // groups:
         raise InvalidConfigError(
             f"kernel expects {cin_g} channels per group, input provides {cin // groups}")
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise InvalidShapeError(f"bias shape {bias.shape} != ({cout},)")
     oh = conv_output_extent(h_in, kh, stride, *pads[0])
     ow = conv_output_extent(w_in, kw, stride, *pads[1])
@@ -91,14 +92,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
         out, vjp_xw = _depthwise(x.data, w.data, pads, (oh, ow))
     else:
         out, vjp_xw = _dense(x.data, w.data, stride, pads, (oh, ow))
-    if bias is None:
-        return result_of(out, (x, w), vjp_xw)
     out += bias.data[None, :, None, None]
 
     def vjp(g):
         return (*vjp_xw(g), g.sum(axis=(0, 2, 3)))
 
-    return result_of(out, operands, vjp)
+    return result_of(out, (x, w, bias), vjp)
 
 
 def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
@@ -296,4 +295,5 @@ class BnParams:
 
 
 def apply_bn(x: Tensor, p: BnParams, training: bool) -> Tensor:
+    _check_arg("apply_bn", p, BnParams)
     return batchnorm2d(x, p.gamma, p.beta, p.running_mean, p.running_var, training)

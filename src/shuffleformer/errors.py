@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer,
-real-number and choice tests its input checks share."""
+real-number, choice and argument-type tests its input checks share."""
 
 import numbers
 
@@ -20,6 +20,13 @@ def _is_choice(value, choices: tuple[str, ...]) -> bool:
     """One of `choices`; only a str is, since `in` would compare an array
     element-wise and raise on its truth value."""
     return isinstance(value, str) and value in choices
+
+
+def _check_arg(fn: str, value, kind: type) -> None:
+    """A forward's check of a params or config argument, worded as the ops'
+    check of their operands."""
+    if not isinstance(value, kind):
+        raise InvalidCallError(f"{fn} takes {kind.__name__}, got {type(value).__name__}")
 
 
 class ShuffleFormerError(Exception):

@@ -12,7 +12,8 @@ activation, so it is pointwise in space.
 Each forward leaves its input checks to the ops it calls: its first `conv2d`
 refuses a non-Tensor input, a wrong rank and a channel count the weights do
 not take, and a later op the other mismatches. A forward checks only what no
-op checks: the head count, and that the NWC kernel is square.
+op checks: the type of its params, the head count, and that the NWC kernel is
+4-D and square.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import conv2d
-from .errors import InvalidConfigError, _is_int
+from .errors import InvalidConfigError, _check_arg, _is_int
 from .rng import Rng
-from .tensor import Tensor, add, gelu, matmul, reshape_permute, scale, softmax_lastdim
+from .tensor import (Tensor, _check_operands, add, gelu, matmul, reshape_permute, scale,
+                     softmax_lastdim)
 
 INIT_STD = 0.02
 
@@ -74,6 +76,7 @@ def init_wmsa(channels: int, heads: int, rng: Rng | None, dtype=np.float32) -> W
 def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
     """Multi-head self-attention inside each (m x m)-token window. Windows
     that are not square fail at the head reshape."""
+    _check_arg("wmsa_forward", p, WmsaParams)
     q = conv2d(wins, p.wq, p.bq)
     bw, c, m, _ = q.shape
     _check_heads(c, p.heads)
@@ -115,8 +118,10 @@ def nwc_padding(extent: int) -> tuple[int, int]:
 
 def nwc_forward(x: Tensor, p: NwcParams) -> Tensor:
     """x + depthwise(x); output resolution equals input resolution."""
-    if p.kernel.shape[2] != p.kernel.shape[3]:
-        raise InvalidConfigError(f"kernel must be square, got {p.kernel.shape}")
+    _check_arg("nwc_forward", p, NwcParams)
+    _check_operands("nwc_forward", p.kernel)
+    if p.kernel.ndim != 4 or p.kernel.shape[2] != p.kernel.shape[3]:
+        raise InvalidConfigError(f"kernel must be 4-D and square, got {p.kernel.shape}")
     pad = nwc_padding(p.kernel.shape[2])
     local = conv2d(x, p.kernel, p.bias, stride=1, padding=(pad, pad), groups=p.kernel.shape[0])
     return add(x, local)
@@ -144,6 +149,7 @@ def init_mlp(channels: int, hidden: int, rng: Rng | None, dtype=np.float32) -> M
 def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> Tensor:
     """conv1x1 -> GELU -> conv1x1, optionally with a residual depth-wise
     convolution on the hidden activation (the inside-the-MLP placement)."""
+    _check_arg("mlp_forward", p, MlpParams)
     h = gelu(conv2d(x, p.w1, p.b1))
     if inner_nwc is not None:
         h = nwc_forward(h, inner_nwc)

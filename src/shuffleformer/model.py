@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import BnParams, ConvParams, apply_bn, conv2d
-from .errors import InvalidConfigError, InvalidShapeError, _is_choice, _is_int
+from .errors import InvalidConfigError, InvalidShapeError, _check_arg, _is_choice, _is_int
 from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
                      init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
 from .rng import Rng
@@ -114,8 +114,13 @@ class ModelConfig:
         if self.resolution % 4:
             raise InvalidConfigError(
                 f"input resolution {self.resolution} must be divisible by 4 for embedding")
+        res = self.resolution // 4  # halved once per stage: big ints stay cheap
         for stage in range(len(self.depths)):
-            res = self.stage_resolution(stage)
+            if stage:
+                if res % 2:
+                    raise InvalidConfigError(
+                        f"stage {stage - 1} resolution {res} is odd; cannot merge to stage {stage}")
+                res //= 2
             if res % self.window:
                 raise InvalidConfigError(
                     f"stage {stage} resolution {res} is not divisible by window {self.window}")
@@ -134,13 +139,7 @@ class ModelConfig:
         return self.stage_channels(stage) // self.head_dim
 
     def stage_resolution(self, stage: int) -> int:
-        res = self.resolution // 4
-        for s in range(stage):
-            if res % 2:
-                raise InvalidConfigError(
-                    f"stage {s} resolution {res} is odd; cannot merge to stage {s + 1}")
-            res //= 2
-        return res
+        return (self.resolution // 4) >> stage
 
     def block_config(self, stage: int, index: int) -> BlockConfig:
         """Even block indices use the plain partition, odd ones the shuffled."""
@@ -363,6 +362,8 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
                   training: bool = False) -> Tensor:
     """One (Shuffle-)WMSA block with the NWC at its configured position."""
     _check_operands("block_forward", z)
+    _check_arg("block_forward", params, BlockParams)
+    _check_arg("block_forward", cfg, BlockConfig)
     if z.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D feature map, got shape {z.shape}")
     _, c, height, width = z.shape
@@ -387,6 +388,7 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
 
 def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> Tensor:
     """Two stride-2 3x3 convolutions with BN and GELU: (B,3,H,W) -> (B,C,H/4,W/4)."""
+    _check_arg("token_embed", params, EmbedParams)
     x = conv2d(image, params.conv1.weight, params.conv1.bias, stride=2, padding=1)
     if image.shape[2] % 4 or image.shape[3] % 4:
         raise InvalidShapeError(f"input extents {image.shape[2:]} must be divisible by 4")
@@ -397,6 +399,7 @@ def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> T
 
 def token_merge(x: Tensor, params: ConvParams) -> Tensor:
     """Non-overlapping 2x2 patches projected to doubled channels."""
+    _check_arg("token_merge", params, ConvParams)
     out = conv2d(x, params.weight, params.bias, stride=2, padding=0)
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise InvalidShapeError(f"extents {x.shape[2:]} must be even to merge tokens")
@@ -406,6 +409,8 @@ def token_merge(x: Tensor, params: ConvParams) -> Tensor:
 def model_forward(image: Tensor, params: ModelParams, cfg: ModelConfig,
                   training: bool = False) -> Tensor:
     """Full network: embed, stages with merging, BN, global pool, classifier."""
+    _check_arg("model_forward", params, ModelParams)
+    _check_arg("model_forward", cfg, ModelConfig)
     x = token_embed(image, params.embed, training)
     for stage_index, stage in enumerate(params.stages):
         if stage.merge is not None:

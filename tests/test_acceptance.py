@@ -176,7 +176,8 @@ def test_criterion_6_gradients():
 
     xg = Tensor(rng.normal((2, 2, 3, 3), dtype=f64), requires_grad=True)
     dw = Tensor(rng.normal((2, 1, 3, 3), dtype=f64), requires_grad=True)
-    track(lambda: sum_all(conv2d(xg, dw, None, padding=1, groups=2)), xg, dw)
+    db = Tensor(np.zeros(2))
+    track(lambda: sum_all(conv2d(xg, dw, db, padding=1, groups=2)), xg, dw)
 
     xb = Tensor(rng.normal((3, 2, 3, 3), dtype=f64), requires_grad=True)
     gamma = Tensor(rng.normal((2,), 0.3, dtype=f64) + 1.0, requires_grad=True)

@@ -118,6 +118,18 @@ class TestMalformedHeader:
         with pytest.raises(CheckpointError):
             read_container(path)
 
+    @pytest.mark.parametrize("text", [b'{"meta":{},"tensors":[' + b"1" * 5000 + b"]}",
+                                      b"[" * 200_000 + b"]" * 200_000],
+                             ids=["int-past-digit-limit", "nested-200000-deep"])
+    @pytest.mark.parametrize("call", [read_container, load_checkpoint, load_tensor],
+                             ids=["read_container", "load_checkpoint", "load_tensor"])
+    def test_unparsable_header_rejected(self, tmp_path, call, text):
+        # Python refuses both, as a ValueError and a RecursionError
+        path = tmp_path / "bad.sfc"
+        path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
+        with pytest.raises(CheckpointError, match="corrupt header"):
+            call(path)
+
     def test_well_formed_raw_header_reads(self, tmp_path):
         path = write_raw(tmp_path / "ok.sfc", {"meta": {}, "tensors": [GOOD_ENTRY]},
                          np.arange(4, dtype="<f4").tobytes())
@@ -212,6 +224,26 @@ class TestMalformedModelMeta:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(bad)
         assert "stage0.block1" in str(err.value)
+
+    def test_bad_frozen_map_refused_before_building(self, tmp_path):
+        cfg = ModelConfig(channels=96, depths=(2, 2), num_classes=10, resolution=32,
+                          window=4, head_dim=32, shuffle_mode="random")
+        path = tmp_path / "wide.sfc"
+        save_checkpoint(path, init_model_params(cfg, Rng(0)), cfg)
+        meta, tensors = read_container(path)
+        maps = meta["shuffle_perms"]["stage1.block1"]
+        maps["w"][0] = maps["w"][1]  # a repeat: not a permutation
+        bad = tmp_path / "bad.sfc"
+        write_container(bad, tensors, meta)
+        held = sum(arr.nbytes for arr in tensors.values())
+        assert held > 4_000_000
+
+        def load():
+            with pytest.raises(CheckpointError, match="stage1.block1"):
+                load_checkpoint(bad)
+
+        # the refusal comes before the skeleton is allocated or a payload read
+        assert _traced_peak(load) <= 0.05 * held
 
     def test_small_file_cannot_request_a_large_skeleton(self, tmp_path):
         config = small_config(channels=2 ** 20, head_dim=32, nwc_position="none").to_dict()

@@ -417,6 +417,20 @@ def test_hostile_input_exits_one_without_traceback(case, tmp_path, capsys, monke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [b"1" * 5000, b"[" * 200_000 + b"]" * 200_000],
+                         ids=["int-past-digit-limit", "nested-200000-deep"])
+@pytest.mark.parametrize("slot", ["checkpoint", "tensor"])
+def test_infer_on_an_unparsable_header_exits_one(tmp_path, capsys, slot, text):
+    path = tmp_path / "bad.sfc"
+    path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
+    argv = _infer_argv(tmp_path, **{slot: str(path)})
+    capsys.readouterr()
+    code = exit_code(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("ERROR:") and "corrupt header" in err and "Traceback" not in err
+
+
 def test_quiet_accepts_bare_flag_and_file_booleans(tmp_path):
     base = ["reach", "--grid", "4"]
     assert parse_args(base).quiet is False

@@ -18,7 +18,7 @@ class TestConv2d:
         rng = Rng(0)
         x = rng.normal((2, 3, 4, 4), dtype=np.float64)
         w = rng.normal((5, 3, 1, 1), dtype=np.float64)
-        out = conv2d(Tensor(x), Tensor(w)).data
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(5))).data
         for b in range(2):
             for i in range(4):
                 for j in range(4):
@@ -30,12 +30,12 @@ class TestConv2d:
         x = rng.normal((1, 3, 5, 5), dtype=np.float64)
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        out = conv2d(Tensor(x), Tensor(w), padding=1, groups=3).data
+        out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(3)), padding=1, groups=3).data
         assert np.array_equal(out, x)
 
     def test_stride2_shape(self):
         out = conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))),
-                     stride=2)
+                     Tensor(np.zeros(1)), stride=2)
         assert out.shape == (1, 1, 2, 2)
 
     @pytest.mark.parametrize("stride,padding,groups,kernel,cin,cout", [
@@ -59,7 +59,7 @@ class TestConv2d:
     def test_group_mismatch_raises(self):
         with pytest.raises(InvalidConfigError):
             conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))),
-                   groups=2)
+                   Tensor(np.zeros(2)), groups=2)
 
     @pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1, -1), (1, ((0, 1), (-1, 0)))],
                              ids=["zero-stride", "negative-stride", "negative-padding",
@@ -67,7 +67,7 @@ class TestConv2d:
     def test_bad_stride_or_padding_raises(self, stride, padding):
         with pytest.raises(InvalidConfigError):
             conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))),
-                   stride=stride, padding=padding, groups=2)
+                   Tensor(np.zeros(2)), stride=stride, padding=padding, groups=2)
 
     @pytest.mark.parametrize("x_shape, w_shape, kwargs", [
         ((1, 2, 4, 4), (2, 2, 3, 3), dict(stride=(1, 2, 3))),
@@ -85,11 +85,13 @@ class TestConv2d:
             "groups-float", "depthwise-stride-2"])
     def test_unsupported_arguments_rejected(self, x_shape, w_shape, kwargs):
         with pytest.raises(InvalidConfigError):
-            conv2d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), **kwargs)
+            conv2d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                   Tensor(np.zeros(w_shape[0])), **kwargs)
 
     def test_kernel_channel_mismatch_raises(self):
         with pytest.raises(InvalidConfigError):
-            conv2d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))))
+            conv2d(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((2, 3, 1, 1))),
+                   Tensor(np.zeros(2)))
 
     @pytest.mark.parametrize("groups,kernel,stride,padding", [
         (1, 3, 1, 1),
@@ -143,7 +145,8 @@ class TestDepthwiseKernel:
         rng = Rng(22)
         x = rng.normal((5, 3, 5, 4), dtype=np.float64)
         w = rng.normal((3, 1, kernel, kernel), dtype=np.float64)
-        got = conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)), None, 1, padding, 3).data
+        got = conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)), Tensor(np.zeros(3, dtype)),
+                     1, padding, 3).data
         want = naive_conv2d(x, w, None, 1, padding, 3)
         assert got.dtype == dtype and got.shape == want.shape
         tol = 1e-5 if dtype == np.float32 else 1e-12
@@ -163,9 +166,10 @@ class TestDepthwiseKernel:
         rng = Rng(23)
         x = Tensor(rng.normal((5, 2, 5, 4), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((2, 1, 3, 3), dtype=np.float64), requires_grad=True)
+        b = Tensor(np.zeros(2))
         weight = Tensor(rng.normal((5, 2, 6, 4), dtype=np.float64))
         pad = ((2, 1), (0, 2))
-        check_gradients(lambda: sum_all(mul(conv2d(x, w, None, 1, pad, 2), weight)), [x, w])
+        check_gradients(lambda: sum_all(mul(conv2d(x, w, b, 1, pad, 2), weight)), [x, w])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kernel", [2, 7])
@@ -178,11 +182,12 @@ class TestDepthwiseKernel:
         rng = Rng(24)
         x = rng.normal((4, 3, 5, 4), dtype=dtype)
         w = Tensor(rng.normal((3, 1, kernel, kernel), dtype=dtype))
-        weight = rng.normal(conv2d(Tensor(x), w, None, 1, padding, 3).shape, dtype=dtype)
+        bias = Tensor(np.zeros(3, dtype))
+        weight = rng.normal(conv2d(Tensor(x), w, bias, 1, padding, 3).shape, dtype=dtype)
 
         def run(b0, b1):
             xt = Tensor(x[b0:b1], requires_grad=True)
-            out = conv2d(xt, w, None, 1, padding, 3)
+            out = conv2d(xt, w, bias, 1, padding, 3)
             backward(sum_all(mul(out, Tensor(weight[b0:b1]))))
             return out.data, xt.grad
 
@@ -251,6 +256,7 @@ class TestDenseKernel:
         rng = Rng(32)
         x = Tensor(rng.normal((2, 3, 4, 5), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((6, 3, 1, 1), dtype=np.float64), requires_grad=True)
+        b = Tensor(np.zeros(6))
         g = rng.normal((2, 6, 4, 5), dtype=np.float64)
         operands = []
         matmul = np.matmul
@@ -265,8 +271,8 @@ class TestDenseKernel:
         monkeypatch.setattr(np, "matmul", spy)
         monkeypatch.setattr(np, "pad", refuse)
         monkeypatch.setattr(np, "zeros", refuse)
-        out = conv2d(x, w)
-        gx, gw = out._vjp(g)
+        out = conv2d(x, w, b)
+        gx, gw, _ = out._vjp(g)
         assert np.shares_memory(operands[0], x.data)
         assert np.abs(gx - np.einsum("oc,bohw->bchw", w.data[:, :, 0, 0], g)).max() < 1e-12
         assert np.abs(gw[:, :, 0, 0] - np.einsum("bohw,bchw->oc", g, x.data)).max() < 1e-12

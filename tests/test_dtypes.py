@@ -67,7 +67,7 @@ def test_grouped_conv2d_rejected(dtype):
     x = Tensor(np.ones((2, 4, 5, 5), dtype=dtype))
     w = Tensor(np.ones((6, 2, 3, 3), dtype=dtype))
     with pytest.raises(InvalidConfigError):
-        conv2d(x, w, None, 1, 1, 2)
+        conv2d(x, w, Tensor(np.zeros(6, dtype)), 1, 1, 2)
 
 
 def saved_float_arrays(fn, seen=None):

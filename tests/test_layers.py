@@ -3,7 +3,8 @@ import pytest
 
 from shuffleformer import (BlockConfig, InvalidCallError, InvalidConfigError,
                            InvalidShapeError, MlpParams, ModelConfig, NwcParams, Rng,
-                           Tensor, WmsaParams, block_forward, conv2d, init_block_params,
+                           Tensor, WmsaParams, apply_bn, block_forward, conv2d,
+                           init_block_params,
                            init_mlp, init_model_params, init_nwc, init_wmsa, mlp_forward,
                            mul, nwc_forward, sum_all, token_embed, token_merge, wmsa_forward)
 from shuffleformer.conv import ConvParams
@@ -244,7 +245,8 @@ _WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng
 
 
 # The layer forwards take their rank, channel and Tensor checks from the ops
-# they call; each row pins the class a bad call raises.
+# they call and check the type of their params; each row pins the class a bad
+# call raises.
 @pytest.mark.parametrize("call, error", [
     (lambda: wmsa_forward(_z(4, 2, 2), _WMSA), InvalidShapeError),
     (lambda: wmsa_forward(_z(1, 4, 2, 3), _WMSA), InvalidShapeError),
@@ -253,34 +255,62 @@ _WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng
     (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads(0)), InvalidConfigError),
     (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads("2")), InvalidConfigError),
     (lambda: wmsa_forward([1.0], _WMSA), InvalidCallError),
+    (lambda: wmsa_forward(_z(1, 4, 2, 2), None), InvalidCallError),
     (lambda: init_wmsa(4, 0, Rng(0)), InvalidConfigError),
     (lambda: init_wmsa(4, "2", Rng(0)), InvalidConfigError),
     (lambda: nwc_forward(_z(4, 3, 3), _NWC), InvalidShapeError),
     (lambda: nwc_forward(_z(1, 6, 3, 3), _NWC), InvalidConfigError),
     (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(_z(4, 1, 3, 2), _z(4))), InvalidConfigError),
     (lambda: nwc_forward([1.0], _NWC), InvalidCallError),
+    (lambda: nwc_forward(_z(1, 4, 3, 3), None), InvalidCallError),
+    (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(None, None)), InvalidCallError),
+    (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(_z(4, 3, 3), _z(4))), InvalidConfigError),
     (lambda: mlp_forward(_z(4, 3, 3), _MLP), InvalidShapeError),
     (lambda: mlp_forward(_z(1, 3, 3, 3), _MLP), InvalidConfigError),
     (lambda: mlp_forward(_z(1, 4, 3, 3), _mlp_with_short_second_projection()),
      InvalidConfigError),
     (lambda: mlp_forward(None, _MLP), InvalidCallError),
+    (lambda: mlp_forward(_z(1, 4, 3, 3), None), InvalidCallError),
+    (lambda: mlp_forward(_z(1, 4, 3, 3), _MLP, inner_nwc="nwc"), InvalidCallError),
     (lambda: token_embed(_z(3, 16, 16), _EMBED), InvalidShapeError),
     (lambda: token_embed(_z(1, 4, 16, 16), _EMBED), InvalidConfigError),
     (lambda: token_embed(_z(1, 3, 18, 18), _EMBED), InvalidShapeError),
     (lambda: token_embed("img", _EMBED), InvalidCallError),
+    (lambda: token_embed(_z(1, 3, 16, 16), None), InvalidCallError),
     (lambda: token_merge(_z(4, 4, 4), _MERGE), InvalidShapeError),
     (lambda: token_merge(_z(1, 4, 6, 5), _MERGE), InvalidShapeError),
     (lambda: token_merge([1], _MERGE), InvalidCallError),
+    (lambda: token_merge(_z(1, 4, 4, 4), None), InvalidCallError),
+    (lambda: apply_bn(_z(1, 4, 3, 3), None, False), InvalidCallError),
     (lambda: block_forward(_z(4, 4, 4), _BLOCK, _BLOCK_CFG), InvalidShapeError),
     (lambda: block_forward(_z(1, 6, 4, 4), _BLOCK, _BLOCK_CFG), InvalidConfigError),
     (lambda: block_forward("x", _BLOCK, _BLOCK_CFG), InvalidCallError),
+    (lambda: block_forward(_z(1, 4, 4, 4), None, _BLOCK_CFG), InvalidCallError),
+    (lambda: block_forward(_z(1, 4, 4, 4), _BLOCK, None), InvalidCallError),
 ], ids=["wmsa-rank", "wmsa-non-square", "wmsa-channels", "wmsa-heads-3", "wmsa-heads-0",
-        "wmsa-heads-str", "wmsa-list", "init-wmsa-heads-0", "init-wmsa-heads-str",
-        "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
+        "wmsa-heads-str", "wmsa-list", "wmsa-none-params", "init-wmsa-heads-0",
+        "init-wmsa-heads-str", "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
+        "nwc-none-params", "nwc-none-kernel", "nwc-3d-kernel",
         "mlp-rank", "mlp-channels", "mlp-second-projection", "mlp-none",
-        "embed-rank", "embed-channels", "embed-extent", "embed-str",
-        "merge-rank", "merge-odd", "merge-list",
-        "block-rank", "block-channels", "block-str"])
+        "mlp-none-params", "mlp-str-inner-nwc",
+        "embed-rank", "embed-channels", "embed-extent", "embed-str", "embed-none-params",
+        "merge-rank", "merge-odd", "merge-list", "merge-none-params", "bn-none-params",
+        "block-rank", "block-channels", "block-str", "block-none-params",
+        "block-none-config"])
 def test_bad_layer_call_raises_package_error(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nwc_forward(_z(1, 4, 3, 3), None), "nwc_forward takes NwcParams, got NoneType"),
+    (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(None, None)),
+     "nwc_forward takes Tensor operands, got NoneType"),
+    (lambda: mlp_forward(_z(1, 4, 3, 3), _MLP, inner_nwc="nwc"),
+     "nwc_forward takes NwcParams, got str"),
+    (lambda: block_forward(_z(1, 4, 4, 4), _BLOCK, {}),
+     "block_forward takes BlockConfig, got dict"),
+], ids=["nwc-none-params", "nwc-none-kernel", "mlp-str-inner-nwc", "block-dict-config"])
+def test_wrong_type_names_the_function_and_the_type(call, message):
+    with pytest.raises(InvalidCallError, match=message):
         call()

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from shuffleformer import (SHUFFLE_MODES, BlockConfig, InvalidConfigError, ModelConfig,
+from shuffleformer import (SHUFFLE_MODES, BlockConfig, InvalidCallError, InvalidConfigError,
+                           ModelConfig,
                            Rng, Tensor, apply_bn, backward, block_forward,
                            build_variant, cross_entropy_logits,
                            init_block_params, init_model_params,
@@ -55,6 +58,19 @@ class TestBlockConfig:
     def test_stage_resolutions(self):
         t = build_variant("T")
         assert [t.stage_resolution(s) for s in range(4)] == [56, 28, 14, 7]
+
+    def test_many_stages_checked_in_one_pass(self):
+        # a header can ask for thousands of stages at a resolution of as many
+        # bits; each stage's check must not halve it again from stage 0
+        start = time.perf_counter()
+        cfg = ModelConfig(channels=32, depths=[2] * 3000, resolution=28 << 2999, window=7)
+        assert cfg.stage_resolution(2999) == 7 and cfg.stage_resolution(0) == 7 << 2999
+        with pytest.raises(InvalidConfigError, match="stage 2998 resolution 7 is odd"):
+            ModelConfig(channels=32, depths=[2] * 3000, resolution=28 << 2998, window=7)
+        with pytest.raises(InvalidConfigError, match="stage 2999 resolution 14 is not "
+                                                     "divisible by window 4"):
+            ModelConfig(channels=32, depths=[2] * 3000, resolution=56 << 2999, window=4)
+        assert time.perf_counter() - start < 1.5
 
     def test_pairing_invariant(self):
         cfg = build_variant("T")
@@ -324,6 +340,26 @@ class TestModelForward:
         total = sum(t.size for t in parameter_list(params))
         from shuffleformer import count_flops
         assert total == count_flops(cfg).total_params
+
+
+_CFG = tiny_config()
+_PARAMS = init_model_params(_CFG, Rng(0))
+_IMAGE = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
+# each row pins the class that a forward given the wrong params or config raises
+@pytest.mark.parametrize("call, error", [
+    (lambda: model_forward(_IMAGE, None, _CFG), InvalidCallError),
+    (lambda: model_forward(_IMAGE, _PARAMS, None), InvalidCallError),
+    (lambda: model_forward(_IMAGE, _PARAMS.stages[0], _CFG), InvalidCallError),
+    (lambda: model_forward(_IMAGE, _PARAMS, _CFG.block_config(0, 0)), InvalidCallError),
+    (lambda: block_forward(Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32)),
+                           _PARAMS.stages[0].blocks[0], _CFG), InvalidCallError),
+], ids=["model-none-params", "model-none-config", "model-stage-params",
+        "model-block-config", "block-model-config"])
+def test_bad_model_call_raises_package_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def random_reference_model(mode, position, rng):

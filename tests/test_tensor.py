@@ -65,7 +65,8 @@ class TestTensorData:
     (lambda: backward(np.ones(())), InvalidCallError),
     (lambda: zero_grads([None]), InvalidCallError),
     (lambda: zero_grads(None), InvalidCallError),
-    (lambda: conv2d(np.zeros((1, 1, 3, 3)), Tensor(np.ones((1, 1, 1, 1)))), InvalidCallError),
+    (lambda: conv2d(np.zeros((1, 1, 3, 3)), Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1))),
+     InvalidCallError),
     (lambda: conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.ones((1, 1, 1, 1))), [0.0]),
      InvalidCallError),
     (lambda: batchnorm2d(Tensor(np.zeros((2, 1, 2, 2))), None, Tensor(np.zeros(1)),

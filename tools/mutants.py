@@ -77,6 +77,12 @@ MUTANTS = [
      "union = (deriv > threshold * base_scale)"),
     # a head count of 0 must raise the package's error, not ZeroDivisionError
     (PKG + "layers.py", "_is_int(heads) and heads >= 1 and", "_is_int(heads) and"),
+    # a model file is checked, frozen maps too, before its skeleton is allocated
+    (PKG + "checkpoint.py",
+     "        perms = _checked_state(path, cfg, shapes, meta.get(\"shuffle_perms\", {}))\n"
+     "        params = init_model_params(cfg, None, dtype=dtype)\n",
+     "        params = init_model_params(cfg, None, dtype=dtype)\n"
+     "        perms = _checked_state(path, cfg, shapes, meta.get(\"shuffle_perms\", {}))\n"),
 ]
 
 
