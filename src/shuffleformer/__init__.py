@@ -12,8 +12,7 @@ from .conv import BnParams, apply_bn, batchnorm2d, conv2d
 from .errors import (CheckpointError, DegenerateBatchError, InvalidCallError,
                      InvalidConfigError, InvalidShapeError, PartitionError,
                      ShuffleFormerError, TrainingDivergedError)
-from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc,
-                     init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
+from .layers import MlpParams, NwcParams, WmsaParams, mlp_forward, nwc_forward, wmsa_forward
 from .model import (BlockConfig, BlockParams, ModelConfig, ModelParams,
                     block_forward, build_variant,
                     init_block_params, init_model_params, model_forward,

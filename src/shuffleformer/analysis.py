@@ -1,4 +1,4 @@
-"""Closed-form parameter and FLOP accounting for any model configuration.
+"""Parameter and closed-form FLOP accounting for any model configuration.
 
 Counting convention: one multiply-accumulate = one FLOP. Convolutions cost
 k^2 * Cin * Cout * out_h * out_w / groups; window attention costs
@@ -6,16 +6,18 @@ k^2 * Cin * Cout * out_h * out_w / groups; window attention costs
 matmuls. Batch norm, activations, softmax, residual adds, pooling, and the
 window/shuffle permutations are counted as zero. Parameter counts include
 weights, biases, and batch-norm affine pairs; they are independent of the
-input resolution.
+input resolution. They are summed from `model.state_shapes`, the one
+statement of the parameter tree.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfigError, _is_int
-from .model import BlockConfig, ModelConfig, _nwc_channels
+from .model import _STATS, BlockConfig, ModelConfig, _nwc_channels, state_shapes
 
 CONVENTION = ("1 MAC = 1 FLOP; conv k^2*Cin*Cout*HW/groups; attention "
               "4*HW*C^2 + 2*M^2*HW*C; norms/activations/softmax/residuals/"
@@ -86,57 +88,39 @@ def global_msa_flops(hw: int, channels: int) -> int:
     return wmsa_attention_flops(hw, channels, hw)
 
 
-def _bn_params(channels: int) -> int:
-    return 2 * channels
-
-
-def _block_rows(cfg: BlockConfig, prefix: str, hw: int) -> list[CostRow]:
-    ch, window = cfg.channels, cfg.window
-    rows = [
-        CostRow(f"{prefix}.bn1", _bn_params(ch), 0),
-        CostRow(f"{prefix}.attn", 4 * (ch * ch + ch),
-                wmsa_attention_flops(hw, ch, window * window)),
-    ]
+def _block_flops(cfg: BlockConfig, prefix: str, hw: int) -> dict[str, int]:
+    flops = {f"{prefix}.attn": wmsa_attention_flops(hw, cfg.channels, cfg.window ** 2)}
     nwc_ch = _nwc_channels(cfg)
     if nwc_ch is not None:
-        p, f = conv_cost(nwc_ch, nwc_ch, window, hw, groups=nwc_ch)
-        rows.append(CostRow(f"{prefix}.nwc", p, f))
-    hidden = ch * cfg.mlp_ratio
-    p1, f1 = conv_cost(ch, hidden, 1, hw)
-    p2, f2 = conv_cost(hidden, ch, 1, hw)
-    rows.append(CostRow(f"{prefix}.bn2", _bn_params(ch), 0))
-    rows.append(CostRow(f"{prefix}.mlp", p1 + p2, f1 + f2))
-    return rows
+        flops[f"{prefix}.nwc"] = conv_cost(nwc_ch, nwc_ch, cfg.window, hw, groups=nwc_ch)[1]
+    hidden = cfg.channels * cfg.mlp_ratio
+    flops[f"{prefix}.mlp"] = (conv_cost(cfg.channels, hidden, 1, hw)[1]
+                              + conv_cost(hidden, cfg.channels, 1, hw)[1])
+    return flops
 
 
 def count_flops(cfg: ModelConfig) -> CostReport:
     """Parameter and FLOP ledger at the config's square input resolution; for
-    another, pass `dataclasses.replace(cfg, resolution=r)`. Parameter counts do
-    not depend on the resolution."""
+    another, pass `dataclasses.replace(cfg, resolution=r)`. A row's parameters
+    are the sizes of its `state_shapes` entries, without the running
+    statistics, so they do not depend on the resolution."""
     if not isinstance(cfg, ModelConfig):
         raise InvalidConfigError(f"count_flops needs a ModelConfig, got {type(cfg).__name__}")
-    res = cfg.resolution
-    rows: list[CostRow] = []
-    half = cfg.channels // 2
-    p, f = conv_cost(cfg.in_channels, half, 3, (res // 2) ** 2)
-    rows.append(CostRow("embed.conv1", p, f))
-    rows.append(CostRow("embed.bn1", _bn_params(half), 0))
-    p, f = conv_cost(half, cfg.channels, 3, (res // 4) ** 2)
-    rows.append(CostRow("embed.conv2", p, f))
-    rows.append(CostRow("embed.bn2", _bn_params(cfg.channels), 0))
-
+    params: dict[str, int] = {}
+    for name, shape in state_shapes(cfg).items():
+        if not name.endswith(_STATS):
+            row = "head.fc" if name in ("head.weight", "head.bias") else name.rpartition(".")[0]
+            params[row] = params.get(row, 0) + math.prod(shape)
+    res, half, last = cfg.resolution, cfg.channels // 2, cfg.stage_channels(cfg.stages - 1)
+    flops = {"embed.conv1": conv_cost(cfg.in_channels, half, 3, (res // 2) ** 2)[1],
+             "embed.conv2": conv_cost(half, cfg.channels, 3, (res // 4) ** 2)[1],
+             "head.fc": last * cfg.num_classes}
     for stage in range(cfg.stages):
         hw = cfg.stage_resolution(stage) ** 2
         if stage > 0:
             ch = cfg.stage_channels(stage)
-            p, f = conv_cost(ch // 2, ch, 2, hw)
-            rows.append(CostRow(f"stage{stage}.merge", p, f))
+            flops[f"stage{stage}.merge"] = conv_cost(ch // 2, ch, 2, hw)[1]
         for index in range(cfg.depths[stage]):
-            rows.extend(_block_rows(cfg.block_config(stage, index),
-                                    f"stage{stage}.block{index}", hw))
-
-    last = cfg.stage_channels(cfg.stages - 1)
-    rows.append(CostRow("head.bn", _bn_params(last), 0))
-    rows.append(CostRow("head.fc", last * cfg.num_classes + cfg.num_classes,
-                        last * cfg.num_classes))
-    return CostReport(rows, res)
+            flops.update(_block_flops(cfg.block_config(stage, index),
+                                      f"stage{stage}.block{index}", hw))
+    return CostReport([CostRow(row, n, flops.get(row, 0)) for row, n in params.items()], res)

@@ -43,8 +43,8 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError, InvalidConfigError
-from .model import (BlockParams, ModelConfig, ModelParams, _leaves, init_model_params,
-                    named_buffers, named_parameters, state_shapes)
+from .model import (BlockParams, ModelConfig, ModelParams, _build, _leaves, named_buffers,
+                    named_parameters, state_shapes)
 from .windowing import SpatialPermutation
 
 MAGIC = b"SHFCONT1"
@@ -204,7 +204,7 @@ def _frozen_perms(params: ModelParams) -> dict:
 def _checked_state(path, cfg: ModelConfig, found: dict[str, tuple], stored) -> dict:
     """Refuse a model file unless its entry shapes, `found`, are `state_shapes(cfg)`
     and `stored`, meta's "shuffle_perms", holds each random-mode block's maps;
-    return those maps, checked, keyed by (stage, index)."""
+    return those maps, checked, keyed by block path."""
     expected = state_shapes(cfg)
     missing = [name for name in expected if name not in found]
     unexpected = [name for name in found if name not in expected]
@@ -225,7 +225,7 @@ def _checked_state(path, cfg: ModelConfig, found: dict[str, tuple], stored) -> d
             key = f"stage{s}.block{i}"
             if key not in stored:
                 raise CheckpointError(f"{path}: missing frozen permutations for {key}")
-            perms[s, i] = _stored_perms(path, key, stored[key], cfg.stage_resolution(s))
+            perms[key] = _stored_perms(path, key, stored[key], cfg.stage_resolution(s))
     return perms
 
 
@@ -256,8 +256,9 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig,
 def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, dict]:
     """Rebuild parameters from a container, validating every name and shape
     and every frozen map before anything is allocated. Nothing is drawn at
-    random: each stored tensor is read straight into its slot of a zero
-    skeleton. The parameters come back frozen (`requires_grad` False)."""
+    random: each stored tensor is read straight into an array of its entry's
+    shape, and the tree is built over those arrays. The parameters come back
+    frozen (`requires_grad` False)."""
     with _open(path) as fh:
         meta, entries = _read_header(fh, path)
         if meta.get("kind") != "model":
@@ -272,13 +273,12 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
         stored = {entry["name"]: entry for entry in entries}
         shapes = {name: tuple(entry["shape"]) for name, entry in stored.items()}
         perms = _checked_state(path, cfg, shapes, meta.get("shuffle_perms", {}))
-        params = init_model_params(cfg, None, dtype=dtype)
-        for name, target in _state_dict(params).items():
-            _read_into(fh, path, stored[name], target)
+        state = {name: np.empty(shape, dtype) for name, shape in shapes.items()}
+        for name, arr in state.items():
+            _read_into(fh, path, stored[name], arr)
+    params = _build(cfg, state, perms)
     for _, param in named_parameters(params):
         param.requires_grad = False
-    for (s, i), pair in perms.items():
-        params.stages[s].blocks[i].shuffle_perms = pair
     return params, cfg, meta
 
 

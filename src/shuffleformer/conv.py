@@ -129,7 +129,7 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
         return at(xp, u, v).reshape(batch, cin, oh * ow)
 
     xp = pad()
-    whole = kh * kw == 1 and (oh, ow) == xp.shape[2:]
+    whole = (oh, ow) == xp.shape[2:]
     out = np.matmul(taps[0][2], cols(xp, 0, 0))
     for u, v, wt in taps[1:]:
         out += np.matmul(wt, cols(xp, u, v))
@@ -286,12 +286,6 @@ class BnParams:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-
-    @staticmethod
-    def identity(channels: int, dtype=np.float32) -> "BnParams":
-        gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        return BnParams(gamma, Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-                        np.zeros(channels, gamma.dtype), np.ones(channels, gamma.dtype))
 
 
 def apply_bn(x: Tensor, p: BnParams, training: bool) -> Tensor:

@@ -21,15 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conv import conv2d
 from .errors import InvalidConfigError, _check_arg, _is_int
-from .rng import Rng
 from .tensor import (Tensor, _check_operands, add, gelu, matmul, reshape_permute, scale,
                      softmax_lastdim)
-
-INIT_STD = 0.02
 
 
 @dataclass
@@ -48,29 +43,10 @@ class WmsaParams:
     bo: Tensor
 
 
-def init_weight(shape, rng: Rng | None, dtype=np.float32) -> Tensor:
-    """A trainable truncated-normal weight, or zeros when `rng` is None."""
-    data = (np.zeros(shape, dtype=dtype) if rng is None
-            else rng.trunc_normal(shape, INIT_STD, dtype=dtype))
-    return Tensor(data, requires_grad=True)
-
-
 def _check_heads(channels: int, heads) -> None:
     if not (_is_int(heads) and heads >= 1 and channels % heads == 0):
         raise InvalidConfigError(
             f"heads must be a positive integer that divides {channels} channels, got {heads!r}")
-
-
-def init_wmsa(channels: int, heads: int, rng: Rng | None, dtype=np.float32) -> WmsaParams:
-    _check_heads(channels, heads)
-
-    def w():
-        return init_weight((channels, channels, 1, 1), rng, dtype)
-
-    def b():
-        return Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-
-    return WmsaParams(heads, w(), b(), w(), b(), w(), b(), w(), b())
 
 
 def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
@@ -98,16 +74,11 @@ def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
 
 @dataclass
 class NwcParams:
-    """Depth-wise kernel with spatial extent equal to the window size."""
+    """Depth-wise kernel with spatial extent equal to the window size. Init
+    leaves both at zero, so the connection starts as the identity."""
 
     kernel: Tensor  # (C, 1, M, M)
     bias: Tensor  # (C,)
-
-
-def init_nwc(channels: int, window: int, dtype=np.float32) -> NwcParams:
-    """Zero-initialized, so the residual connection starts as identity."""
-    return NwcParams(init_weight((channels, 1, window, window), None, dtype),
-                     Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
 
 
 def nwc_padding(extent: int) -> tuple[int, int]:
@@ -135,15 +106,6 @@ class MlpParams:
     b1: Tensor
     w2: Tensor  # (C, hidden, 1, 1)
     b2: Tensor
-
-
-def init_mlp(channels: int, hidden: int, rng: Rng | None, dtype=np.float32) -> MlpParams:
-    return MlpParams(
-        init_weight((hidden, channels, 1, 1), rng, dtype),
-        Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-        init_weight((channels, hidden, 1, 1), rng, dtype),
-        Tensor(np.zeros(channels, dtype=dtype), requires_grad=True),
-    )
 
 
 def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> Tensor:

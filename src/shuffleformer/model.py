@@ -23,8 +23,7 @@ import numpy as np
 
 from .conv import BnParams, ConvParams, apply_bn, conv2d
 from .errors import InvalidConfigError, InvalidShapeError, _check_arg, _is_choice, _is_int
-from .layers import (MlpParams, NwcParams, WmsaParams, init_mlp, init_nwc, init_weight,
-                     init_wmsa, mlp_forward, nwc_forward, wmsa_forward)
+from .layers import MlpParams, NwcParams, WmsaParams, mlp_forward, nwc_forward, wmsa_forward
 from .rng import Rng
 from .tensor import Tensor, _check_operands, add, gelu, matmul, mean_pool_hw
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
@@ -106,8 +105,6 @@ class ModelConfig:
         _check_fields(self)
         if not self.depths or any(d < 2 or d % 2 for d in self.depths):
             raise InvalidConfigError(f"stage depths must be positive and even, got {self.depths}")
-        if self.channels % 2:
-            raise InvalidConfigError(f"base width must be even, got {self.channels}")
         if self.channels % self.head_dim:
             raise InvalidConfigError(
                 f"head_dim {self.head_dim} does not divide base width {self.channels}")
@@ -228,100 +225,131 @@ def _nwc_channels(cfg: BlockConfig) -> int | None:
     return cfg.channels * cfg.mlp_ratio if cfg.nwc_position == "C" else cfg.channels
 
 
-def init_block_params(cfg: BlockConfig, rng: Rng | None, resolution: int | None = None,
-                      dtype=np.float32) -> BlockParams:
-    nwc_ch = _nwc_channels(cfg)
-    perms = None
-    if cfg.shuffle_mode == "random" and rng is not None:
-        if resolution is None:
-            raise InvalidConfigError("random shuffle mode needs the stage resolution")
-        perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
-    return BlockParams(
-        bn1=BnParams.identity(cfg.channels, dtype),
-        attn=init_wmsa(cfg.channels, cfg.heads, rng, dtype=dtype),
-        bn2=BnParams.identity(cfg.channels, dtype),
-        mlp=init_mlp(cfg.channels, cfg.channels * cfg.mlp_ratio, rng, dtype),
-        nwc=None if nwc_ch is None else init_nwc(nwc_ch, cfg.window, dtype=dtype),
-        shuffle_perms=perms,
-    )
+# Init draws the entries named with these endings from a truncated normal, in
+# entry order; it starts these others at one, and every other entry at zero
+_DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")
+_ONES = (".gamma", ".running_var")
+_STATS = (".running_mean", ".running_var")
+INIT_STD = 0.02
 
 
-def init_model_params(cfg: ModelConfig, rng: Rng | None, dtype=np.float32) -> ModelParams:
-    """Draw all weights in a fixed traversal order from one seeded stream.
+def _bn(name: str, ch: int) -> dict[str, tuple[int, ...]]:
+    return {f"{name}.{key}": (ch,) for key in ("gamma", "beta", "running_mean", "running_var")}
 
-    With `rng=None` nothing is drawn: every weight is zero and random-mode
-    blocks get no frozen permutations, a skeleton for a loader to fill."""
-    half = cfg.channels // 2
 
-    def conv_t(shape):
-        return init_weight(shape, rng, dtype)
-
-    def zeros_t(n):
-        return Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
-
-    embed = EmbedParams(
-        ConvParams(conv_t((half, cfg.in_channels, 3, 3)), zeros_t(half)),
-        BnParams.identity(half, dtype),
-        ConvParams(conv_t((cfg.channels, half, 3, 3)), zeros_t(cfg.channels)),
-        BnParams.identity(cfg.channels, dtype),
-    )
-    stages = []
-    for stage in range(cfg.stages):
-        ch = cfg.stage_channels(stage)
-        merge = None
-        if stage > 0:
-            merge = ConvParams(conv_t((ch, ch // 2, 2, 2)), zeros_t(ch))
-        blocks = [
-            init_block_params(cfg.block_config(stage, i), rng,
-                              resolution=cfg.stage_resolution(stage), dtype=dtype)
-            for i in range(cfg.depths[stage])
-        ]
-        stages.append(StageParams(merge, blocks))
-    last = cfg.stage_channels(cfg.stages - 1)
-    head = HeadParams(BnParams.identity(last, dtype),
-                      conv_t((last, cfg.num_classes)), zeros_t(cfg.num_classes))
-    return ModelParams(embed, stages, head)
+def _block_entries(cfg: BlockConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each entry of one block, in field order, with the
+    batch-norm running statistics in place."""
+    ch, hidden, nwc_ch = cfg.channels, cfg.channels * cfg.mlp_ratio, _nwc_channels(cfg)
+    entries = _bn("bn1", ch)
+    for x in "qkvo":
+        entries.update({f"attn.w{x}": (ch, ch, 1, 1), f"attn.b{x}": (ch,)})
+    if nwc_ch is not None:
+        entries.update({"nwc.kernel": (nwc_ch, 1, cfg.window, cfg.window), "nwc.bias": (nwc_ch,)})
+    entries.update(_bn("bn2", ch))
+    entries.update({"mlp.w1": (hidden, ch, 1, 1), "mlp.b1": (hidden,),
+                    "mlp.w2": (ch, hidden, 1, 1), "mlp.b2": (ch,)})
+    return entries
 
 
 def state_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The name and shape of every entry of `init_model_params(cfg, ...)`, as
+    """The name and shape of every entry of `cfg`'s parameter tree, as
     `named_parameters` and then `named_buffers` list them, worked out without
-    allocating a weight."""
-    params, buffers = {}, {}
-
-    def conv(name, cout, cin, k):
-        params.update({f"{name}.weight": (cout, cin, k, k), f"{name}.bias": (cout,)})
-
-    def bn(name, ch):
-        params.update({f"{name}.gamma": (ch,), f"{name}.beta": (ch,)})
-        buffers.update({f"{name}.running_mean": (ch,), f"{name}.running_var": (ch,)})
-
-    half = cfg.channels // 2
-    conv("embed.conv1", half, cfg.in_channels, 3)
-    bn("embed.bn1", half)
-    conv("embed.conv2", cfg.channels, half, 3)
-    bn("embed.bn2", cfg.channels)
+    allocating a weight. Init, checkpoint load and the ledger's parameter
+    column all read the tree from here."""
+    half, last = cfg.channels // 2, cfg.stage_channels(cfg.stages - 1)
+    entries = {"embed.conv1.weight": (half, cfg.in_channels, 3, 3), "embed.conv1.bias": (half,),
+               **_bn("embed.bn1", half),
+               "embed.conv2.weight": (cfg.channels, half, 3, 3),
+               "embed.conv2.bias": (cfg.channels,), **_bn("embed.bn2", cfg.channels)}
     for stage in range(cfg.stages):
         ch = cfg.stage_channels(stage)
         if stage > 0:
-            conv(f"stage{stage}.merge", ch, ch // 2, 2)
+            entries.update({f"stage{stage}.merge.weight": (ch, ch // 2, 2, 2),
+                            f"stage{stage}.merge.bias": (ch,)})
         for i in range(cfg.depths[stage]):
-            blk, bcfg = f"stage{stage}.block{i}", cfg.block_config(stage, i)
-            bn(f"{blk}.bn1", ch)
-            for x in "qkvo":
-                params.update({f"{blk}.attn.w{x}": (ch, ch, 1, 1), f"{blk}.attn.b{x}": (ch,)})
-            nwc_ch = _nwc_channels(bcfg)
-            if nwc_ch is not None:
-                params.update({f"{blk}.nwc.kernel": (nwc_ch, 1, cfg.window, cfg.window),
-                               f"{blk}.nwc.bias": (nwc_ch,)})
-            bn(f"{blk}.bn2", ch)
-            hidden = ch * bcfg.mlp_ratio
-            params.update({f"{blk}.mlp.w1": (hidden, ch, 1, 1), f"{blk}.mlp.b1": (hidden,),
-                           f"{blk}.mlp.w2": (ch, hidden, 1, 1), f"{blk}.mlp.b2": (ch,)})
-    last = cfg.stage_channels(cfg.stages - 1)
-    bn("head.bn", last)
-    params.update({"head.weight": (last, cfg.num_classes), "head.bias": (cfg.num_classes,)})
-    return {**params, **buffers}
+            entries.update({f"stage{stage}.block{i}.{name}": shape
+                            for name, shape in _block_entries(cfg.block_config(stage, i)).items()})
+    entries.update({**_bn("head.bn", last), "head.weight": (last, cfg.num_classes),
+                    "head.bias": (cfg.num_classes,)})
+    # a stable sort: the parameters in field order, then the running statistics
+    return dict(sorted(entries.items(), key=lambda entry: entry[0].endswith(_STATS)))
+
+
+def _start(name: str, shape: tuple[int, ...], rng: Rng, dtype) -> np.ndarray:
+    """An entry's starting value."""
+    if name.endswith(_DRAWN):
+        return rng.trunc_normal(shape, INIT_STD, dtype=dtype)
+    return (np.ones if name.endswith(_ONES) else np.zeros)(shape, dtype)
+
+
+def _build(cfg: ModelConfig | BlockConfig, state: dict[str, np.ndarray], perms):
+    """The parameter tree of a model or of one block over the arrays of `state`,
+    keyed by entry name. `perms` is a model's frozen maps keyed by block path,
+    such as "stage0.block1", or one block's pair or None."""
+    def tensor(name):
+        return Tensor(state[name], requires_grad=True)
+
+    def conv(name):
+        return ConvParams(tensor(f"{name}.weight"), tensor(f"{name}.bias"))
+
+    def bn(name):
+        return BnParams(tensor(f"{name}.gamma"), tensor(f"{name}.beta"),
+                        state[f"{name}.running_mean"], state[f"{name}.running_var"])
+
+    def block(bcfg, path, pair):
+        nwc = (None if bcfg.nwc_position == "none"
+               else NwcParams(tensor(f"{path}nwc.kernel"), tensor(f"{path}nwc.bias")))
+        return BlockParams(
+            bn(f"{path}bn1"),
+            WmsaParams(bcfg.heads, *(tensor(f"{path}attn.{w}{x}") for x in "qkvo" for w in "wb")),
+            nwc, bn(f"{path}bn2"),
+            MlpParams(*(tensor(f"{path}mlp.{key}") for key in ("w1", "b1", "w2", "b2"))), pair)
+
+    if isinstance(cfg, BlockConfig):
+        return block(cfg, "", perms)
+    stages = [StageParams(conv(f"stage{s}.merge") if s else None,
+                          [block(cfg.block_config(s, i), f"stage{s}.block{i}.",
+                                 perms.get(f"stage{s}.block{i}"))
+                           for i in range(cfg.depths[s])])
+              for s in range(cfg.stages)]
+    return ModelParams(EmbedParams(conv("embed.conv1"), bn("embed.bn1"), conv("embed.conv2"),
+                                   bn("embed.bn2")),
+                       stages, HeadParams(bn("head.bn"), tensor("head.weight"), tensor("head.bias")))
+
+
+def init_block_params(cfg: BlockConfig, rng: Rng, resolution: int | None = None,
+                      dtype=np.float32) -> BlockParams:
+    """One block's weights drawn from `rng` in entry order; a random-mode block
+    first draws its frozen maps for a `resolution`-sided grid."""
+    _check_arg("init_block_params", cfg, BlockConfig)
+    _check_arg("init_block_params", rng, Rng)
+    perms = None
+    if cfg.shuffle_mode == "random":
+        if resolution is None:
+            raise InvalidConfigError("random shuffle mode needs the stage resolution")
+        perms = shuffle_permutations(resolution, resolution, cfg.window, "random", rng)
+    state = {name: _start(name, shape, rng, dtype) for name, shape in _block_entries(cfg).items()}
+    return _build(cfg, state, perms)
+
+
+def init_model_params(cfg: ModelConfig, rng: Rng, dtype=np.float32) -> ModelParams:
+    """Draw all weights from one seeded stream, in the entry order of
+    `state_shapes`; a random-mode block draws its frozen maps at its bn1.gamma
+    entry, before its attention weights."""
+    _check_arg("init_model_params", cfg, ModelConfig)
+    _check_arg("init_model_params", rng, Rng)
+    sides = {f"stage{s}.block{i}": cfg.stage_resolution(s)
+             for s in range(cfg.stages) for i in range(cfg.depths[s])
+             if cfg.block_config(s, i).shuffle_mode == "random"}
+    state, perms = {}, {}
+    for name, shape in state_shapes(cfg).items():
+        block = name.removesuffix(".bn1.gamma")
+        if block in sides:
+            perms[block] = shuffle_permutations(sides[block], sides[block], cfg.window,
+                                                "random", rng)
+        state[name] = _start(name, shape, rng, dtype)
+    return _build(cfg, state, perms)
 
 
 def _leaves(node, kind, name: str = ""):

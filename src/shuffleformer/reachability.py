@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import InvalidConfigError, _is_choice, _is_int, _is_real
 from .layers import nwc_padding
-from .model import BlockConfig, BlockParams, block_forward, init_block_params, named_parameters
+from .model import (BlockConfig, BlockParams, _block_entries, _build, _start, block_forward,
+                    named_parameters)
 from .rng import Rng
 from .tensor import _CHUNK_ELEMS, Tensor
 from .windowing import SHUFFLE_MODES, invert_permutation, shuffle_permutations, window_grid
@@ -123,14 +124,17 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
     """A frozen one-channel block with dense random weights (zeros would mask reachability)."""
     cfg = BlockConfig(1, 1, spec.window, spec.shuffle,
                       spec.nwc_position if spec.nwc else "none", mlp_ratio=2)
-    params = init_block_params(cfg, None, dtype=np.float64)
-    params.shuffle_perms = shuffle_permutations(height, width, spec.window, spec.shuffle,
-                                                Rng(spec.perm_seed))
-    for name, param in named_parameters(params):
-        if not name.startswith(("bn1.", "bn2.")):
-            param.data = rng.normal(param.shape, _PROBE_STD, dtype=np.float64)
-            if not param.data.any():
+    perms = shuffle_permutations(height, width, spec.window, spec.shuffle, Rng(spec.perm_seed))
+    state = {}
+    for name, shape in _block_entries(cfg).items():
+        if name.startswith(("bn1.", "bn2.")):  # the identity, as init leaves it: no draw
+            state[name] = _start(name, shape, rng, np.float64)
+        else:
+            state[name] = rng.normal(shape, _PROBE_STD, dtype=np.float64)
+            if not state[name].any():
                 raise InvalidConfigError("degenerate all-zero probe weights")
+    params = _build(cfg, state, perms)
+    for _, param in named_parameters(params):
         param.requires_grad = False
     return cfg, params
 

@@ -10,19 +10,18 @@ import functools
 import numpy as np
 import pytest
 
-from shuffleformer import (BlockConfig, BlockSpec, NwcParams, Rng, Tensor,
+from shuffleformer import (BlockConfig, BlockSpec, Rng, Tensor,
                            ToyTrainConfig, add, batchnorm2d, block_forward,
                            build_variant, conv2d, count_flops,
                            cross_entropy_logits, gather_hw, gelu,
-                           init_block_params, init_mlp, init_model_params,
-                           init_wmsa, make_shuffle_permutation, matmul,
+                           init_block_params, init_model_params,
+                           make_shuffle_permutation, matmul,
                            mean_pool_hw, mlp_forward, mul, nwc_forward,
                            parameter_list, reachability_probe, reshape_permute,
                            softmax_lastdim, sum_all, symbolic_reachability,
                            synthetic_dataset, train_toy, aligned_window_reverse,
                            shuffled_window_partition, invert_permutation,
                            wmsa_forward)
-from shuffleformer.layers import init_weight
 
 from gradcheck import check_gradients
 from oracles import composes_to_identity, shuffle_then_partition
@@ -217,19 +216,20 @@ def test_criterion_6_gradients():
     labels = np.array([0, 2, 1, 2])
     track(lambda: cross_entropy_logits(logits, labels), logits)
 
-    attn = init_wmsa(4, 2, rng, dtype=f64)
+    attn = init_block_params(BlockConfig(4, 2, 1), rng, dtype=f64).attn
     xa = Tensor(rng.normal((2, 4, 2, 2), dtype=f64), requires_grad=True)
     wa = Tensor(rng.normal((2, 4, 2, 2), dtype=f64))
     track(lambda: sum_all(mul(wmsa_forward(xa, attn), wa)),
           xa, attn.wq, attn.wk, attn.wv, attn.wo, attn.bq, attn.bo)
 
-    nwc = NwcParams(init_weight((2, 1, 3, 3), rng, f64),
-                    Tensor(np.zeros(2, f64), requires_grad=True))
+    # the block's NWC kernel starts at zero, so it is redrawn
+    small = init_block_params(BlockConfig(2, 1, 3, mlp_ratio=2), rng, dtype=f64)
+    nwc, mlp = small.nwc, small.mlp
+    nwc.kernel.data[...] = rng.normal(nwc.kernel.shape, 0.3, f64)
     xn = Tensor(rng.normal((1, 2, 4, 4), dtype=f64), requires_grad=True)
     wn = Tensor(rng.normal((1, 2, 4, 4), dtype=f64))
     track(lambda: sum_all(mul(nwc_forward(xn, nwc), wn)), xn, nwc.kernel, nwc.bias)
 
-    mlp = init_mlp(2, 4, rng, dtype=f64)
     track(lambda: sum_all(mul(mlp_forward(xn, mlp), wn)),
           mlp.w1, mlp.b1, mlp.w2, mlp.b2)
 

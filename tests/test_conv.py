@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from shuffleformer import (BnParams, DegenerateBatchError, InvalidConfigError,
+from shuffleformer import (BlockConfig, DegenerateBatchError, InvalidConfigError,
                            InvalidShapeError, ModelConfig, Rng, Tensor,
                            apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits,
-                           init_model_params, model_forward, mul, sum_all)
+                           init_block_params, init_model_params, model_forward, mul, sum_all)
 from shuffleformer import conv
 from shuffleformer.layers import nwc_padding
 from shuffleformer.reachability import PROBE_SEEDS, BlockSpec, reachability_probe
@@ -321,11 +321,17 @@ def test_probe_stack_routes_each_conv_to_its_kernel(monkeypatch):
     assert len(calls) == seeds * 2 * (6 + 1)
 
 
+def _identity_bn(channels):
+    """A block's first batch norm as init leaves it: unit scale, zero shift,
+    zero mean and unit variance."""
+    return init_block_params(BlockConfig(channels, 1, 1), Rng(0), dtype=np.float64).bn1
+
+
 class TestBatchNorm:
     def test_eval_neutral_stats_identity_up_to_eps(self):
         rng = Rng(2)
         x = rng.normal((2, 3, 4, 4), dtype=np.float64)
-        p = BnParams.identity(3, np.float64)
+        p = _identity_bn(3)
         out = apply_bn(Tensor(x), p, training=False).data
         assert np.abs(out - x / np.sqrt(1.0 + 1e-5)).max() < 1e-12
 
@@ -340,7 +346,7 @@ class TestBatchNorm:
     def test_train_statistics(self):
         rng = Rng(3)
         x = rng.normal((4, 3, 5, 5), dtype=np.float64) * 2.0 + 1.0
-        p = BnParams.identity(3, np.float64)
+        p = _identity_bn(3)
         out = apply_bn(Tensor(x), p, training=True).data
         mean = out.mean(axis=(0, 2, 3))
         var = out.var(axis=(0, 2, 3))
@@ -396,12 +402,12 @@ class TestBatchNorm:
         assert np.array_equal(running_var, before[1])
 
     def test_degenerate_batch_rejected(self):
-        p = BnParams.identity(2, np.float64)
+        p = _identity_bn(2)
         with pytest.raises(DegenerateBatchError):
             apply_bn(Tensor(np.zeros((1, 2, 1, 1))), p, training=True)
 
     def test_shape_validation(self):
-        p = BnParams.identity(3, np.float64)
+        p = _identity_bn(3)
         with pytest.raises(InvalidShapeError):
             apply_bn(Tensor(np.zeros((2, 4, 2, 2))), p, training=False)
 
@@ -409,7 +415,7 @@ class TestBatchNorm:
     @pytest.mark.parametrize("stats", [(np.zeros(2), np.ones(2)), ([0.0] * 3, [1.0] * 3)],
                              ids=["wrong-shape", "lists"])
     def test_bad_running_stats_rejected(self, stats, training):
-        p = BnParams.identity(3, np.float64)
+        p = _identity_bn(3)
         with pytest.raises(InvalidShapeError, match="running stats"):
             batchnorm2d(Tensor(np.zeros((2, 3, 2, 2))), p.gamma, p.beta, *stats, training)
 

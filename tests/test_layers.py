@@ -4,24 +4,21 @@ import pytest
 from shuffleformer import (BlockConfig, InvalidCallError, InvalidConfigError,
                            InvalidShapeError, MlpParams, ModelConfig, NwcParams, Rng,
                            Tensor, WmsaParams, apply_bn, block_forward, conv2d,
-                           init_block_params,
-                           init_mlp, init_model_params, init_nwc, init_wmsa, mlp_forward,
+                           init_block_params, init_model_params, mlp_forward,
                            mul, nwc_forward, sum_all, token_embed, token_merge, wmsa_forward)
 from shuffleformer.conv import ConvParams
-from shuffleformer.layers import init_weight, nwc_padding
+from shuffleformer.layers import nwc_padding
 
 from gradcheck import check_gradients
 from oracles import per_pixel_mlp
 
 
-def _wmsa(channels, heads, seed=0, dtype=np.float64):
-    return init_wmsa(channels, heads, Rng(seed), dtype=dtype)
-
-
 def _random_nwc(channels, window, rng, dtype=np.float64):
-    """A truncated-normal kernel at the training init's scale, and a zero bias."""
-    return NwcParams(init_weight((channels, 1, window, window), rng, dtype),
-                     Tensor(np.zeros(channels, dtype=dtype), requires_grad=True))
+    """A block's NWC with its zero kernel redrawn, so that a path through the
+    kernel carries gradient."""
+    p = init_block_params(BlockConfig(channels, 1, window), rng, dtype=dtype).nwc
+    p.kernel.data[...] = rng.normal(p.kernel.shape, 0.3, dtype)
+    return p
 
 
 def _random_wmsa(channels, heads, seed=0, dtype=np.float64):
@@ -78,12 +75,12 @@ class TestWmsa:
         assert np.abs(out_permuted - out_direct[:, :, perm]).max() < 1e-12
 
     def test_channel_head_mismatch(self):
-        p = _wmsa(4, 2)
+        p = init_block_params(BlockConfig(4, 2, 1), Rng(0), dtype=np.float64).attn
         with pytest.raises(InvalidConfigError):
             wmsa_forward(Tensor(np.zeros((1, 6, 2, 2), dtype=np.float64)), p)
 
     def test_gradients(self):
-        p = _wmsa(4, 2, seed=13)
+        p = init_block_params(BlockConfig(4, 2, 1), Rng(13), dtype=np.float64).attn
         rng = Rng(14)
         x = Tensor(rng.normal((2, 4, 2, 2), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((2, 4, 2, 2), dtype=np.float64))
@@ -93,7 +90,7 @@ class TestWmsa:
 
 class TestNwc:
     def test_zero_kernel_is_identity(self):
-        p = init_nwc(3, 5, dtype=np.float64)
+        p = init_block_params(BlockConfig(3, 1, 5), Rng(0), dtype=np.float64).nwc
         rng = Rng(0)
         x = rng.normal((2, 3, 10, 10), dtype=np.float64)
         out = nwc_forward(Tensor(x), p).data
@@ -171,7 +168,7 @@ class TestMlp:
 
     def test_spatially_local(self):
         rng = Rng(1)
-        p = init_mlp(2, 8, rng, dtype=np.float64)
+        p = init_block_params(BlockConfig(2, 1, 1), rng, dtype=np.float64).mlp
         x = rng.normal((1, 2, 4, 4), dtype=np.float64)
         base = mlp_forward(Tensor(x), p).data
         bumped = x.copy()
@@ -199,13 +196,13 @@ class TestMlp:
         assert np.abs(got - want).max() < 1e-10
 
     def test_width_mismatch(self):
-        p = init_mlp(4, 16, Rng(3))
+        p = init_block_params(BlockConfig(4, 1, 1), Rng(3)).mlp
         with pytest.raises(InvalidConfigError):
             mlp_forward(Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32)), p)
 
     def test_gradients(self):
         rng = Rng(4)
-        p = init_mlp(2, 4, rng, dtype=np.float64)
+        p = init_block_params(BlockConfig(2, 1, 1, mlp_ratio=2), rng, dtype=np.float64).mlp
         x = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64))
         check_gradients(lambda: sum_all(mul(mlp_forward(x, p), w)),
@@ -213,7 +210,7 @@ class TestMlp:
 
     def test_gradients_with_inner_nwc(self):
         rng = Rng(5)
-        p = init_mlp(2, 4, rng, dtype=np.float64)
+        p = init_block_params(BlockConfig(2, 1, 1, mlp_ratio=2), rng, dtype=np.float64).mlp
         inner = _random_nwc(4, 3, rng)
         x = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64), requires_grad=True)
         w = Tensor(rng.normal((1, 2, 3, 3), dtype=np.float64))
@@ -226,22 +223,22 @@ def _z(*shape):
     return Tensor(np.zeros(shape, dtype=np.float32))
 
 
-def _with_heads(heads):
-    p = init_wmsa(4, 2, Rng(0))
-    return WmsaParams(heads, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
-
-
-def _mlp_with_short_second_projection():
-    p = init_mlp(4, 16, Rng(0))
-    return MlpParams(p.w1, p.b1, _z(4, 8, 1, 1), p.b2)
-
-
 _BLOCK_CFG = BlockConfig(4, 2, 2)
 _BLOCK = init_block_params(_BLOCK_CFG, Rng(0))
 _EMBED = init_model_params(ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16,
                                        window=2, head_dim=4), Rng(0)).embed
 _MERGE = ConvParams(_z(8, 4, 2, 2), _z(8))
-_WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng(0))
+_WMSA, _MLP = _BLOCK.attn, _BLOCK.mlp
+_NWC = init_block_params(BlockConfig(4, 2, 3), Rng(0)).nwc
+
+
+def _with_heads(heads):
+    p = _WMSA
+    return WmsaParams(heads, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
+
+
+def _mlp_with_short_second_projection():
+    return MlpParams(_MLP.w1, _MLP.b1, _z(4, 8, 1, 1), _MLP.b2)
 
 
 # The layer forwards take their rank, channel and Tensor checks from the ops
@@ -256,8 +253,6 @@ _WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng
     (lambda: wmsa_forward(_z(1, 4, 2, 2), _with_heads("2")), InvalidConfigError),
     (lambda: wmsa_forward([1.0], _WMSA), InvalidCallError),
     (lambda: wmsa_forward(_z(1, 4, 2, 2), None), InvalidCallError),
-    (lambda: init_wmsa(4, 0, Rng(0)), InvalidConfigError),
-    (lambda: init_wmsa(4, "2", Rng(0)), InvalidConfigError),
     (lambda: nwc_forward(_z(4, 3, 3), _NWC), InvalidShapeError),
     (lambda: nwc_forward(_z(1, 6, 3, 3), _NWC), InvalidConfigError),
     (lambda: nwc_forward(_z(1, 4, 3, 3), NwcParams(_z(4, 1, 3, 2), _z(4))), InvalidConfigError),
@@ -288,8 +283,7 @@ _WMSA, _NWC, _MLP = init_wmsa(4, 2, Rng(0)), init_nwc(4, 3), init_mlp(4, 16, Rng
     (lambda: block_forward(_z(1, 4, 4, 4), None, _BLOCK_CFG), InvalidCallError),
     (lambda: block_forward(_z(1, 4, 4, 4), _BLOCK, None), InvalidCallError),
 ], ids=["wmsa-rank", "wmsa-non-square", "wmsa-channels", "wmsa-heads-3", "wmsa-heads-0",
-        "wmsa-heads-str", "wmsa-list", "wmsa-none-params", "init-wmsa-heads-0",
-        "init-wmsa-heads-str", "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
+        "wmsa-heads-str", "wmsa-list", "wmsa-none-params", "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
         "nwc-none-params", "nwc-none-kernel", "nwc-3d-kernel",
         "mlp-rank", "mlp-channels", "mlp-second-projection", "mlp-none",
         "mlp-none-params", "mlp-str-inner-nwc",

@@ -333,13 +333,17 @@ class TestModelForward:
         assert sorted(blk.shuffle_perms[0].map.tolist()) == list(range(4))
 
     def test_named_parameters_unique_and_complete(self):
-        cfg = tiny_config(depths=(2, 2))
-        params = init_model_params(cfg, Rng(0))
-        names = [n for n, _ in named_parameters(params)]
-        assert len(names) == len(set(names))
-        total = sum(t.size for t in parameter_list(params))
         from shuffleformer import count_flops
-        assert total == count_flops(cfg).total_params
+        # an odd base width, which halves to an odd embed width, is a valid config
+        for cfg in (tiny_config(depths=(2, 2)),
+                    ModelConfig(channels=5, depths=(2, 2), num_classes=4, resolution=32,
+                                window=2, head_dim=5, shuffle_mode="random",
+                                nwc_position="C")):
+            params = init_model_params(cfg, Rng(0))
+            names = [n for n, _ in named_parameters(params)]
+            assert len(names) == len(set(names))
+            total = sum(t.size for t in parameter_list(params))
+            assert total == count_flops(cfg).total_params
 
 
 _CFG = tiny_config()
@@ -355,8 +359,19 @@ _IMAGE = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
     (lambda: model_forward(_IMAGE, _PARAMS, _CFG.block_config(0, 0)), InvalidCallError),
     (lambda: block_forward(Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32)),
                            _PARAMS.stages[0].blocks[0], _CFG), InvalidCallError),
+    (lambda: init_model_params("T", Rng(0)), InvalidCallError),
+    (lambda: init_model_params(_CFG.block_config(0, 0), Rng(0)), InvalidCallError),
+    (lambda: init_model_params(_CFG, None), InvalidCallError),
+    (lambda: init_model_params(_CFG, 0), InvalidCallError),
+    (lambda: init_block_params("block", Rng(0)), InvalidCallError),
+    (lambda: init_block_params(_CFG, Rng(0)), InvalidCallError),
+    (lambda: init_block_params(_CFG.block_config(0, 0), None), InvalidCallError),
+    (lambda: init_block_params(_CFG.block_config(0, 0), "rng"), InvalidCallError),
 ], ids=["model-none-params", "model-none-config", "model-stage-params",
-        "model-block-config", "block-model-config"])
+        "model-block-config", "block-model-config", "init-model-str-config",
+        "init-model-block-config", "init-model-none-rng", "init-model-int-rng",
+        "init-block-str-config", "init-block-model-config", "init-block-none-rng",
+        "init-block-str-rng"])
 def test_bad_model_call_raises_package_error(call, error):
     with pytest.raises(error):
         call()

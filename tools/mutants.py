@@ -77,12 +77,19 @@ MUTANTS = [
      "union = (deriv > threshold * base_scale)"),
     # a head count of 0 must raise the package's error, not ZeroDivisionError
     (PKG + "layers.py", "_is_int(heads) and heads >= 1 and", "_is_int(heads) and"),
-    # a model file is checked, frozen maps too, before its skeleton is allocated
+    # a model file is checked, frozen maps too, before its entries are allocated and read
     (PKG + "checkpoint.py",
      "        perms = _checked_state(path, cfg, shapes, meta.get(\"shuffle_perms\", {}))\n"
-     "        params = init_model_params(cfg, None, dtype=dtype)\n",
-     "        params = init_model_params(cfg, None, dtype=dtype)\n"
+     "        state = {name: np.empty(shape, dtype) for name, shape in shapes.items()}\n"
+     "        for name, arr in state.items():\n"
+     "            _read_into(fh, path, stored[name], arr)\n",
+     "        state = {name: np.empty(shape, dtype) for name, shape in shapes.items()}\n"
+     "        for name, arr in state.items():\n"
+     "            _read_into(fh, path, stored[name], arr)\n"
      "        perms = _checked_state(path, cfg, shapes, meta.get(\"shuffle_perms\", {}))\n"),
+    # init draws every weight; one left at zero changes only the seeded bytes
+    (PKG + "model.py", '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")',
+     '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".w1", ".w2")'),
 ]
 
 
