@@ -259,6 +259,8 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[ModelParams, ModelConfig, d
     random: each stored tensor is read straight into an array of its entry's
     shape, and the tree is built over those arrays. The parameters come back
     frozen (`requires_grad` False)."""
+    if dtype not in _DTYPES.values():
+        raise CheckpointError(f"{path}: loads into float32 or float64, not {dtype!r}")
     with _open(path) as fh:
         meta, entries = _read_header(fh, path)
         if meta.get("kind") != "model":

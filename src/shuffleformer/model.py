@@ -105,6 +105,8 @@ class ModelConfig:
         _check_fields(self)
         if not self.depths or any(d < 2 or d % 2 for d in self.depths):
             raise InvalidConfigError(f"stage depths must be positive and even, got {self.depths}")
+        if self.channels < 2:
+            raise InvalidConfigError(f"base width {self.channels} halves to an empty embed conv")
         if self.channels % self.head_dim:
             raise InvalidConfigError(
                 f"head_dim {self.head_dim} does not divide base width {self.channels}")
@@ -225,8 +227,9 @@ def _nwc_channels(cfg: BlockConfig) -> int | None:
     return cfg.channels * cfg.mlp_ratio if cfg.nwc_position == "C" else cfg.channels
 
 
-# Init draws the entries named with these endings from a truncated normal, in
-# entry order; it starts these others at one, and every other entry at zero
+# Init draws an entry whose name ends in one of _DRAWN from a truncated normal,
+# in entry order, starts one ending in _ONES at one and any other at zero.
+# _STATS ends the names of the batch-norm running statistics, the buffers.
 _DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")
 _ONES = (".gamma", ".running_var")
 _STATS = (".running_mean", ".running_var")

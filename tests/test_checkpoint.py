@@ -164,8 +164,9 @@ class TestMalformedModelMeta:
         lambda m: m["config"].pop("channels"),
         lambda m: m.pop("config"),
         lambda m: m.update(config=[1, 2]),
+        lambda m: m["config"].update(channels=1, head_dim=1),
     ], ids=["unknown-key", "int-depths", "string-depths", "zero-window",
-            "identity-mode", "no-channels", "no-config", "list-config"])
+            "identity-mode", "no-channels", "no-config", "list-config", "one-channel"])
     def test_bad_config_rejected(self, saved, tmp_path, edit):
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(self._rewrite(saved, tmp_path, edit))
@@ -322,8 +323,14 @@ class TestCheckpoint:
         params, cfg = _wide_model()
         path = tmp_path / "wide.sfc"
         save_checkpoint(path, params, cfg)
-        # the filled skeleton alone: each tensor is read straight into its slot
+        # the loaded arrays alone: each tensor is read straight into its own array
         assert _traced_peak(lambda: load_checkpoint(path)) <= 1.2 * path.stat().st_size
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, "foo"])
+    def test_load_into_another_dtype_refused(self, saved, dtype):
+        # the weights would become float32 tensors and the running stats not
+        with pytest.raises(CheckpointError, match="float32 or float64"):
+            load_checkpoint(saved[0], dtype=dtype)
 
     @pytest.mark.parametrize("file_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("load_dtype", [np.float32, np.float64])

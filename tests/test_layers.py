@@ -223,22 +223,22 @@ def _z(*shape):
     return Tensor(np.zeros(shape, dtype=np.float32))
 
 
-_BLOCK_CFG = BlockConfig(4, 2, 2)
-_BLOCK = init_block_params(_BLOCK_CFG, Rng(0))
-_EMBED = init_model_params(ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16,
-                                       window=2, head_dim=4), Rng(0)).embed
-_MERGE = ConvParams(_z(8, 4, 2, 2), _z(8))
-_WMSA, _MLP = _BLOCK.attn, _BLOCK.mlp
-_NWC = init_block_params(BlockConfig(4, 2, 3), Rng(0)).nwc
-
-
 def _with_heads(heads):
     p = _WMSA
     return WmsaParams(heads, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo)
 
 
 def _mlp_with_short_second_projection():
-    return MlpParams(_MLP.w1, _MLP.b1, _z(4, 8, 1, 1), _MLP.b2)
+    p = _MLP
+    return MlpParams(p.w1, p.b1, _z(4, 8, 1, 1), p.b2)
+
+
+_BLOCK_CFG = BlockConfig(4, 2, 2)
+_BLOCK = init_block_params(_BLOCK_CFG, Rng(0))
+_EMBED = init_model_params(ModelConfig(channels=8, depths=(2,), num_classes=4, resolution=16,
+                                       window=2, head_dim=4), Rng(0)).embed
+_MERGE = ConvParams(_z(8, 4, 2, 2), _z(8))
+_WMSA, _NWC, _MLP = _BLOCK.attn, init_block_params(BlockConfig(4, 2, 3), Rng(0)).nwc, _BLOCK.mlp
 
 
 # The layer forwards take their rank, channel and Tensor checks from the ops
@@ -283,8 +283,8 @@ def _mlp_with_short_second_projection():
     (lambda: block_forward(_z(1, 4, 4, 4), None, _BLOCK_CFG), InvalidCallError),
     (lambda: block_forward(_z(1, 4, 4, 4), _BLOCK, None), InvalidCallError),
 ], ids=["wmsa-rank", "wmsa-non-square", "wmsa-channels", "wmsa-heads-3", "wmsa-heads-0",
-        "wmsa-heads-str", "wmsa-list", "wmsa-none-params", "nwc-rank", "nwc-channels", "nwc-rect-kernel", "nwc-list",
-        "nwc-none-params", "nwc-none-kernel", "nwc-3d-kernel",
+        "wmsa-heads-str", "wmsa-list", "wmsa-none-params", "nwc-rank", "nwc-channels",
+        "nwc-rect-kernel", "nwc-list", "nwc-none-params", "nwc-none-kernel", "nwc-3d-kernel",
         "mlp-rank", "mlp-channels", "mlp-second-projection", "mlp-none",
         "mlp-none-params", "mlp-str-inner-nwc",
         "embed-rank", "embed-channels", "embed-extent", "embed-str", "embed-none-params",
