@@ -6,14 +6,16 @@
   convs): one (Cout, Cin) @ (Cin, oh*ow) channel matmul per kernel tap on a
   strided view of the input; its vjp adds the transposed matmul into the same
   views of a gradient buffer and reduces the kernel gradient per tap;
-- depth-wise (one channel per group, stride 1): one batched matmul per
-  kernel row, each channel's zero-padded images stacked along the rows times
-  a banded (Toeplitz) matrix that holds that kernel row; its vjp multiplies
-  by the transposed bands and reads the kernel gradient off the band
-  diagonals. The whole batch is stacked at once, so its scratch grows with B.
+- depth-wise (one channel per group, stride 1): every zero-padded row is cut
+  into tiles of 2kw - 1 columns, kw apart, and kernel row u is one batched
+  matmul of the tiles against a (2kw - 1, kw) banded matrix that holds that
+  kernel row and that every tile shares; its vjp runs the same kernel on the
+  output gradient with the flipped kernel and reads the kernel gradient off
+  the diagonals of the small bands. The tiles, about twice the input, are
+  its largest scratch, and an image's output has the same bits in any batch.
 
 Each vjp keeps only the op's inputs and per-tap weight copies: it pads x again
-and, for the depth-wise kernel, builds the bands again, so the training graph
+and, for the depth-wise kernel, cuts the tiles again, so the training graph
 holds no input-sized scratch. Batch norm's vjp likewise recomputes the
 normalized input from x.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateBatchError, InvalidConfigError, InvalidShapeError, _check_arg,
                      _is_int)
@@ -152,59 +155,73 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
-    """Stride-1 conv with one channel per group as banded row matmuls; returns (out, vjp).
+    """Stride-1 conv with one channel per group as column-tiled row matmuls; returns (out, vjp).
 
-    For channel c and kernel row u, the taps along a row form the (wp, ow)
-    band T[c, u][j + v, j] = w[c, 0, u, v], so an output row is
-    sum_u xp[c, i + u] @ T[c, u]. All B images are zero-padded and stacked
-    along the rows per channel as (C, B * hp, wp). Kernel row u is then one
-    batched matmul on the rows u .. u + R, R = B * hp - kh + 1, with no copy
-    of its input; output rows i >= oh of each image read into the next one
-    and are dropped. The forward drops its bands and stack when it returns.
-    The vjp builds both again with the same code, adds gs @ T[c, u]^T into
-    the same rows of a gradient stack and takes xs[c, u:u + R]^T @ gs as a
-    (wp, ow) matrix per (c, u), whose v-th band diagonal is the weight
-    gradient.
+    The B images are zero-padded and stacked along the rows per channel, and
+    each row is cut into n = ceil(ow / kw) tiles of 2kw - 1 columns that start
+    kw apart: (C, B * hp * n, 2kw - 1). Tile j of a row times the (2kw - 1, kw)
+    band S[c, u][s + v, s] = w[c, 0, u, v], which every tile shares, makes
+    output columns j*kw .. j*kw + kw - 1. Kernel row u is one batched matmul
+    on the tiles of rows u .. u + R, R = B * hp - kh + 1, with no copy of its
+    input; output rows i >= oh of each image read into the next one and are
+    dropped, as are columns >= ow. The vjp's input gradient is the same
+    kernel run on g, zero-padded by the kernel extent less one, with the
+    flipped kernel: the gradient of the padded input, cropped to x. Its
+    weight gradient takes tiles^T @ gs as a (2kw - 1, kw) matrix per (c, u),
+    whose v-th diagonal sums to w's gradient at (c, u, v).
     """
     batch, chans, h, wd = x.shape
     _, _, kh, kw = w.shape
-    (pt, pb), (pl, pr) = pads
-    oh, ow = out_hw
-    hp, wp = h + pt + pb, wd + pl + pr
-    r = batch * hp - kh + 1
-    diag = np.arange(ow)
+    (pt, _), (pl, _) = pads
+    diag = np.arange(kw)
 
-    def bands() -> np.ndarray:
-        band = np.zeros((chans, kh, wp, ow), x.dtype)
+    def tiles(a: np.ndarray, pads) -> tuple[np.ndarray, int, int]:
+        """The tiles of `a` zero-padded by `pads`, its padded height and n."""
+        (top, bottom), (left, right) = pads
+        ah, aw = a.shape[2:]
+        hp, n = ah + top + bottom, -(-(aw + left + right - kw + 1) // kw)
+        xs = np.zeros((chans, batch, hp, (n + 1) * kw - 1), x.dtype)
+        xs[:, :, top:top + ah, left:left + aw] = a.transpose(1, 0, 2, 3)
+        view = sliding_window_view(xs.reshape(chans, batch * hp, -1), 2 * kw - 1, axis=2)
+        return np.ascontiguousarray(view[:, :, ::kw]).reshape(chans, -1, 2 * kw - 1), hp, n
+
+    def correlate(a: np.ndarray, k: np.ndarray, pads) -> np.ndarray:
+        """`a` zero-padded by `pads` cross-correlated with the (C, 1, kh, kw) kernel k."""
+        at, hp, n = tiles(a, pads)
+        band = np.zeros((chans, kh, 2 * kw - 1, kw), x.dtype)
         for v in range(kw):
-            band[:, :, diag + v, diag] = w[:, 0, :, v, None]
-        return band
+            band[:, :, diag + v, diag] = k[:, 0, :, v, None]
+        m = (batch * hp - kh + 1) * n  # the tile rows each kernel row reads
+        acc = np.empty((chans, batch * hp * n, kw), x.dtype)
+        np.matmul(at[:, :m], band[:, 0], out=acc[:, :m])
+        part = np.empty((chans, m, kw), x.dtype)  # every later kernel row's product
+        for u in range(1, kh):
+            acc[:, :m] += np.matmul(at[:, u * n:u * n + m], band[:, u], out=part)
+        del at, part
+        oh, ow = hp - kh + 1, a.shape[3] + sum(pads[1]) - kw + 1
+        return np.ascontiguousarray(
+            acc.reshape(chans, batch, hp, n * kw)[:, :, :oh, :ow].transpose(1, 0, 2, 3))
 
-    def stack() -> np.ndarray:
-        xs = np.zeros((chans, batch, hp, wp), x.dtype)
-        xs[:, :, pt:pt + h, pl:pl + wd] = x.transpose(1, 0, 2, 3)
-        return xs.reshape(chans, -1, wp)
-
-    xs, band = stack(), bands()
-    acc = np.empty((chans, batch * hp, ow), x.dtype)
-    np.matmul(xs[:, :r], band[:, 0], out=acc[:, :r])
-    for u in range(1, kh):
-        acc[:, :r] += np.matmul(xs[:, u:u + r], band[:, u])
-    out = np.ascontiguousarray(acc.reshape(chans, batch, hp, ow)[:, :, :oh].transpose(1, 0, 2, 3))
+    out = correlate(x, w, pads)
 
     def vjp(g):
-        xs, band = stack(), bands()
-        gs = np.zeros((chans, batch, hp, ow), x.dtype)  # rows i >= oh stay zero
-        gs[:, :, :oh] = g.transpose(1, 0, 2, 3)
-        gs = gs.reshape(chans, -1, ow)[:, :r]
-        gxs = np.zeros_like(xs)
-        gband = np.empty_like(band)
+        # g zero-padded by k - 1 per side gives the padded input's gradient;
+        # each side pads up to k - 1 fewer, which drops padded rows or columns
+        top, left = max(0, pt - kh + 1), max(0, pl - kw + 1)
+        gpads = tuple((k - 1 - min(a, k - 1), k - 1 - min(b, k - 1))
+                      for (a, b), k in zip(pads, (kh, kw)))
+        gx = correlate(g, w[:, :, ::-1, ::-1], gpads)
+        gx = np.ascontiguousarray(gx[:, :, top:top + h, left:left + wd])
+        xt, hp, n = tiles(x, pads)
+        m = (batch * hp - kh + 1) * n
+        gs = np.zeros((chans, batch, hp, n * kw), x.dtype)  # rows >= oh, columns >= ow stay zero
+        gs[:, :, :out_hw[0], :out_hw[1]] = g.transpose(1, 0, 2, 3)
+        gs = gs.reshape(chans, -1, kw)[:, :m]
+        gband = np.empty((chans, kh, 2 * kw - 1, kw), x.dtype)
         for u in range(kh):
-            gxs[:, u:u + r] += np.matmul(gs, band[:, u].transpose(0, 2, 1))
-            np.matmul(xs[:, u:u + r].transpose(0, 2, 1), gs, out=gband[:, u])
-        gx = gxs.reshape(chans, batch, hp, wp)[:, :, pt:pt + h, pl:pl + wd]
+            np.matmul(xt[:, u * n:u * n + m].transpose(0, 2, 1), gs, out=gband[:, u])
         gw = np.stack([gband[:, :, diag + v, diag].sum(axis=2) for v in range(kw)], axis=2)
-        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), gw.reshape(w.shape)
+        return gx, gw.reshape(w.shape)
 
     return out, vjp
 

@@ -9,6 +9,12 @@ Neighbor-window connection: a residual depth-wise convolution whose kernel
 extent equals the window size. The MLP is two 1x1 convolutions around an
 activation, so it is pointwise in space.
 
+In a frozen forward, where no parameter needs grad and no graph is
+recorded, each forward drops an activation once its last reader has run,
+and the MLP writes GELU over its first projection instead of allocating a
+second hidden map. With grad, the graph keeps what its vjps read, and GELU
+is the `gelu` op. Both give the same bits.
+
 Each forward leaves its input checks to the ops it calls: its first `conv2d`
 refuses a non-Tensor input, a wrong rank and a channel count the weights do
 not take, and a later op the other mismatches. A forward checks only what no
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 
 from .conv import conv2d
 from .errors import InvalidConfigError, _check_arg, _is_int
-from .tensor import (Tensor, _check_operands, add, gelu, matmul, reshape_permute, scale,
-                     softmax_lastdim)
+from .tensor import (Tensor, _check_operands, _gelu_blocks, add, gelu, matmul,
+                     reshape_permute, scale, softmax_lastdim)
 
 
 @dataclass
@@ -60,13 +66,16 @@ def wmsa_forward(wins: Tensor, p: WmsaParams) -> Tensor:
     tokens = m * m
     k = conv2d(wins, p.wk, p.bk)
     v = conv2d(wins, p.wv, p.bv)
+    del wins  # the windows, once projected; each later activation likewise
     # (bw, heads, tokens, head_dim); k stays (bw, heads, head_dim, tokens) as Kᵀ
     q = reshape_permute(q, (bw, p.heads, head_dim, tokens), (0, 1, 3, 2))
     k = reshape_permute(k, (bw, p.heads, head_dim, tokens))
     v = reshape_permute(v, (bw, p.heads, head_dim, tokens), (0, 1, 3, 2))
 
     attn = softmax_lastdim(scale(matmul(q, k), 1.0 / math.sqrt(head_dim)))
+    del q, k
     out = matmul(attn, v)
+    del attn, v
     out = reshape_permute(out, (bw, p.heads, tokens, head_dim), (0, 1, 3, 2))
     out = reshape_permute(out, (bw, c, m, m))
     return conv2d(out, p.wo, p.bo)
@@ -112,7 +121,12 @@ def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> 
     """conv1x1 -> GELU -> conv1x1, optionally with a residual depth-wise
     convolution on the hidden activation (the inside-the-MLP placement)."""
     _check_arg("mlp_forward", p, MlpParams)
-    h = gelu(conv2d(x, p.w1, p.b1))
+    h = conv2d(x, p.w1, p.b1)
+    del x  # the input, once projected
+    if h.requires_grad:
+        h = gelu(h)
+    else:  # nothing else reads the projection: GELU overwrites it
+        _gelu_blocks(h.data, out=h.data)
     if inner_nwc is not None:
         h = nwc_forward(h, inner_nwc)
     return conv2d(h, p.w2, p.b2)

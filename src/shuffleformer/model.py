@@ -405,16 +405,21 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
     perms = params.shuffle_perms or shuffle_permutations(height, width, cfg.window,
                                                           cfg.shuffle_mode)
 
-    zn = apply_bn(z, params.bn1, training)
-    if cfg.nwc_position == "A":
-        zn = nwc_forward(zn, params.nwc)
-    wins = wmsa_forward(shuffled_window_partition(zn, cfg.window, perms), params.attn)
-    x = add(aligned_window_reverse(wins, cfg.window, perms), z)
+    def normed() -> Tensor:  # the attention's input
+        zn = apply_bn(z, params.bn1, training)
+        return nwc_forward(zn, params.nwc) if cfg.nwc_position == "A" else zn
+
+    # An activation goes to its last reader as an argument, not under a name,
+    # and that reader drops it once read: a frozen forward frees it there.
+    # A training graph keeps whatever its vjps read.
+    m = cfg.window
+    x = add(aligned_window_reverse(
+        wmsa_forward(shuffled_window_partition(normed(), m, perms), params.attn), m, perms), z)
 
     y = nwc_forward(x, params.nwc) if cfg.nwc_position == "B" else x
-    yn = apply_bn(y, params.bn2, training)
+    del x  # the attention residual, once the NWC has read it
     inner = params.nwc if cfg.nwc_position == "C" else None
-    return add(mlp_forward(yn, params.mlp, inner_nwc=inner), y)
+    return add(mlp_forward(apply_bn(y, params.bn2, training), params.mlp, inner_nwc=inner), y)
 
 
 def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> Tensor:

@@ -227,7 +227,10 @@ def scale(t: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch axes must match exactly."""
+    """Matrix product; leading batch axes must match exactly. A 2-D product
+    runs as one (1, K) @ (K, N) product per row, so a row's bits do not
+    depend on how many rows come with it: BLAS takes another path for one
+    row than for several."""
     _check_operands("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidShapeError("matmul needs at least 2-D operands")
@@ -236,7 +239,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise InvalidShapeError(f"inner extents differ: {a.shape} vs {b.shape}")
     a_data, b_data = a.data, b.data
-    out = np.matmul(a_data, b_data)
+    if a.ndim == 2:
+        out = np.matmul(a_data[:, None, :], b_data)[:, 0]
+    else:
+        out = np.matmul(a_data, b_data)
 
     def vjp(g):
         ga = np.matmul(g, b_data.swapaxes(-1, -2))
@@ -289,6 +295,10 @@ def gelu(t: Tensor) -> Tensor:
     `scipy.special` (~25 MiB resident and ~0.3 s to import) is loaded when
     the first float64 input reaches this function, not with the package, so
     float32 inference and training never load it.
+
+    A frozen MLP (see `layers.mlp_forward`) skips this op: it has
+    `_gelu_blocks` write GELU over its first projection, which no graph
+    reads, so no second hidden map is allocated and no node is recorded.
     """
     _check_operands("gelu", t)
     x = t.data
@@ -306,19 +316,22 @@ _AS_HALF_A = tuple(np.float32(0.5 * a) for a in (
     1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
 
 
-def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x), or given the output gradient g, g * (Phi(x) + x * phi(x)),
-    block by block; see `gelu`."""
+    block by block; see `gelu`. The result goes to `out` when given, which
+    may be x itself: a block of it is written only after the block's last
+    read of x, so a frozen forward computes GELU in place."""
     const, exact = x.dtype.type, x.dtype == np.float64
     if exact:  # loaded here, on first use; see gelu
         from scipy.special import erf
-    res = np.empty(x.shape, x.dtype)
+    res = np.empty(x.shape, x.dtype) if out is None else out
     xf, rf, gf = x.reshape(-1), res.reshape(-1), None if g is None else g.reshape(-1)
     # only the blocks this call writes: an unused one still adds to peak RSS
     n = min(x.size, _CHUNK_ELEMS)
     c = np.empty(n, x.dtype)
     e = None if exact and g is None else np.empty(n, x.dtype)
-    t = None if exact else np.empty(n, x.dtype)
+    t, s = (None, None) if exact else (np.empty(n, x.dtype), np.empty(n, x.dtype))
     with np.errstate(over="ignore"):  # x*x overflows to inf for large |x|
         for lo in range(0, x.size, _CHUNK_ELEMS):
             xs = xf[lo:lo + _CHUNK_ELEMS]
@@ -345,11 +358,12 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
                     ck *= tk
                 ck *= ek  # q = Phi(-|x|)
                 # Phi(x) = q + [x >= 0] * (1 - 2q), the sign select in arithmetic
+                sk = s[:xs.size]
                 np.greater_equal(xs, 0.0, out=tk)
-                np.multiply(ck, -2.0, out=rk)
-                rk += 1.0
-                rk *= tk
-                ck += rk
+                np.multiply(ck, -2.0, out=sk)
+                sk += 1.0
+                sk *= tk
+                ck += sk
             if g is None:
                 np.multiply(xs, ck, out=rk)
             else:  # g * (Phi + x * phi)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidShapeError, PartitionError, _is_choice, _is_int
+from .errors import (InvalidConfigError, InvalidShapeError, PartitionError, _check_arg, _is_choice,
+                     _is_int)
 from .rng import Rng
 from .tensor import Tensor, _check_operands, result_of
 
@@ -76,6 +77,8 @@ def make_shuffle_permutation(n: int, m: int, mode: str,
     transpose the last two axes, flatten; an axis one window wide is left as
     it is. random: a uniform draw from `rng`.
     """
+    if rng is not None:
+        _check_arg("make_shuffle_permutation", rng, Rng)
     if not _is_choice(mode, SHUFFLE_MODES):
         raise InvalidConfigError(
             f"unknown shuffle mode {mode!r}; expected one of {SHUFFLE_MODES}")

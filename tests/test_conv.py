@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,22 +181,55 @@ class TestDepthwiseKernel:
         # reach at threshold 0 needs exact zeros at unreachable positions
         padding = {"nwc": (nwc_padding(kernel), nwc_padding(kernel)),
                    "wider-than-kernel": ((kernel, 1), (0, kernel + 1))}[pad_rule]
-        rng = Rng(24)
-        x = rng.normal((4, 3, 5, 4), dtype=dtype)
-        w = Tensor(rng.normal((3, 1, kernel, kernel), dtype=dtype))
-        bias = Tensor(np.zeros(3, dtype))
-        weight = rng.normal(conv2d(Tensor(x), w, bias, 1, padding, 3).shape, dtype=dtype)
+        _check_each_image_alone((4, 3, 5, 4), kernel, padding, dtype, Rng(24))
 
-        def run(b0, b1):
-            xt = Tensor(x[b0:b1], requires_grad=True)
-            out = conv2d(xt, w, bias, 1, padding, 3)
-            backward(sum_all(mul(out, Tensor(weight[b0:b1]))))
-            return out.data, xt.grad
+    def test_t224_stage0_batch_equals_each_image_alone(self):
+        # a batch of 8 at the T variant's stage 0 took another sgemm path in
+        # the banded kernel, which differed from the images alone by ~5e-6
+        pad = nwc_padding(7)
+        _check_each_image_alone((8, 96, 56, 56), 7, (pad, pad), np.float32, Rng(25))
 
-        out, gx = run(0, 4)
-        for b in range(4):
-            out_b, gx_b = run(b, b + 1)
-            assert np.array_equal(out[b:b + 1], out_b) and np.array_equal(gx[b:b + 1], gx_b)
+    def test_eval_conv_scratch_stays_near_its_input(self):
+        # tracemalloc's peak while the T variant's stage-0 NWC conv runs, held
+        # to 6x its input: the banded kernel's (C, kh, wp, ow) bands held 11.1x
+        rng = Rng(26)
+        x = Tensor(rng.normal((1, 96, 56, 56), dtype=np.float32))
+        w = Tensor(rng.normal((96, 1, 7, 7), 0.1, dtype=np.float32))
+        bias = Tensor(np.zeros(96, np.float32))
+        pad = nwc_padding(7)
+        peak = _traced_peak(lambda: conv2d(x, w, bias, 1, (pad, pad), 96))
+        assert peak <= 6 * x.data.nbytes
+
+
+def _check_each_image_alone(shape, kernel, padding, dtype, rng):
+    """The depth-wise conv's output and input gradient on a batch equal, bit
+    for bit, those of each image run alone."""
+    chans = shape[1]
+    x = rng.normal(shape, dtype=dtype)
+    w = Tensor(rng.normal((chans, 1, kernel, kernel), dtype=dtype))
+    bias = Tensor(np.zeros(chans, dtype))
+    weight = rng.normal(conv2d(Tensor(x), w, bias, 1, padding, chans).shape, dtype=dtype)
+
+    def run(b0, b1):
+        xt = Tensor(x[b0:b1], requires_grad=True)
+        out = conv2d(xt, w, bias, 1, padding, chans)
+        backward(sum_all(mul(out, Tensor(weight[b0:b1]))))
+        return out.data, xt.grad
+
+    out, gx = run(0, shape[0])
+    for b in range(shape[0]):
+        out_b, gx_b = run(b, b + 1)
+        assert np.array_equal(out[b:b + 1], out_b) and np.array_equal(gx[b:b + 1], gx_b)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPointwiseKernel:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,3 +411,63 @@ def test_model_forward_matches_reference(mode, position, training):
     ref = reference_model_forward(image, arrays, random_maps, cfg.depths, cfg.window,
                                   cfg.head_dim, mode, position, training)
     assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _frozen_random_model(mode, position, dtype):
+    """A small model with every parameter and running statistic drawn, as in
+    `random_reference_model`, and no parameter tracking gradients."""
+    rng = Rng(0)
+    cfg = ModelConfig(channels=16, depths=(2, 2), num_classes=10, resolution=64, window=4,
+                      head_dim=8, shuffle_mode=mode, nwc_position=position)
+    params = init_model_params(cfg, rng, dtype=dtype)
+    for _, t in named_parameters(params):
+        t.data = rng.normal(t.shape, 0.5, dtype=dtype)
+        t.requires_grad = False
+    for name, buf in named_buffers(params):
+        draw = rng.normal(buf.shape, 0.5, dtype=dtype)
+        buf[...] = draw if name.endswith("running_mean") else np.exp(draw)
+    return cfg, params, rng.normal((8, 3, 64, 64), dtype=dtype)
+
+
+@pytest.mark.parametrize("position", NWC_POSITIONS)
+@pytest.mark.parametrize("mode", SHUFFLE_MODES)
+def test_eval_forward_is_batch_invariant(mode, position):
+    # the head's (B, C) @ (C, classes) product used to depend on B
+    cfg, params, images = _frozen_random_model(mode, position, np.float64)
+    alone = np.concatenate([model_forward(Tensor(images[i:i + 1]), params, cfg).data
+                            for i in range(len(images))])
+    for batch in (1, 2, 5, 8):
+        logits = model_forward(Tensor(images[:batch]), params, cfg).data
+        assert logits.tobytes() == alone[:batch].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("position", NWC_POSITIONS)
+def test_frozen_forward_equals_tracked_forward(position, dtype):
+    # a frozen forward writes GELU over the MLP's projection and frees each
+    # activation early; neither may change a value
+    cfg, params, images = _frozen_random_model("long-range", position, dtype)
+    frozen = model_forward(Tensor(images[:2]), params, cfg).data
+    for t in parameter_list(params):
+        t.requires_grad = True
+    tracked = model_forward(Tensor(images[:2]), params, cfg)
+    assert tracked.requires_grad and tracked.data.tobytes() == frozen.tobytes()
+
+
+def test_frozen_forward_holds_few_stage0_maps():
+    # tracemalloc's peak above the weights during a frozen eval forward at the
+    # T variant's stage 0, in stage-0 maps (96 x 56 x 56 float32): 15.1 with the
+    # banded depth-wise conv, every activation kept to the end of its block and
+    # GELU into a second hidden map
+    cfg = ModelConfig(channels=96, depths=(2,), num_classes=10, resolution=224, window=7)
+    params = init_model_params(cfg, Rng(0))
+    for t in parameter_list(params):
+        t.requires_grad = False
+    image = Tensor(Rng(1).normal((1, 3, 224, 224), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        model_forward(image, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 96 * 56 * 56 * 4

@@ -366,6 +366,16 @@ class TestElementwise:
         assert np.all(np.abs(grad - g * slope) <= 1e-6 * np.abs(g))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_written_over_its_input_equals_gelu(self, dtype):
+        # the frozen MLP's path: every block is read before it is overwritten
+        x = Rng(23).normal((3, 5, 7, 1249), 3.0, dtype=dtype)
+        x.reshape(-1)[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20]
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            want = gelu(Tensor(x)).data
+            assert tensor._gelu_blocks(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_gradient_special_values(self, dtype):
         x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype)
         with np.errstate(invalid="ignore"):  # 0 * inf in x * phi(x)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shuffleformer import (InvalidConfigError, InvalidShapeError,
+from shuffleformer import (InvalidCallError, InvalidConfigError, InvalidShapeError,
                            PartitionError, Rng, SpatialPermutation, Tensor,
                            aligned_window_reverse, backward,
                            invert_permutation, make_shuffle_permutation, mul,
@@ -27,28 +27,33 @@ _X = Tensor(np.zeros((1, 1, 4, 4)))
 _PERMS = shuffle_permutations(4, 4, 2, "long-range")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: shuffled_window_partition(_X, 2, None),
-    lambda: shuffled_window_partition(_X, 2, _PERMS[:1]),
-    lambda: shuffled_window_partition(_X, 2, tuple(p.map for p in _PERMS)),
-    lambda: shuffled_window_partition(_X, "2", _PERMS),
-    lambda: shuffled_window_partition(_X, 2.0, _PERMS),
-    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), "2", _PERMS),
-    lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, None),
-    lambda: window_grid(4, 4, "2"),
-    lambda: window_grid(4.0, 4, 2),
-    lambda: SpatialPermutation([[0], [1, 2]]),
-    lambda: SpatialPermutation(["a", "b", "c"]),
-    lambda: SpatialPermutation([0.0, 1.0, 2.0]),
-    lambda: invert_permutation(np.arange(3)),
-    lambda: make_shuffle_permutation(4, 2, np.array(["none", "random"])),
-    lambda: shuffle_permutations(4, 4, 2, np.zeros((2, 2))),
+# each row pins the class that a bad argument raises
+@pytest.mark.parametrize("call, error", [
+    (lambda: shuffled_window_partition(_X, 2, None), InvalidConfigError),
+    (lambda: shuffled_window_partition(_X, 2, _PERMS[:1]), InvalidConfigError),
+    (lambda: shuffled_window_partition(_X, 2, tuple(p.map for p in _PERMS)), InvalidConfigError),
+    (lambda: shuffled_window_partition(_X, "2", _PERMS), InvalidConfigError),
+    (lambda: shuffled_window_partition(_X, 2.0, _PERMS), InvalidConfigError),
+    (lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), "2", _PERMS),
+     InvalidConfigError),
+    (lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 2))), 2, None), InvalidConfigError),
+    (lambda: window_grid(4, 4, "2"), InvalidConfigError),
+    (lambda: window_grid(4.0, 4, 2), InvalidConfigError),
+    (lambda: SpatialPermutation([[0], [1, 2]]), InvalidConfigError),
+    (lambda: SpatialPermutation(["a", "b", "c"]), InvalidConfigError),
+    (lambda: SpatialPermutation([0.0, 1.0, 2.0]), InvalidConfigError),
+    (lambda: invert_permutation(np.arange(3)), InvalidConfigError),
+    (lambda: make_shuffle_permutation(4, 2, np.array(["none", "random"])), InvalidConfigError),
+    (lambda: shuffle_permutations(4, 4, 2, np.zeros((2, 2))), InvalidConfigError),
+    (lambda: shuffle_permutations(8, 8, 2, "random", "rng"), InvalidCallError),
+    (lambda: make_shuffle_permutation(8, 2, "random", 3), InvalidCallError),
 ], ids=["partition-no-perms", "partition-one-perm", "partition-array-perms",
         "partition-text-window", "partition-float-window", "reverse-text-window",
         "reverse-no-perms", "grid-text-window", "grid-float-height", "ragged-map",
-        "text-map", "float-map", "invert-array", "array-mode", "grid-array-mode"])
-def test_bad_input_raises_package_error(call):
-    with pytest.raises(InvalidConfigError):
+        "text-map", "float-map", "invert-array", "array-mode", "grid-array-mode",
+        "grid-text-rng", "axis-int-rng"])
+def test_bad_input_raises_package_error(call, error):
+    with pytest.raises(error):
         call()
 
 

@@ -26,14 +26,20 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                               ".bench_build", ".benchmarks")
 
+# the MLP half of a block; the mutants that read the attention residual x in
+# place of y also keep x alive
+_RELEASE_X = "    del x  # the attention residual, once the NWC has read it\n"
+_MLP_TAIL = _RELEASE_X + (
+    "    inner = params.nwc if cfg.nwc_position == \"C\" else None\n"
+    "    return add(mlp_forward(apply_bn(y, params.bn2, training), params.mlp, inner_nwc=inner), y)\n")
+
 MUTANTS = [
     # the block equations: x = WMSA(BN(z)) + z, y = NWC(x), z' = MLP(BN(y)) + y
     (PKG + "layers.py", "1.0 / math.sqrt(head_dim)", "1.0 / head_dim"),
-    (PKG + "model.py", "inner_nwc=inner), y)", "inner_nwc=inner), x)"),
-    (PKG + "model.py", "yn = apply_bn(y, params.bn2, training)",
-     "yn = apply_bn(x, params.bn2, training)"),
-    (PKG + "model.py", "cfg.window, perms), z)", "cfg.window, perms), zn)"),
-    (PKG + "model.py", "zn = nwc_forward(zn, params.nwc)", "zn = nwc_forward(z, params.nwc)"),
+    (PKG + "model.py", _MLP_TAIL, _MLP_TAIL.replace(_RELEASE_X, "").replace("inner), y)", "inner), x)")),
+    (PKG + "model.py", _MLP_TAIL, _MLP_TAIL.replace(_RELEASE_X, "").replace("bn(y,", "bn(x,")),
+    (PKG + "model.py", "m, perms), z)", "m, perms), normed())"),
+    (PKG + "model.py", "nwc_forward(zn, params.nwc)", "nwc_forward(z, params.nwc)"),
     (PKG + "model.py", 'mode = "none" if index % 2 == 0 else', 'mode = "none" if index % 2 else'),
     (PKG + "model.py", "x = apply_bn(x, params.head.bn, training)",
      "x = apply_bn(x, params.head.bn, False)"),
@@ -87,6 +93,9 @@ MUTANTS = [
      "        for name, arr in state.items():\n"
      "            _read_into(fh, path, stored[name], arr)\n"
      "        perms = _checked_state(path, cfg, shapes, meta.get(\"shuffle_perms\", {}))\n"),
+    # a frozen MLP writes GELU over its projection; the allocating op changes
+    # no value, only the forward's peak memory
+    (PKG + "layers.py", "        _gelu_blocks(h.data, out=h.data)", "        h = gelu(h)"),
     # init draws every weight; one left at zero changes only the seeded bytes
     (PKG + "model.py", '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")',
      '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".w1", ".w2")'),
