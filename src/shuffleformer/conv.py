@@ -14,9 +14,13 @@
   the diagonals of the small bands. The tiles, about twice the input, are
   its largest scratch, and an image's output has the same bits in any batch.
 
-Each vjp keeps only the op's inputs and per-tap weight copies: it pads x again
-and, for the depth-wise kernel, cuts the tiles again, so the training graph
-holds no input-sized scratch. Batch norm's vjp likewise recomputes the
+Each kernel's weight gradient takes the input array as an argument, so the op
+chooses what its node keeps. `conv2d`'s vjp keeps only the op's inputs and
+per-tap weight copies: it pads x again and, for the depth-wise kernel, cuts
+the tiles again, so the training graph holds no input-sized scratch.
+`gelu_conv2d`, the conv after each GELU with grad (the MLP's second
+projection and the embed's second conv), keeps only GELU's input h and
+rebuilds GELU(h) in its vjp. Batch norm's vjp likewise recomputes the
 normalized input from x.
 
 Padding may be asymmetric, which even kernel extents need to keep resolution.
@@ -31,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DegenerateBatchError, InvalidConfigError, InvalidShapeError, _check_arg,
                      _is_int)
-from .tensor import Tensor, _check_operands, result_of
+from .tensor import Tensor, _check_operands, _gelu_blocks, result_of
 
 # batch-norm running-statistics momentum and variance floor
 BN_MOMENTUM = 0.1
@@ -66,7 +70,42 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0,
     Output extent per axis: floor((in + pad_before + pad_after - k)/stride) + 1.
     Differentiable w.r.t. x, w, and bias.
     """
-    _check_operands("conv2d", x, w, bias)
+    out, grad_x, grad_w = _kernel("conv2d", x, w, bias, stride, padding, groups)(x.data)
+    out += bias.data[None, :, None, None]
+    x_data = x.data
+
+    def vjp(g):
+        return grad_x(g), grad_w(g, x_data), g.sum(axis=(0, 2, 3))
+
+    return result_of(out, (x, w, bias), vjp)
+
+
+def gelu_conv2d(h: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0) -> Tensor:
+    """conv2d(gelu(h), w, bias, stride, padding), one group, with the same
+    bits, checks and kernels, whose graph node keeps h alone.
+
+    GELU(h) lives only while the forward conv reads it. The vjp rebuilds it
+    from h in the one pass over Phi(h) that also scales the conv's input
+    gradient by GELU'(h), in place, and hands it to the weight gradient.
+    """
+    kernel = _kernel("gelu_conv2d", h, w, bias, stride, padding, 1)
+    h_data = h.data
+    out, grad_x, grad_w = kernel(_gelu_blocks(h_data))
+    out += bias.data[None, :, None, None]
+
+    def vjp(g):
+        gh, act = grad_x(g), np.empty_like(h_data)
+        _gelu_blocks(h_data, gh, out=gh, act=act)
+        return gh, grad_w(g, act), g.sum(axis=(0, 2, 3))
+
+    return result_of(out, (h, w, bias), vjp)
+
+
+def _kernel(op: str, x: Tensor, w: Tensor, bias: Tensor, stride, padding, groups):
+    """conv2d's argument checks and kernel choice: the kernel for these
+    arguments as a function of the input array, which returns (out without
+    bias, grad_x(g), grad_w(g, x))."""
+    _check_operands(op, x, w, bias)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
     if w.ndim != 4:
@@ -92,37 +131,33 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0,
 
     # with one channel both kernels apply: 1x1 is a channel matmul
     if depthwise and (groups > 1 or kh * kw > 1):
-        out, vjp_xw = _depthwise(x.data, w.data, pads, (oh, ow))
-    else:
-        out, vjp_xw = _dense(x.data, w.data, stride, pads, (oh, ow))
-    out += bias.data[None, :, None, None]
-
-    def vjp(g):
-        return (*vjp_xw(g), g.sum(axis=(0, 2, 3)))
-
-    return result_of(out, (x, w, bias), vjp)
+        return lambda a: _depthwise(a, w.data, pads, (oh, ow))
+    return lambda a: _dense(a, w.data, stride, pads, (oh, ow))
 
 
 def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
-    """One-group conv as one channel matmul per kernel tap; returns (out, vjp).
+    """One-group conv as one channel matmul per kernel tap; returns (out, grad_x, grad_w).
 
     Tap (u, v) adds W[:, :, u, v] @ xp[:, :, u::stride, v::stride] (cut to
     oh x ow) on (B, Cin, oh*ow), xp being x zero-padded only if padding is
     non-zero. A 1x1 tap at stride 1 covers all of xp: its view is xp itself and
-    its input gradient is written, not added into a zero-filled buffer. The
-    vjp pads x again instead of keeping xp.
+    its input gradient is written, not added into a zero-filled buffer.
+    grad_w(g, x) pads the x it is given again; neither keeps x.
     """
     batch, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
+    dtype = x.dtype
     (pt, pb), (pl, pr) = pads
     oh, ow = out_hw
+    padded = (batch, cin, h + pt + pb, wd + pl + pr)
+    whole = out_hw == padded[2:]
     taps = [(u, v, np.ascontiguousarray(w[:, :, u, v])) for u in range(kh) for v in range(kw)]
 
-    def pad() -> np.ndarray:
+    def pad(a: np.ndarray) -> np.ndarray:
         if not pt + pb + pl + pr:
-            return x
-        xp = np.zeros((batch, cin, h + pt + pb, wd + pl + pr), x.dtype)
-        xp[:, :, pt:pt + h, pl:pl + wd] = x
+            return a
+        xp = np.zeros(padded, dtype)
+        xp[:, :, pt:pt + h, pl:pl + wd] = a
         return xp
 
     def at(a: np.ndarray, u: int, v: int) -> np.ndarray:
@@ -131,31 +166,36 @@ def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):
     def cols(xp: np.ndarray, u: int, v: int) -> np.ndarray:
         return at(xp, u, v).reshape(batch, cin, oh * ow)
 
-    xp = pad()
-    whole = (oh, ow) == xp.shape[2:]
+    xp = pad(x)
     out = np.matmul(taps[0][2], cols(xp, 0, 0))
     for u, v, wt in taps[1:]:
         out += np.matmul(wt, cols(xp, u, v))
 
-    def vjp(g):
-        xp = pad()
+    def grad_x(g):
         g3 = g.reshape(batch, cout, oh * ow)
-        gw = np.empty(w.shape, x.dtype)
-        gxp = None if whole else np.zeros(xp.shape, x.dtype)
+        gxp = None if whole else np.zeros(padded, dtype)
         for u, v, wt in taps:
-            gw[:, :, u, v] = np.matmul(g3, cols(xp, u, v).transpose(0, 2, 1)).sum(axis=0)
             gt = np.matmul(wt.T, g3)
             if whole:
-                gxp = gt.reshape(xp.shape)
+                gxp = gt.reshape(padded)
             else:
                 at(gxp, u, v)[...] += gt.reshape(batch, cin, oh, ow)
-        return np.ascontiguousarray(gxp[:, :, pt:pt + h, pl:pl + wd]), gw
+        return np.ascontiguousarray(gxp[:, :, pt:pt + h, pl:pl + wd])
 
-    return out.reshape(batch, cout, oh, ow), vjp
+    def grad_w(g, x):
+        xp = pad(x)
+        g3 = g.reshape(batch, cout, oh * ow)
+        gw = np.empty(w.shape, dtype)
+        for u, v, _ in taps:
+            gw[:, :, u, v] = np.matmul(g3, cols(xp, u, v).transpose(0, 2, 1)).sum(axis=0)
+        return gw
+
+    return out.reshape(batch, cout, oh, ow), grad_x, grad_w
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
-    """Stride-1 conv with one channel per group as column-tiled row matmuls; returns (out, vjp).
+    """Stride-1 conv with one channel per group as column-tiled row matmuls;
+    returns (out, grad_x, grad_w).
 
     The B images are zero-padded and stacked along the rows per channel, and
     each row is cut into n = ceil(ow / kw) tiles of 2kw - 1 columns that start
@@ -167,11 +207,13 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     dropped, as are columns >= ow. The vjp's input gradient is the same
     kernel run on g, zero-padded by the kernel extent less one, with the
     flipped kernel: the gradient of the padded input, cropped to x. Its
-    weight gradient takes tiles^T @ gs as a (2kw - 1, kw) matrix per (c, u),
-    whose v-th diagonal sums to w's gradient at (c, u, v).
+    weight gradient grad_w(g, x) cuts the tiles of the x it is given again and
+    takes tiles^T @ gs as a (2kw - 1, kw) matrix per (c, u), whose v-th
+    diagonal sums to w's gradient at (c, u, v).
     """
     batch, chans, h, wd = x.shape
     _, _, kh, kw = w.shape
+    dtype = x.dtype
     (pt, _), (pl, _) = pads
     diag = np.arange(kw)
 
@@ -180,7 +222,7 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
         (top, bottom), (left, right) = pads
         ah, aw = a.shape[2:]
         hp, n = ah + top + bottom, -(-(aw + left + right - kw + 1) // kw)
-        xs = np.zeros((chans, batch, hp, (n + 1) * kw - 1), x.dtype)
+        xs = np.zeros((chans, batch, hp, (n + 1) * kw - 1), dtype)
         xs[:, :, top:top + ah, left:left + aw] = a.transpose(1, 0, 2, 3)
         view = sliding_window_view(xs.reshape(chans, batch * hp, -1), 2 * kw - 1, axis=2)
         return np.ascontiguousarray(view[:, :, ::kw]).reshape(chans, -1, 2 * kw - 1), hp, n
@@ -188,13 +230,13 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
     def correlate(a: np.ndarray, k: np.ndarray, pads) -> np.ndarray:
         """`a` zero-padded by `pads` cross-correlated with the (C, 1, kh, kw) kernel k."""
         at, hp, n = tiles(a, pads)
-        band = np.zeros((chans, kh, 2 * kw - 1, kw), x.dtype)
+        band = np.zeros((chans, kh, 2 * kw - 1, kw), dtype)
         for v in range(kw):
             band[:, :, diag + v, diag] = k[:, 0, :, v, None]
         m = (batch * hp - kh + 1) * n  # the tile rows each kernel row reads
-        acc = np.empty((chans, batch * hp * n, kw), x.dtype)
+        acc = np.empty((chans, batch * hp * n, kw), dtype)
         np.matmul(at[:, :m], band[:, 0], out=acc[:, :m])
-        part = np.empty((chans, m, kw), x.dtype)  # every later kernel row's product
+        part = np.empty((chans, m, kw), dtype)  # every later kernel row's product
         for u in range(1, kh):
             acc[:, :m] += np.matmul(at[:, u * n:u * n + m], band[:, u], out=part)
         del at, part
@@ -204,26 +246,28 @@ def _depthwise(x: np.ndarray, w: np.ndarray, pads, out_hw):
 
     out = correlate(x, w, pads)
 
-    def vjp(g):
+    def grad_x(g):
         # g zero-padded by k - 1 per side gives the padded input's gradient;
         # each side pads up to k - 1 fewer, which drops padded rows or columns
         top, left = max(0, pt - kh + 1), max(0, pl - kw + 1)
         gpads = tuple((k - 1 - min(a, k - 1), k - 1 - min(b, k - 1))
                       for (a, b), k in zip(pads, (kh, kw)))
         gx = correlate(g, w[:, :, ::-1, ::-1], gpads)
-        gx = np.ascontiguousarray(gx[:, :, top:top + h, left:left + wd])
+        return np.ascontiguousarray(gx[:, :, top:top + h, left:left + wd])
+
+    def grad_w(g, x):
         xt, hp, n = tiles(x, pads)
         m = (batch * hp - kh + 1) * n
-        gs = np.zeros((chans, batch, hp, n * kw), x.dtype)  # rows >= oh, columns >= ow stay zero
+        gs = np.zeros((chans, batch, hp, n * kw), dtype)  # rows >= oh, columns >= ow stay zero
         gs[:, :, :out_hw[0], :out_hw[1]] = g.transpose(1, 0, 2, 3)
         gs = gs.reshape(chans, -1, kw)[:, :m]
-        gband = np.empty((chans, kh, 2 * kw - 1, kw), x.dtype)
+        gband = np.empty((chans, kh, 2 * kw - 1, kw), dtype)
         for u in range(kh):
             np.matmul(xt[:, u * n:u * n + m].transpose(0, 2, 1), gs, out=gband[:, u])
         gw = np.stack([gband[:, :, diag + v, diag].sum(axis=2) for v in range(kw)], axis=2)
-        return gx, gw.reshape(w.shape)
+        return gw.reshape(w.shape)
 
-    return out, vjp
+    return out, grad_x, grad_w
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,

@@ -12,8 +12,10 @@ activation, so it is pointwise in space.
 In a frozen forward, where no parameter needs grad and no graph is
 recorded, each forward drops an activation once its last reader has run,
 and the MLP writes GELU over its first projection instead of allocating a
-second hidden map. With grad, the graph keeps what its vjps read, and GELU
-is the `gelu` op. Both give the same bits.
+second hidden map. With grad, the graph keeps what its vjps read: GELU and
+the second projection are one `gelu_conv2d` op, which keeps the first
+projection only, or, with an NWC inside the MLP, the `gelu` op. All give
+the same bits.
 
 Each forward leaves its input checks to the ops it calls: its first `conv2d`
 refuses a non-Tensor input, a wrong rank and a channel count the weights do
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conv import conv2d
+from .conv import conv2d, gelu_conv2d
 from .errors import InvalidConfigError, _check_arg, _is_int
 from .tensor import (Tensor, _check_operands, _gelu_blocks, add, gelu, matmul,
                      reshape_permute, scale, softmax_lastdim)
@@ -123,6 +125,8 @@ def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> 
     _check_arg("mlp_forward", p, MlpParams)
     h = conv2d(x, p.w1, p.b1)
     del x  # the input, once projected
+    if h.requires_grad and inner_nwc is None:  # the graph keeps h, not GELU(h)
+        return gelu_conv2d(h, p.w2, p.b2)
     if h.requires_grad:
         h = gelu(h)
     else:  # nothing else reads the projection: GELU overwrites it

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import BnParams, ConvParams, apply_bn, conv2d
+from .conv import BnParams, ConvParams, apply_bn, conv2d, gelu_conv2d
 from .errors import InvalidConfigError, InvalidShapeError, _check_arg, _is_choice, _is_int
 from .layers import MlpParams, NwcParams, WmsaParams, mlp_forward, nwc_forward, wmsa_forward
 from .rng import Rng
-from .tensor import Tensor, _check_operands, add, gelu, matmul, mean_pool_hw
+from .tensor import Tensor, _check_operands, _gelu_blocks, add, matmul, mean_pool_hw
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
                         shuffle_extent_error, shuffle_permutations, shuffled_window_partition)
 
@@ -423,13 +423,20 @@ def block_forward(z: Tensor, params: BlockParams, cfg: BlockConfig,
 
 
 def token_embed(image: Tensor, params: EmbedParams, training: bool = False) -> Tensor:
-    """Two stride-2 3x3 convolutions with BN and GELU: (B,3,H,W) -> (B,C,H/4,W/4)."""
+    """Two stride-2 3x3 convolutions with BN and GELU: (B,3,H,W) -> (B,C,H/4,W/4).
+
+    GELU and the second conv are one `gelu_conv2d` op with grad; frozen,
+    GELU is written over the first BN's output, as in the MLP."""
     _check_arg("token_embed", params, EmbedParams)
     x = conv2d(image, params.conv1.weight, params.conv1.bias, stride=2, padding=1)
     if image.shape[2] % 4 or image.shape[3] % 4:
         raise InvalidShapeError(f"input extents {image.shape[2:]} must be divisible by 4")
-    x = gelu(apply_bn(x, params.bn1, training))
-    x = conv2d(x, params.conv2.weight, params.conv2.bias, stride=2, padding=1)
+    x = apply_bn(x, params.bn1, training)
+    if x.requires_grad:  # the graph keeps the BN output, not GELU of it
+        x = gelu_conv2d(x, params.conv2.weight, params.conv2.bias, stride=2, padding=1)
+    else:  # nothing else reads the BN output: GELU overwrites it
+        _gelu_blocks(x.data, out=x.data)
+        x = conv2d(x, params.conv2.weight, params.conv2.bias, stride=2, padding=1)
     return apply_bn(x, params.bn2, training)
 
 

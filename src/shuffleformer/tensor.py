@@ -16,7 +16,8 @@ only the arrays, shapes and dtypes its backward reads. The vjps of `add`,
 `scale`, `reshape_permute` and softmax keep none of their inputs, so an
 array that only such ops read is freed once its caller drops its tensor.
 Intermediates that only the backward needs, such as GELU's Phi(x), are
-recomputed from the inputs in the vjp.
+recomputed from the inputs in the vjp; `conv.gelu_conv2d` likewise rebuilds
+GELU(x) for the conv that reads it, so the graph keeps x alone.
 
 Thread-safety: operations are pure given their inputs and read no mutable
 module state, and each vjp rebuilds its scratch from what its closure holds,
@@ -296,9 +297,11 @@ def gelu(t: Tensor) -> Tensor:
     the first float64 input reaches this function, not with the package, so
     float32 inference and training never load it.
 
-    A frozen MLP (see `layers.mlp_forward`) skips this op: it has
-    `_gelu_blocks` write GELU over its first projection, which no graph
-    reads, so no second hidden map is allocated and no node is recorded.
+    The model calls this op only with an NWC inside the MLP. With grad,
+    the MLP and the embed call `conv.gelu_conv2d`, whose node keeps x and
+    not GELU(x). Frozen, they have `_gelu_blocks` write GELU over its input,
+    which no graph reads, so no second map is allocated and no node is
+    recorded.
     """
     _check_operands("gelu", t)
     x = t.data
@@ -317,16 +320,20 @@ _AS_HALF_A = tuple(np.float32(0.5 * a) for a in (
 
 
 def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, act: np.ndarray | None = None) -> np.ndarray:
     """x * Phi(x), or given the output gradient g, g * (Phi(x) + x * phi(x)),
     block by block; see `gelu`. The result goes to `out` when given, which
-    may be x itself: a block of it is written only after the block's last
-    read of x, so a frozen forward computes GELU in place."""
+    may be x or g itself: a block of it is written only after the block's
+    last read of x and g, so a frozen forward computes GELU in place and a
+    vjp scales g in place. Given g, `act` receives x * Phi(x) from the same
+    Phi, so a vjp that needs GELU(x) rebuilds it with no second evaluation."""
     const, exact = x.dtype.type, x.dtype == np.float64
     if exact:  # loaded here, on first use; see gelu
         from scipy.special import erf
     res = np.empty(x.shape, x.dtype) if out is None else out
-    xf, rf, gf = x.reshape(-1), res.reshape(-1), None if g is None else g.reshape(-1)
+    xf, rf = x.reshape(-1), res.reshape(-1)
+    gf = None if g is None else g.reshape(-1)
+    af = None if act is None else act.reshape(-1)
     # only the blocks this call writes: an unused one still adds to peak RSS
     n = min(x.size, _CHUNK_ELEMS)
     c = np.empty(n, x.dtype)
@@ -366,11 +373,14 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None,
                 ck += sk
             if g is None:
                 np.multiply(xs, ck, out=rk)
-            else:  # g * (Phi + x * phi)
-                np.multiply(ek, const(1.0 / np.sqrt(2.0 * np.pi)), out=rk)
-                rk *= xs
-                rk += ck
-                rk *= gf[lo:lo + xs.size]
+                continue
+            if act is not None:
+                np.multiply(xs, ck, out=af[lo:lo + xs.size])
+            # g * (Phi + x * phi), the slope built in ek, which Phi has read
+            ek *= const(1.0 / np.sqrt(2.0 * np.pi))
+            ek *= xs
+            ek += ck
+            np.multiply(ek, gf[lo:lo + xs.size], out=rk)
     return res
 
 
