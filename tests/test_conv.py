@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shuffleformer import (BlockConfig, DegenerateBatchError, InvalidConfigError,
-                           InvalidShapeError, ModelConfig, Rng, Tensor,
-                           apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits,
-                           init_block_params, init_model_params, model_forward, mul, sum_all)
-from shuffleformer import conv
+from shuffleformer import (BlockConfig, DegenerateBatchError, InvalidCallError,
+                           InvalidConfigError, InvalidShapeError, ModelConfig, Rng, Tensor,
+                           apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits, gelu,
+                           gelu_conv2d, init_block_params, init_model_params, model_forward,
+                           mul, sum_all, zero_grads)
+from shuffleformer import conv, tensor
 from shuffleformer.layers import nwc_padding
 from shuffleformer.reachability import PROBE_SEEDS, BlockSpec, reachability_probe
 
@@ -311,6 +312,70 @@ class TestDenseKernel:
         assert np.shares_memory(operands[0], x.data)
         assert np.abs(gx - np.einsum("oc,bohw->bchw", w.data[:, :, 0, 0], g)).max() < 1e-12
         assert np.abs(gw[:, :, 0, 0] - np.einsum("bohw,bchw->oc", g, x.data)).max() < 1e-12
+
+
+class TestGeluConv2d:
+    # (kernel, stride, padding): the MLP's second projection and the embed's second conv
+    CASES = {"k1": (1, 1, 0), "k3-s2-p1": (3, 2, 1)}
+
+    def _operands(self, case, dtype, seed):
+        kernel, stride, padding = self.CASES[case]
+        rng = Rng(seed)
+        h = Tensor(rng.normal((2, 3, 6, 5), 2.0, dtype=dtype), requires_grad=True)
+        w = Tensor(rng.normal((4, 3, kernel, kernel), dtype=dtype), requires_grad=True)
+        b = Tensor(rng.normal((4,), dtype=dtype), requires_grad=True)
+        out_shape = conv2d(h, w, b, stride, padding).shape
+        return h, w, b, stride, padding, Tensor(rng.normal(out_shape, dtype=dtype))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients(self, case):
+        h, w, b, stride, padding, weight = self._operands(case, np.float64, 33)
+        check_gradients(lambda: sum_all(mul(gelu_conv2d(h, w, b, stride, padding), weight)),
+                        [h, w, b])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bits_as_conv_of_gelu(self, case, dtype, monkeypatch):
+        # GELU blocks of 7 values, so the rebuilt GELU crosses block edges
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 7)
+        h, w, b, stride, padding, weight = self._operands(case, dtype, 34)
+        results = []
+        for fn in (lambda: gelu_conv2d(h, w, b, stride, padding),
+                   lambda: conv2d(gelu(h), w, b, stride, padding)):
+            zero_grads([h, w, b])
+            out = fn()
+            backward(sum_all(mul(out, weight)))
+            results.append([out.data, h.grad, w.grad, b.grad])
+        for fused, plain in zip(*results):
+            assert fused.dtype == dtype
+            assert np.array_equal(fused, plain)
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+# conv2d and gelu_conv2d share one set of argument checks, so each bad call
+# raises the same package error from both
+_BAD_CONV_ARGS = {
+    "list": (([1.0], _zeros(2, 3, 1, 1), _zeros(2)), InvalidCallError),
+    "rank": ((_zeros(3, 4, 4), _zeros(2, 3, 1, 1), _zeros(2)), InvalidShapeError),
+    "channels": ((_zeros(1, 4, 4, 4), _zeros(2, 3, 1, 1), _zeros(2)), InvalidConfigError),
+    "bias": ((_zeros(1, 3, 4, 4), _zeros(2, 3, 1, 1), _zeros(3)), InvalidShapeError),
+    "3d-kernel": ((_zeros(1, 3, 4, 4), _zeros(2, 3, 1), _zeros(2)), InvalidShapeError),
+    "kernel-too-large": ((_zeros(1, 3, 4, 4), _zeros(2, 3, 5, 5), _zeros(2)), InvalidShapeError),
+}
+_BAD_CALLS = {f"{op.__name__}-{name}": (lambda op=op, args=args: op(*args), error)
+              for op in (conv2d, gelu_conv2d) for name, (args, error) in _BAD_CONV_ARGS.items()}
+_BAD_CALLS["batchnorm2d-rank"] = (
+    lambda: batchnorm2d(_zeros(2, 3, 4), _zeros(3), _zeros(3), np.zeros(3), np.ones(3), False),
+    InvalidShapeError)
+
+
+@pytest.mark.parametrize("call, error", list(_BAD_CALLS.values()), ids=list(_BAD_CALLS))
+def test_bad_conv_call_raises_package_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _routed_convs(monkeypatch, run):

@@ -12,9 +12,10 @@ import pytest
 
 from shuffleformer import (InvalidConfigError, ModelConfig, Tensor, add,
                            aligned_window_reverse, batchnorm2d, conv2d, cross_entropy_logits,
-                           gather_hw, gelu, init_model_params, matmul, mean_all, mean_pool_hw,
-                           model_forward, mul, reshape_permute, scale, shuffle_permutations,
-                           shuffled_window_partition, softmax_lastdim, sum_all)
+                           gather_hw, gelu, gelu_conv2d, init_model_params, matmul, mean_all,
+                           mean_pool_hw, model_forward, mul, reshape_permute, scale,
+                           shuffle_permutations, shuffled_window_partition, softmax_lastdim,
+                           sum_all)
 from shuffleformer.rng import Rng
 
 # the benchmark's bound on float32 logits against a float64 forward: max
@@ -52,6 +53,8 @@ OPS = {
                          [(2, 3, 5, 5), (3, 1, 4, 4), (3,)]),
     "conv2d-dense": (lambda x, w, b: conv2d(x, w, b, 2, 1), [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
     "conv2d-merge": (lambda x, w, b: conv2d(x, w, b, 2, 0), [(2, 4, 6, 6), (6, 4, 2, 2), (6,)]),
+    "gelu_conv2d": (lambda h, w, b: gelu_conv2d(h, w, b, 2, 1),
+                    [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
     "batchnorm2d-train": (_bn(True), [(2, 3, 4, 4), (3,), (3,)]),
     "batchnorm2d-eval": (_bn(False), [(2, 3, 4, 4), (3,), (3,)]),
     "shuffled_window_partition": (lambda x: shuffled_window_partition(x, 2, PERMS),
@@ -71,13 +74,14 @@ def test_grouped_conv2d_rejected(dtype):
 
 
 def saved_float_arrays(fn, seen=None):
-    """Floating arrays held by `fn`'s closure, following closed-over functions,
-    lists and tuples."""
+    """Floating arrays held by `fn`'s closure and default arguments, following
+    closed-over functions, lists and tuples."""
     seen = set() if seen is None else seen
     if id(fn) in seen:
         return []
     seen.add(id(fn))
     found, todo = [], [cell.cell_contents for cell in fn.__closure__ or ()]
+    todo += [*(fn.__defaults__ or ()), *(fn.__kwdefaults__ or {}).values()]
     while todo:
         value = todo.pop()
         if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):

@@ -32,6 +32,23 @@ _RELEASE_X = "    del x  # the attention residual, once the NWC has read it\n"
 _MLP_TAIL = _RELEASE_X + (
     "    inner = params.nwc if cfg.nwc_position == \"C\" else None\n"
     "    return add(mlp_forward(apply_bn(y, params.bn2, training), params.mlp, inner_nwc=inner), y)\n")
+# gelu_conv2d's forward and the start of its vjp, which rebuilds GELU(h) from h,
+# and the same code with a vjp that reads the forward's GELU(h) instead
+_GELU_CONV = (
+    "    out, grad_x, grad_w = kernel(_gelu_blocks(h_data))\n"
+    "    out += bias.data[None, :, None, None]\n"
+    "\n"
+    "    def vjp(g):\n"
+    "        gh, act = grad_x(g), np.empty_like(h_data)\n"
+    "        _gelu_blocks(h_data, gh, out=gh, act=act)\n")
+_GELU_CONV_KEEPS_ACT = (
+    "    act = _gelu_blocks(h_data)\n"
+    "    out, grad_x, grad_w = kernel(act)\n"
+    "    out += bias.data[None, :, None, None]\n"
+    "\n"
+    "    def vjp(g):\n"
+    "        gh = grad_x(g)\n"
+    "        _gelu_blocks(h_data, gh, out=gh)\n")
 
 MUTANTS = [
     # the block equations: x = WMSA(BN(z)) + z, y = NWC(x), z' = MLP(BN(y)) + y
@@ -96,6 +113,9 @@ MUTANTS = [
     # a frozen MLP writes GELU over its projection; the allocating op changes
     # no value, only the forward's peak memory
     (PKG + "layers.py", "        _gelu_blocks(h.data, out=h.data)", "        h = gelu(h)"),
+    # the training graph keeps GELU's input only; reading the forward's GELU
+    # output changes no value, only what the graph holds
+    (PKG + "conv.py", _GELU_CONV, _GELU_CONV_KEEPS_ACT),
     # init draws every weight; one left at zero changes only the seeded bytes
     (PKG + "model.py", '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")',
      '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".w1", ".w2")'),
