@@ -3,8 +3,7 @@
 
 import dataclasses
 
-from shuffleformer import (CONVENTION, build_variant, count_flops, global_msa_flops,
-                           wmsa_attention_flops)
+from shuffleformer import CONVENTION, build_variant, count_flops, wmsa_attention_flops
 
 print("=" * 64)
 print("1. The three variants at 224x224")
@@ -31,7 +30,7 @@ print("window attention at stage-1 resolution (56x56, C=96) vs a")
 print("hypothetical global-attention layer of the same width:")
 hw, ch, tokens = 56 * 56, 96, 7 * 7
 wmsa = wmsa_attention_flops(hw, ch, tokens)
-glob = global_msa_flops(hw, ch)
+glob = wmsa_attention_flops(hw, ch, hw)
 print(f"  window: {wmsa / 1e9:6.2f}G   global: {glob / 1e9:7.2f}G   "
       f"attention-matmul ratio: {(glob - 4 * hw * ch * ch) // (wmsa - 4 * hw * ch * ch)}x")
 

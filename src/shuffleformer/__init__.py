@@ -5,10 +5,10 @@ accounting and receptive-field (reachability) probing."""
 __version__ = "0.1.0"
 
 from .analysis import (CONVENTION, CostReport, CostRow, conv_cost, count_flops,
-                       global_msa_flops, wmsa_attention_flops)
+                       wmsa_attention_flops)
 from .checkpoint import (load_checkpoint, load_tensor, read_container,
                          save_checkpoint, save_tensor, write_container)
-from .conv import BnParams, apply_bn, batchnorm2d, conv2d, gelu_conv2d
+from .conv import BnParams, apply_bn, batchnorm2d, conv2d, gelu_conv2d, mlp_conv2d
 from .errors import (CheckpointError, DegenerateBatchError, InvalidCallError,
                      InvalidConfigError, InvalidShapeError, PartitionError,
                      ShuffleFormerError, TrainingDivergedError)

@@ -84,10 +84,6 @@ def wmsa_attention_flops(hw: int, channels: int, window_tokens: int) -> int:
     return 4 * hw * channels * channels + 2 * window_tokens * hw * channels
 
 
-def global_msa_flops(hw: int, channels: int) -> int:
-    return wmsa_attention_flops(hw, channels, hw)
-
-
 def _block_flops(cfg: BlockConfig, prefix: str, hw: int) -> dict[str, int]:
     flops = {f"{prefix}.attn": wmsa_attention_flops(hw, cfg.channels, cfg.window ** 2)}
     nwc_ch = _nwc_channels(cfg)

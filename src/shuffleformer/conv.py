@@ -18,9 +18,11 @@ Each kernel's weight gradient takes the input array as an argument, so the op
 chooses what its node keeps. `conv2d`'s vjp keeps only the op's inputs and
 per-tap weight copies: it pads x again and, for the depth-wise kernel, cuts
 the tiles again, so the training graph holds no input-sized scratch.
-`gelu_conv2d`, the conv after each GELU with grad (the MLP's second
-projection and the embed's second conv), keeps only GELU's input h and
-rebuilds GELU(h) in its vjp. Batch norm's vjp likewise recomputes the
+`gelu_conv2d`, the embed's GELU and second conv with grad, keeps only GELU's
+input h and rebuilds GELU(h) in its vjp. `mlp_conv2d`, a block's whole MLP
+with grad, keeps only the MLP's input x, a quarter of the 4C hidden map h:
+its vjp rebuilds h with the first 1x1 conv and then GELU(h) over it, and
+both ops share one vjp core. Batch norm's vjp likewise recomputes the
 normalized input from x.
 
 Padding may be asymmetric, which even kernel extents need to keep resolution.
@@ -94,11 +96,59 @@ def gelu_conv2d(h: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0) 
     out += bias.data[None, :, None, None]
 
     def vjp(g):
-        gh, act = grad_x(g), np.empty_like(h_data)
-        _gelu_blocks(h_data, gh, out=gh, act=act)
-        return gh, grad_w(g, act), g.sum(axis=(0, 2, 3))
+        return _gelu_conv_vjp(g, h_data, grad_x, grad_w, np.empty_like(h_data))
 
     return result_of(out, (h, w, bias), vjp)
+
+
+def _gelu_conv_vjp(g, h, grad_x, grad_w, act):
+    """The vjp of conv(gelu(h)) for output gradient g: (gh, gw, gbias). One
+    pass over Phi(h) scales the conv's input gradient by GELU'(h) in place
+    and writes GELU(h) to `act`, which may be h itself, for grad_w."""
+    gh = grad_x(g)
+    _gelu_blocks(h, gh, out=gh, act=act)
+    return gh, grad_w(g, act), g.sum(axis=(0, 2, 3))
+
+
+def mlp_conv2d(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu_conv2d(conv2d(x, w1, b1), w2, b2) for 1x1 kernels, with the same
+    bits and checks, whose graph node keeps x alone: a block's MLP with grad.
+
+    The forward writes GELU over the hidden map h, as the frozen MLP does. The
+    vjp rebuilds h with the first conv's kernel and bias add; the pass over
+    Phi(h) that scales W2^T g by GELU'(h) then writes GELU(h) over h for the
+    second weight gradient, and the first conv's vjp runs on the result.
+    """
+    first = _pointwise(x, w1, b1)
+    x_data = x.data
+
+    def hidden():
+        """h = conv(x, w1) + b1 and the first conv's grad_x and grad_w."""
+        h, grad_x, grad_w = first(x_data)
+        h += b1.data[None, :, None, None]
+        return h, grad_x, grad_w
+
+    h = hidden()[0]
+    second = _pointwise(Tensor(h), w2, b2)
+    out, grad_x2, grad_w2 = second(_gelu_blocks(h, out=h))
+    del h
+    out += b2.data[None, :, None, None]
+
+    def vjp(g):
+        h, grad_x1, grad_w1 = hidden()
+        gh, gw2, gb2 = _gelu_conv_vjp(g, h, grad_x2, grad_w2, act=h)
+        del h
+        return grad_x1(gh), grad_w1(gh, x_data), gh.sum(axis=(0, 2, 3)), gw2, gb2
+
+    return result_of(out, (x, w1, b1, w2, b2), vjp)
+
+
+def _pointwise(x: Tensor, w: Tensor, bias: Tensor):
+    """`_kernel` for mlp_conv2d's 1x1 convs, at stride 1 without padding."""
+    kernel = _kernel("mlp_conv2d", x, w, bias, 1, 0, 1)
+    if w.shape[2:] != (1, 1):
+        raise InvalidShapeError(f"mlp_conv2d takes 1x1 kernels, got shape {w.shape}")
+    return kernel
 
 
 def _kernel(op: str, x: Tensor, w: Tensor, bias: Tensor, stride, padding, groups):

@@ -12,16 +12,18 @@ activation, so it is pointwise in space.
 In a frozen forward, where no parameter needs grad and no graph is
 recorded, each forward drops an activation once its last reader has run,
 and the MLP writes GELU over its first projection instead of allocating a
-second hidden map. With grad, the graph keeps what its vjps read: GELU and
-the second projection are one `gelu_conv2d` op, which keeps the first
-projection only, or, with an NWC inside the MLP, the `gelu` op. All give
-the same bits.
+second hidden map. With grad, the graph keeps what its vjps read: the whole
+MLP is one `mlp_conv2d` op, which keeps the MLP's input only and rebuilds
+the hidden map in its vjp, or, with an NWC inside the MLP, `conv2d`, `gelu`,
+the NWC and `conv2d` again, which keep the hidden map. All give the same
+bits.
 
 Each forward leaves its input checks to the ops it calls: its first `conv2d`
 refuses a non-Tensor input, a wrong rank and a channel count the weights do
 not take, and a later op the other mismatches. A forward checks only what no
-op checks: the type of its params, the head count, and that the NWC kernel is
-4-D and square.
+op checks: the type of its params, the head count, that the NWC kernel is
+4-D and square, and that the MLP's input and first projection are Tensors
+before it reads whether they need grad.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conv import conv2d, gelu_conv2d
+from .conv import conv2d, mlp_conv2d
 from .errors import InvalidConfigError, _check_arg, _is_int
 from .tensor import (Tensor, _check_operands, _gelu_blocks, add, gelu, matmul,
                      reshape_permute, scale, softmax_lastdim)
@@ -121,12 +123,14 @@ class MlpParams:
 
 def mlp_forward(x: Tensor, p: MlpParams, inner_nwc: NwcParams | None = None) -> Tensor:
     """conv1x1 -> GELU -> conv1x1, optionally with a residual depth-wise
-    convolution on the hidden activation (the inside-the-MLP placement)."""
+    convolution on the hidden activation (the inside-the-MLP placement).
+    With grad and no NWC inside, one `mlp_conv2d` op whose node keeps x."""
     _check_arg("mlp_forward", p, MlpParams)
+    _check_operands("mlp_forward", x, p.w1, p.b1)  # before reading requires_grad
+    if inner_nwc is None and any(t.requires_grad for t in (x, p.w1, p.b1)):
+        return mlp_conv2d(x, p.w1, p.b1, p.w2, p.b2)  # the graph keeps x, not h
     h = conv2d(x, p.w1, p.b1)
     del x  # the input, once projected
-    if h.requires_grad and inner_nwc is None:  # the graph keeps h, not GELU(h)
-        return gelu_conv2d(h, p.w2, p.b2)
     if h.requires_grad:
         h = gelu(h)
     else:  # nothing else reads the projection: GELU overwrites it

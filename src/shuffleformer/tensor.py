@@ -17,7 +17,8 @@ only the arrays, shapes and dtypes its backward reads. The vjps of `add`,
 array that only such ops read is freed once its caller drops its tensor.
 Intermediates that only the backward needs, such as GELU's Phi(x), are
 recomputed from the inputs in the vjp; `conv.gelu_conv2d` likewise rebuilds
-GELU(x) for the conv that reads it, so the graph keeps x alone.
+GELU(x) for the conv that reads it, so the graph keeps x alone, and
+`conv.mlp_conv2d` rebuilds a block's hidden map from the MLP's input.
 
 Thread-safety: operations are pure given their inputs and read no mutable
 module state, and each vjp rebuilds its scratch from what its closure holds,
@@ -298,8 +299,9 @@ def gelu(t: Tensor) -> Tensor:
     float32 inference and training never load it.
 
     The model calls this op only with an NWC inside the MLP. With grad,
-    the MLP and the embed call `conv.gelu_conv2d`, whose node keeps x and
-    not GELU(x). Frozen, they have `_gelu_blocks` write GELU over its input,
+    the MLP calls `conv.mlp_conv2d`, whose node keeps the MLP's input and
+    not x, and the embed `conv.gelu_conv2d`, whose node keeps x and not
+    GELU(x). Frozen, they have `_gelu_blocks` write GELU over its input,
     which no graph reads, so no second map is allocated and no node is
     recorded.
     """
@@ -326,7 +328,9 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None,
     may be x or g itself: a block of it is written only after the block's
     last read of x and g, so a frozen forward computes GELU in place and a
     vjp scales g in place. Given g, `act` receives x * Phi(x) from the same
-    Phi, so a vjp that needs GELU(x) rebuilds it with no second evaluation."""
+    Phi, so a vjp that needs GELU(x) rebuilds it with no second evaluation;
+    `act` may be x itself, whose block it writes after the slope's last read,
+    so `conv.mlp_conv2d` turns its rebuilt hidden map into GELU of it."""
     const, exact = x.dtype.type, x.dtype == np.float64
     if exact:  # loaded here, on first use; see gelu
         from scipy.special import erf
@@ -374,12 +378,12 @@ def _gelu_blocks(x: np.ndarray, g: np.ndarray | None = None,
             if g is None:
                 np.multiply(xs, ck, out=rk)
                 continue
-            if act is not None:
-                np.multiply(xs, ck, out=af[lo:lo + xs.size])
             # g * (Phi + x * phi), the slope built in ek, which Phi has read
             ek *= const(1.0 / np.sqrt(2.0 * np.pi))
             ek *= xs
             ek += ck
+            if act is not None:  # after the block's last read of x, which act may be
+                np.multiply(xs, ck, out=af[lo:lo + xs.size])
             np.multiply(ek, gf[lo:lo + xs.size], out=rk)
     return res
 

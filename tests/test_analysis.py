@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from shuffleformer import (CONVENTION, InvalidConfigError, ModelConfig, Rng,
-                           build_variant, conv_cost, count_flops, global_msa_flops,
-                           init_model_params, parameter_list,
-                           wmsa_attention_flops)
+                           build_variant, conv_cost, count_flops, init_model_params,
+                           parameter_list, wmsa_attention_flops)
 
 # published reference sizes for the three variants and the NWC placements
 REFERENCE_PARAMS = {"T": 28.5e6, "S": 50e6, "B": 88e6}
@@ -106,7 +105,7 @@ class TestFlops:
         hw = 56 * 56
         channels = 96
         window_tokens = 7 * 7
-        global_mm = global_msa_flops(hw, channels) - 4 * hw * channels * channels
+        global_mm = wmsa_attention_flops(hw, channels, hw) - 4 * hw * channels * channels
         window_mm = wmsa_attention_flops(hw, channels, window_tokens) \
             - 4 * hw * channels * channels
         assert global_mm // window_mm == hw // window_tokens == 64

@@ -6,8 +6,8 @@ import pytest
 from shuffleformer import (BlockConfig, DegenerateBatchError, InvalidCallError,
                            InvalidConfigError, InvalidShapeError, ModelConfig, Rng, Tensor,
                            apply_bn, backward, batchnorm2d, conv2d, cross_entropy_logits, gelu,
-                           gelu_conv2d, init_block_params, init_model_params, model_forward,
-                           mul, sum_all, zero_grads)
+                           gelu_conv2d, init_block_params, init_model_params, mlp_conv2d,
+                           model_forward, mul, sum_all, zero_grads)
 from shuffleformer import conv, tensor
 from shuffleformer.layers import nwc_padding
 from shuffleformer.reachability import PROBE_SEEDS, BlockSpec, reachability_probe
@@ -351,6 +351,44 @@ class TestGeluConv2d:
             assert np.array_equal(fused, plain)
 
 
+class TestMlpConv2d:
+    # (input shape, hidden width): with GELU blocks of 7 values the first
+    # hidden map, of 180 values, ends in a partial block, the second, of 84, not
+    CASES = {"hidden-180": ((2, 4, 3, 5), 6), "hidden-84": ((2, 4, 3, 2), 7)}
+
+    def _operands(self, case, dtype, seed):
+        (batch, cin, height, width), hidden = self.CASES[case]
+        rng = Rng(seed)
+        x = Tensor(rng.normal((batch, cin, height, width), 2.0, dtype=dtype), requires_grad=True)
+        shapes = [(hidden, cin, 1, 1), (hidden,), (3, hidden, 1, 1), (3,)]
+        params = [Tensor(rng.normal(shape, dtype=dtype), requires_grad=True) for shape in shapes]
+        return [x, *params], Tensor(rng.normal((batch, 3, height, width), dtype=dtype))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradients(self, case, monkeypatch):
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 7)
+        operands, weight = self._operands(case, np.float64, 35)
+        check_gradients(lambda: sum_all(mul(mlp_conv2d(*operands), weight)), operands)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bits_as_gelu_conv_of_conv(self, case, dtype, monkeypatch):
+        # the rebuilt hidden map and GELU written over it cross block edges
+        monkeypatch.setattr(tensor, "_CHUNK_ELEMS", 7)
+        operands, weight = self._operands(case, dtype, 36)
+        x, w1, b1, w2, b2 = operands
+        results = []
+        for fn in (lambda: mlp_conv2d(x, w1, b1, w2, b2),
+                   lambda: gelu_conv2d(conv2d(x, w1, b1), w2, b2)):
+            zero_grads(operands)
+            out = fn()
+            backward(sum_all(mul(out, weight)))
+            results.append([out.data] + [t.grad for t in operands])
+        for fused, plain in zip(*results):
+            assert fused.dtype == dtype
+            assert np.array_equal(fused, plain)
+
+
 def _zeros(*shape):
     return Tensor(np.zeros(shape))
 
@@ -367,6 +405,22 @@ _BAD_CONV_ARGS = {
 }
 _BAD_CALLS = {f"{op.__name__}-{name}": (lambda op=op, args=args: op(*args), error)
               for op in (conv2d, gelu_conv2d) for name, (args, error) in _BAD_CONV_ARGS.items()}
+# mlp_conv2d checks its first conv as conv2d does, then that each kernel is 1x1
+_SECOND = (_zeros(3, 2, 1, 1), _zeros(3))
+_BAD_CALLS.update({f"mlp_conv2d-{name}": (lambda args=args: mlp_conv2d(*args, *_SECOND), error)
+                   for name, (args, error) in _BAD_CONV_ARGS.items()
+                   if name in ("list", "rank", "channels", "bias")})
+_BAD_CALLS["mlp_conv2d-3x3-kernel"] = (
+    lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 3, 3), _zeros(2), *_SECOND),
+    InvalidShapeError)
+_BAD_CALLS["mlp_conv2d-second-3x3-kernel"] = (
+    lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 1, 1), _zeros(2), _zeros(3, 2, 3, 3),
+                       _zeros(3)),
+    InvalidShapeError)
+_BAD_CALLS["mlp_conv2d-second-channels"] = (
+    lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 1, 1), _zeros(2), _zeros(3, 4, 1, 1),
+                       _zeros(3)),
+    InvalidConfigError)
 _BAD_CALLS["batchnorm2d-rank"] = (
     lambda: batchnorm2d(_zeros(2, 3, 4), _zeros(3), _zeros(3), np.zeros(3), np.ones(3), False),
     InvalidShapeError)

@@ -13,7 +13,7 @@ import pytest
 from shuffleformer import (InvalidConfigError, ModelConfig, Tensor, add,
                            aligned_window_reverse, batchnorm2d, conv2d, cross_entropy_logits,
                            gather_hw, gelu, gelu_conv2d, init_model_params, matmul, mean_all,
-                           mean_pool_hw, model_forward, mul, reshape_permute, scale,
+                           mean_pool_hw, mlp_conv2d, model_forward, mul, reshape_permute, scale,
                            shuffle_permutations, shuffled_window_partition, softmax_lastdim,
                            sum_all)
 from shuffleformer.rng import Rng
@@ -55,6 +55,7 @@ OPS = {
     "conv2d-merge": (lambda x, w, b: conv2d(x, w, b, 2, 0), [(2, 4, 6, 6), (6, 4, 2, 2), (6,)]),
     "gelu_conv2d": (lambda h, w, b: gelu_conv2d(h, w, b, 2, 1),
                     [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
+    "mlp_conv2d": (mlp_conv2d, [(2, 3, 4, 4), (8, 3, 1, 1), (8,), (3, 8, 1, 1), (3,)]),
     "batchnorm2d-train": (_bn(True), [(2, 3, 4, 4), (3,), (3,)]),
     "batchnorm2d-eval": (_bn(False), [(2, 3, 4, 4), (3,), (3,)]),
     "shuffled_window_partition": (lambda x: shuffled_window_partition(x, 2, PERMS),

@@ -84,6 +84,16 @@ class TestTensorData:
     (lambda: Optimizer(None, AdamW(0.1)), InvalidCallError),
     (lambda: Optimizer([Tensor(np.ones(2), requires_grad=True)], None), InvalidCallError),
     (lambda: Optimizer([np.ones(2)], AdamW(0.1)), InvalidCallError),
+    # shapes that each op's own check refuses
+    (lambda: add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4))), InvalidShapeError),
+    (lambda: matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))), InvalidShapeError),
+    (lambda: matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5)))), InvalidShapeError),
+    (lambda: mean_pool_hw(Tensor(np.zeros((1, 2, 2)))), InvalidShapeError),
+    (lambda: gather_hw(Tensor(np.zeros((1, 2, 2))), np.arange(2), np.arange(2)),
+     InvalidShapeError),
+    (lambda: cross_entropy_logits(Tensor(np.zeros((2, 3, 1))), np.array([0, 1])),
+     InvalidShapeError),
+    (lambda: cross_entropy_logits(Tensor(np.zeros((2, 3))), np.array([0])), InvalidShapeError),
 ], ids=["reshape-text-axis", "reshape-float-axes", "gather-text-index", "gather-float-index",
         "reshape-int-shape", "reshape-int-axes", "gather-scalar-index",
         "scale-none", "scale-text", "ragged-data",
@@ -93,7 +103,8 @@ class TestTensorData:
         "conv-array", "conv-list-bias", "batchnorm-none-gamma", "partition-array",
         "reverse-array", "adamw-none-decay", "adamw-nan-lr", "adamw-inf-lr",
         "adamw-negative-lr", "adamw-text-lr", "optimizer-none-params", "optimizer-none-rule",
-        "optimizer-array-param"])
+        "optimizer-array-param", "add-no-broadcast", "matmul-1d", "matmul-batch-axes",
+        "pool-3d", "gather-3d", "cross-entropy-3d", "cross-entropy-label-count"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
         call()
@@ -388,6 +399,19 @@ class TestElementwise:
             assert tensor._gelu_blocks(x, g, out=g, act=act) is g
         assert g.tobytes() == want.tobytes()
         assert act.tobytes() == forward.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_written_over_x_and_gradient_over_g_equal_fresh_ones(self, dtype):
+        # the mlp_conv2d vjp's path: each block of x is read for the slope
+        # before GELU(x) is written over it
+        x = Rng(26).normal((3, 5, 7, 1249), 3.0, dtype=dtype)
+        x.reshape(-1)[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20]
+        g = Rng(27).normal(x.shape, dtype=dtype)
+        with np.errstate(invalid="ignore"):  # -inf * 0, 0 * inf
+            want, forward = tensor._gelu_blocks(x, g), gelu(Tensor(x)).data
+            assert tensor._gelu_blocks(x, g, out=g, act=x) is g
+        assert g.tobytes() == want.tobytes()
+        assert x.tobytes() == forward.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_gradient_special_values(self, dtype):

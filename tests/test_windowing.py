@@ -47,11 +47,17 @@ _PERMS = shuffle_permutations(4, 4, 2, "long-range")
     (lambda: shuffle_permutations(4, 4, 2, np.zeros((2, 2))), InvalidConfigError),
     (lambda: shuffle_permutations(8, 8, 2, "random", "rng"), InvalidCallError),
     (lambda: make_shuffle_permutation(8, 2, "random", 3), InvalidCallError),
+    (lambda: SpatialPermutation.identity(-1), InvalidConfigError),
+    (lambda: shuffled_window_partition(Tensor(np.zeros((1, 4, 4))), 2, _PERMS),
+     InvalidShapeError),
+    (lambda: aligned_window_reverse(Tensor(np.zeros((4, 1, 2, 3))), 2, _PERMS),
+     InvalidShapeError),
 ], ids=["partition-no-perms", "partition-one-perm", "partition-array-perms",
         "partition-text-window", "partition-float-window", "reverse-text-window",
         "reverse-no-perms", "grid-text-window", "grid-float-height", "ragged-map",
         "text-map", "float-map", "invert-array", "array-mode", "grid-array-mode",
-        "grid-text-rng", "axis-int-rng"])
+        "grid-text-rng", "axis-int-rng", "identity-negative", "partition-3d",
+        "reverse-non-square"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
         call()

@@ -32,23 +32,40 @@ _RELEASE_X = "    del x  # the attention residual, once the NWC has read it\n"
 _MLP_TAIL = _RELEASE_X + (
     "    inner = params.nwc if cfg.nwc_position == \"C\" else None\n"
     "    return add(mlp_forward(apply_bn(y, params.bn2, training), params.mlp, inner_nwc=inner), y)\n")
-# gelu_conv2d's forward and the start of its vjp, which rebuilds GELU(h) from h,
-# and the same code with a vjp that reads the forward's GELU(h) instead
+# gelu_conv2d's forward and vjp, which rebuilds GELU(h) from h, and the same
+# code with a vjp that writes it over the forward's GELU(h) instead
 _GELU_CONV = (
     "    out, grad_x, grad_w = kernel(_gelu_blocks(h_data))\n"
     "    out += bias.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
-    "        gh, act = grad_x(g), np.empty_like(h_data)\n"
-    "        _gelu_blocks(h_data, gh, out=gh, act=act)\n")
+    "        return _gelu_conv_vjp(g, h_data, grad_x, grad_w, np.empty_like(h_data))\n")
 _GELU_CONV_KEEPS_ACT = (
     "    act = _gelu_blocks(h_data)\n"
     "    out, grad_x, grad_w = kernel(act)\n"
     "    out += bias.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
-    "        gh = grad_x(g)\n"
-    "        _gelu_blocks(h_data, gh, out=gh)\n")
+    "        return _gelu_conv_vjp(g, h_data, grad_x, grad_w, act)\n")
+# mlp_conv2d's forward and the start of its vjp, which rebuilds the hidden map
+# from x, and the same code with a vjp that reads a copy kept from the forward
+_MLP_CONV = (
+    "    h = hidden()[0]\n"
+    "    second = _pointwise(Tensor(h), w2, b2)\n"
+    "    out, grad_x2, grad_w2 = second(_gelu_blocks(h, out=h))\n"
+    "    del h\n"
+    "    out += b2.data[None, :, None, None]\n"
+    "\n"
+    "    def vjp(g):\n"
+    "        h, grad_x1, grad_w1 = hidden()\n")
+_MLP_CONV_KEEPS_HIDDEN = (
+    "    kept = hidden()[0]\n"
+    "    second = _pointwise(Tensor(kept), w2, b2)\n"
+    "    out, grad_x2, grad_w2 = second(_gelu_blocks(kept))\n"
+    "    out += b2.data[None, :, None, None]\n"
+    "\n"
+    "    def vjp(g):\n"
+    "        h, grad_x1, grad_w1 = kept.copy(), *hidden()[1:]\n")
 
 MUTANTS = [
     # the block equations: x = WMSA(BN(z)) + z, y = NWC(x), z' = MLP(BN(y)) + y
@@ -119,6 +136,9 @@ MUTANTS = [
     # init draws every weight; one left at zero changes only the seeded bytes
     (PKG + "model.py", '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".wo", ".w1", ".w2")',
      '_DRAWN = (".weight", ".wq", ".wk", ".wv", ".w1", ".w2")'),
+    # the training graph keeps the MLP's input, not its hidden map; reading a
+    # hidden map kept from the forward changes no value, only what the graph holds
+    (PKG + "conv.py", _MLP_CONV, _MLP_CONV_KEEPS_HIDDEN),
 ]
 
 
