@@ -413,14 +413,6 @@ _BAD_CALLS.update({f"mlp_conv2d-{name}": (lambda args=args: mlp_conv2d(*args, *_
 _BAD_CALLS["mlp_conv2d-3x3-kernel"] = (
     lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 3, 3), _zeros(2), *_SECOND),
     InvalidShapeError)
-_BAD_CALLS["mlp_conv2d-second-3x3-kernel"] = (
-    lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 1, 1), _zeros(2), _zeros(3, 2, 3, 3),
-                       _zeros(3)),
-    InvalidShapeError)
-_BAD_CALLS["mlp_conv2d-second-channels"] = (
-    lambda: mlp_conv2d(_zeros(1, 3, 4, 4), _zeros(2, 3, 1, 1), _zeros(2), _zeros(3, 4, 1, 1),
-                       _zeros(3)),
-    InvalidConfigError)
 _BAD_CALLS["batchnorm2d-rank"] = (
     lambda: batchnorm2d(_zeros(2, 3, 4), _zeros(3), _zeros(3), np.zeros(3), np.ones(3), False),
     InvalidShapeError)

@@ -389,29 +389,20 @@ class TestElementwise:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_gradient_written_over_g_equals_a_fresh_one(self, dtype):
         # the gelu_conv2d vjp's path: each block of g is read before it is
-        # overwritten, and the same pass hands back the forward's x * Phi(x)
+        # overwritten, and the same pass hands back the forward's x * Phi(x);
+        # and the mlp_conv2d vjp's, whose act is x itself: each block of x is
+        # read for the slope before GELU(x) is written over it
         x = Rng(24).normal((3, 5, 7, 1249), 3.0, dtype=dtype)
         x.reshape(-1)[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20]
         g = Rng(25).normal(x.shape, dtype=dtype)
-        act = np.empty_like(x)
         with np.errstate(invalid="ignore"):  # -inf * 0, 0 * inf
             want, forward = tensor._gelu_blocks(x, g), gelu(Tensor(x)).data
-            assert tensor._gelu_blocks(x, g, out=g, act=act) is g
-        assert g.tobytes() == want.tobytes()
-        assert act.tobytes() == forward.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gelu_written_over_x_and_gradient_over_g_equal_fresh_ones(self, dtype):
-        # the mlp_conv2d vjp's path: each block of x is read for the slope
-        # before GELU(x) is written over it
-        x = Rng(26).normal((3, 5, 7, 1249), 3.0, dtype=dtype)
-        x.reshape(-1)[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e20, -1e20]
-        g = Rng(27).normal(x.shape, dtype=dtype)
-        with np.errstate(invalid="ignore"):  # -inf * 0, 0 * inf
-            want, forward = tensor._gelu_blocks(x, g), gelu(Tensor(x)).data
-            assert tensor._gelu_blocks(x, g, out=g, act=x) is g
-        assert g.tobytes() == want.tobytes()
-        assert x.tobytes() == forward.tobytes()
+            for over_x in (False, True):
+                xk, gk = x.copy(), g.copy()
+                act = xk if over_x else np.empty_like(x)
+                assert tensor._gelu_blocks(xk, gk, out=gk, act=act) is gk
+                assert gk.tobytes() == want.tobytes()
+                assert act.tobytes() == forward.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_gradient_special_values(self, dtype):
