@@ -9,7 +9,7 @@ import numpy as np
 
 from shuffleformer import (Rng, Tensor, ToyTrainConfig, load_checkpoint,
                            model_forward, save_checkpoint, synthetic_dataset,
-                           train_toy, window_means)
+                           train_toy)
 
 cfg = ToyTrainConfig(samples=32, classes=8, resolution=16, window=2,
                      channels=32, depths=(2, 2), steps=40, lr=1e-3, seed=0)
@@ -27,7 +27,7 @@ for row in result.history[::4]:
     print(f"  step {row['step']:>3}  loss {row['loss']:.4f}  "
           f"acc {row['accuracy'] * 100:5.1f}%  {bar}")
 
-means = window_means(result.losses, 10)
+means = [float(np.mean(result.losses[i:i + 10])) for i in range(0, len(result.losses), 10)]
 print(f"\nwindowed loss means: {[round(m, 4) for m in means]}")
 print(f"monotone decreasing: {all(b < a for a, b in zip(means, means[1:]))}")
 print(f"final train accuracy: {result.final_accuracy * 100:.1f}%")

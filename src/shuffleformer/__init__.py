@@ -25,7 +25,7 @@ from .rng import Rng
 from .tensor import (Tensor, add, backward, cross_entropy_logits, gather_hw,
                      gelu, matmul, mean_all, mean_pool_hw, mul, reshape_permute,
                      scale, softmax_lastdim, sum_all, zero_grads)
-from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy, window_means
+from .train import ToyTrainConfig, ToyTrainResult, synthetic_dataset, train_toy
 from .windowing import (SHUFFLE_MODES, SpatialPermutation, aligned_window_reverse,
                         invert_permutation, make_shuffle_permutation,
                         shuffle_permutations, shuffled_window_partition, window_grid)

@@ -1,6 +1,8 @@
 """2-D convolution and batch normalization as differentiable primitives.
 
-`conv2d` has one kernel per kernel family, each computed in the input's dtype:
+`conv2d` has one kernel per kernel family, each computed in the input's dtype.
+Every conv op here runs the conv that `_kernel` returns, which picks the
+kernel and adds the bias to its output:
 
 - dense (one group: the 1x1 projections and MLP, the strided embed and merge
   convs): one (Cout, Cin) @ (Cin, oh*ow) channel matmul per kernel tap on a
@@ -57,11 +59,6 @@ def _pad_spec(padding) -> tuple[tuple[int, int], tuple[int, int]]:
     return (int(pt), int(pb)), (int(pl), int(pr))
 
 
-def conv_output_extent(extent: int, kernel: int, stride: int, pad_before: int,
-                       pad_after: int) -> int:
-    return (extent + pad_before + pad_after - kernel) // stride + 1
-
-
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0,
            groups: int = 1) -> Tensor:
     """Cross-correlate (B, Cin, H, W) with (Cout, Cin/groups, kh, kw) and add
@@ -73,7 +70,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0,
     Differentiable w.r.t. x, w, and bias.
     """
     out, grad_x, grad_w = _kernel("conv2d", x, w, bias, stride, padding, groups)(x.data)
-    out += bias.data[None, :, None, None]
     x_data = x.data
 
     def vjp(g):
@@ -93,7 +89,6 @@ def gelu_conv2d(h: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding=0) 
     kernel = _kernel("gelu_conv2d", h, w, bias, stride, padding, 1)
     h_data = h.data
     out, grad_x, grad_w = kernel(_gelu_blocks(h_data))
-    out += bias.data[None, :, None, None]
 
     def vjp(g):
         return _gelu_conv_vjp(g, h_data, grad_x, grad_w, np.empty_like(h_data))
@@ -115,27 +110,19 @@ def mlp_conv2d(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Ten
     bits and checks, whose graph node keeps x alone: a block's MLP with grad.
 
     The forward writes GELU over the hidden map h, as the frozen MLP does. The
-    vjp rebuilds h with the first conv's kernel and bias add; the pass over
-    Phi(h) that scales W2^T g by GELU'(h) then writes GELU(h) over h for the
-    second weight gradient, and the first conv's vjp runs on the result.
+    vjp rebuilds h with the first conv's kernel; the pass over Phi(h) that
+    scales W2^T g by GELU'(h) then writes GELU(h) over h for the second
+    weight gradient, and the first conv's vjp runs on the result.
     """
     first = _pointwise(x, w1, b1)
     x_data = x.data
-
-    def hidden():
-        """h = conv(x, w1) + b1 and the first conv's grad_x and grad_w."""
-        h, grad_x, grad_w = first(x_data)
-        h += b1.data[None, :, None, None]
-        return h, grad_x, grad_w
-
-    h = hidden()[0]
+    h = first(x_data)[0]
     second = _pointwise(Tensor(h), w2, b2)
     out, grad_x2, grad_w2 = second(_gelu_blocks(h, out=h))
     del h
-    out += b2.data[None, :, None, None]
 
     def vjp(g):
-        h, grad_x1, grad_w1 = hidden()
+        h, grad_x1, grad_w1 = first(x_data)
         gh, gw2, gb2 = _gelu_conv_vjp(g, h, grad_x2, grad_w2, act=h)
         del h
         return grad_x1(gh), grad_w1(gh, x_data), gh.sum(axis=(0, 2, 3)), gw2, gb2
@@ -153,8 +140,8 @@ def _pointwise(x: Tensor, w: Tensor, bias: Tensor):
 
 def _kernel(op: str, x: Tensor, w: Tensor, bias: Tensor, stride, padding, groups):
     """conv2d's argument checks and kernel choice: the kernel for these
-    arguments as a function of the input array, which returns (out without
-    bias, grad_x(g), grad_w(g, x))."""
+    arguments as a function of the input array, which returns (out, grad_x(g),
+    grad_w(g, x)); out is the conv with the bias added."""
     _check_operands(op, x, w, bias)
     if x.ndim != 4:
         raise InvalidShapeError(f"expected a 4-D input, got shape {x.shape}")
@@ -174,15 +161,22 @@ def _kernel(op: str, x: Tensor, w: Tensor, bias: Tensor, stride, padding, groups
             f"kernel expects {cin_g} channels per group, input provides {cin // groups}")
     if bias.shape != (cout,):
         raise InvalidShapeError(f"bias shape {bias.shape} != ({cout},)")
-    oh = conv_output_extent(h_in, kh, stride, *pads[0])
-    ow = conv_output_extent(w_in, kw, stride, *pads[1])
+    (pt, pb), (pl, pr) = pads
+    oh = (h_in + pt + pb - kh) // stride + 1
+    ow = (w_in + pl + pr - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise InvalidShapeError(f"kernel {kh}x{kw} does not fit input {h_in}x{w_in} with padding")
 
-    # with one channel both kernels apply: 1x1 is a channel matmul
-    if depthwise and (groups > 1 or kh * kw > 1):
-        return lambda a: _depthwise(a, w.data, pads, (oh, ow))
-    return lambda a: _dense(a, w.data, stride, pads, (oh, ow))
+    def conv(a: np.ndarray):
+        # with one channel both kernels apply: 1x1 is a channel matmul
+        if depthwise and (groups > 1 or kh * kw > 1):
+            out, grad_x, grad_w = _depthwise(a, w.data, pads, (oh, ow))
+        else:
+            out, grad_x, grad_w = _dense(a, w.data, stride, pads, (oh, ow))
+        out += bias.data[None, :, None, None]
+        return out, grad_x, grad_w
+
+    return conv
 
 
 def _dense(x: np.ndarray, w: np.ndarray, stride: int, pads, out_hw):

@@ -131,8 +131,6 @@ def _random_block(spec: BlockSpec, height: int, width: int, rng: Rng) -> tuple[B
             state[name] = _start(name, shape, rng, np.float64)
         else:
             state[name] = rng.normal(shape, _PROBE_STD, dtype=np.float64)
-            if not state[name].any():
-                raise InvalidConfigError("degenerate all-zero probe weights")
     params = _build(cfg, state, perms)
     for _, param in named_parameters(params):
         param.requires_grad = False

@@ -94,7 +94,7 @@ class Tensor:
         return () if self._node is None else self._node._parents
 
     @property
-    def _vjp(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+    def _vjp(self) -> Callable[[np.ndarray], Sequence[np.ndarray]] | None:
         return None if self._node is None else self._node._vjp
 
     @_vjp.setter
@@ -124,8 +124,10 @@ def _entry(t: Tensor) -> _Node | Tensor | None:
 
 
 def result_of(data: np.ndarray, parents: tuple[Tensor, ...],
-              vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
-    """Build an op result, recording a graph node only when a parent needs grad."""
+              vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """Build an op result, recording a graph node only when a parent needs grad.
+
+    `vjp` maps the output gradient to one array per parent, in order."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -518,14 +520,12 @@ def backward(loss: Tensor) -> None:
 
     pending: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
+        g = pending.pop(id(node))  # topo holds only nodes reached from the root: each has a gradient
         if isinstance(node, Tensor):  # a leaf
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if parent is None or pg is None:
+            if parent is None:
                 continue
             key = id(parent)
             if key in pending:

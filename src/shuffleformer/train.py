@@ -105,13 +105,3 @@ def train_toy(cfg: ToyTrainConfig) -> ToyTrainResult:
         backward(loss)
         opt.step()
     return result
-
-
-def window_means(values, window: int) -> list[float]:
-    """Means of consecutive disjoint windows; short tail window included."""
-    if not (_is_int(window) and window >= 1):
-        raise InvalidConfigError(f"window must be a positive integer, got {window!r}")
-    if not (isinstance(values, (list, tuple, np.ndarray)) and all(map(_is_real, values))):
-        raise InvalidConfigError("values must be a sequence of real numbers")
-    return [float(np.mean(values[i:i + window]))
-            for i in range(0, len(values), window)]

@@ -6,6 +6,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,9 +119,10 @@ class TestMalformedHeader:
         {"meta": {}, "tensors": ["a"]},
         {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[2 ** 40, 0, 2 ** 40], nbytes=0)]},
         {"meta": {}, "tensors": [dict(GOOD_ENTRY, shape=[0] * 33, nbytes=0)]},
+        {"meta": {}, "tensors": [GOOD_ENTRY, GOOD_ENTRY]},
     ], ids=["no-tensors", "list-header", "list-meta", "no-name", "negative-offset",
             "negative-shape", "float-dim", "bool-offset", "list-dtype", "int-name",
-            "string-entry", "empty-but-too-big", "33-dims"])
+            "string-entry", "empty-but-too-big", "33-dims", "duplicate-name"])
     def test_rejected_with_checkpoint_error(self, tmp_path, header):
         path = write_raw(tmp_path / "bad.sfc", header, b"\x00" * 16)
         with pytest.raises(CheckpointError):
@@ -137,6 +139,16 @@ class TestMalformedHeader:
         path.write_bytes(b"SHFCONT1" + struct.pack("<II", 1, len(text)) + text)
         with pytest.raises(CheckpointError, match="corrupt header"):
             call(path)
+
+    def test_payload_cut_after_the_size_check_rejected(self, tmp_path, monkeypatch):
+        # a file that reports 8 bytes more than it holds, as one cut between
+        # the header's size check and the read would
+        path = write_raw(tmp_path / "cut.sfc", {"meta": {}, "tensors": [GOOD_ENTRY]},
+                         b"\x00" * 8)
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+        with pytest.raises(CheckpointError, match="payload is truncated"):
+            read_container(path)
 
     def test_well_formed_raw_header_reads(self, tmp_path):
         path = write_raw(tmp_path / "ok.sfc", {"meta": {}, "tensors": [GOOD_ENTRY]},
@@ -548,6 +560,12 @@ class TestTensorIO:
         save_tensor(path, np.array(3.0))
         loaded, _ = load_tensor(path)
         assert loaded.shape == () and loaded.dtype == np.float64 and loaded == 3.0
+
+    def test_unsupported_dtype_rejected_on_write(self, tmp_path):
+        path = tmp_path / "x.sfc"
+        with pytest.raises(CheckpointError, match="unsupported dtype int64"):
+            write_container(path, {"a": np.arange(3, dtype=np.int64)}, {})
+        assert not path.exists()
 
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="NumPy 1 arrays have at most 32 dimensions")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from shuffleformer import (InvalidConfigError, ModelConfig, Rng, init_model_params,
                            load_tensor, read_container, save_checkpoint, save_tensor,
                            write_container)
+from shuffleformer import cli
 from shuffleformer.cli import build_parser, load_config_file, main, parse_args
 
 
@@ -87,6 +88,17 @@ class TestReach:
                             "--out", str(tmp_path / "r.json")], capsys)
         assert code == 1
         assert "tower" in err
+
+    def test_routes_that_disagree_exit_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.reachability_report
+
+        def disagreeing(*args, **kwargs):
+            return dict(real(*args, **kwargs), agree=False)
+
+        monkeypatch.setattr(cli, "reachability_report", disagreeing)
+        code, _, err = run(REACH + ["--out", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert err == "ERROR: finite-difference and exact reachability disagree\n"
 
     def test_grid_issue_scenario_via_flags(self, tmp_path, capsys):
         out = tmp_path / "reach16.json"
@@ -241,6 +253,20 @@ class TestInfer:
         logits2, _ = load_tensor(out2)
         assert logits.tobytes() == logits2.tobytes()
 
+    def test_single_image_gets_a_batch_axis(self, tmp_path, capsys):
+        checkpoint, batch = _small_checkpoint(tmp_path)
+        image = tmp_path / "image.sfc"
+        save_tensor(image, load_tensor(batch)[0][0])
+        logits = []
+        for name, xin in (("one", image), ("batch", batch)):
+            out = tmp_path / f"{name}.sfc"
+            code, _, _ = run(["infer", "--checkpoint", checkpoint, "--input", str(xin),
+                              "--output", str(out)], capsys)
+            assert code == 0
+            logits.append(load_tensor(out)[0])
+        assert logits[0].shape == (1, 4)
+        assert logits[0].tobytes() == logits[1].tobytes()
+
     def test_wrong_input_shape_exit_one(self, trained, tmp_path, capsys):
         xin = tmp_path / "input.sfc"
         save_tensor(xin, Rng(0).normal((1, 3, 8, 8), dtype=np.float32))
@@ -354,6 +380,8 @@ HOSTILE = {
         "reach", "--grid", "4", "--quiet", "--out", str(t / "r.json"),
         "--config", _text_file(t, "shuffle_mode = none\n")],
     "config-missing": lambda t: ["train-toy", "--config", str(t / "absent.cfg")],
+    "config-line-without-equals": lambda t: ["stats", "--config", _text_file(t, "res 224\n")],
+    "infer-without-checkpoint": lambda t: ["infer", "--input", _small_checkpoint(t)[1]],
     "config-not-utf8": lambda t: ["stats", "--config", _text_file(t, b"res = \xff\xfe\n")],
     "infer-missing-checkpoint": lambda t: _infer_argv(t, checkpoint=str(t / "absent.sfc")),
     "infer-missing-input": lambda t: _infer_argv(t, tensor=str(t / "absent.sfc")),

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -352,7 +353,8 @@ _PARAMS = init_model_params(_CFG, Rng(0))
 _IMAGE = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
 
 
-# each row pins the class that a forward given the wrong params or config raises
+# each row pins the class that a forward or init given the wrong params or
+# config raises, or a config whose sizes do not fit together
 @pytest.mark.parametrize("call, error", [
     (lambda: model_forward(_IMAGE, None, _CFG), InvalidCallError),
     (lambda: model_forward(_IMAGE, _PARAMS, None), InvalidCallError),
@@ -368,11 +370,20 @@ _IMAGE = Tensor(np.zeros((1, 3, 16, 16), dtype=np.float32))
     (lambda: init_block_params(_CFG, Rng(0)), InvalidCallError),
     (lambda: init_block_params(_CFG.block_config(0, 0), None), InvalidCallError),
     (lambda: init_block_params(_CFG.block_config(0, 0), "rng"), InvalidCallError),
+    (lambda: init_block_params(BlockConfig(4, 2, 2, "random"), Rng(0)), InvalidConfigError),
+    (lambda: block_forward(Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32)),
+                           dataclasses.replace(_PARAMS.stages[0].blocks[0], nwc=None),
+                           _CFG.block_config(0, 0)), InvalidConfigError),
+    (lambda: BlockConfig(6, 4, 2), InvalidConfigError),
+    (lambda: tiny_config(head_dim=3), InvalidConfigError),
+    (lambda: tiny_config(resolution=18), InvalidConfigError),
 ], ids=["model-none-params", "model-none-config", "model-stage-params",
         "model-block-config", "block-model-config", "init-model-str-config",
         "init-model-block-config", "init-model-none-rng", "init-model-int-rng",
         "init-block-str-config", "init-block-model-config", "init-block-none-rng",
-        "init-block-str-rng"])
+        "init-block-str-rng", "init-block-random-no-resolution", "block-nwc-without-params",
+        "block-heads-not-dividing-channels", "model-head-dim-not-dividing-width",
+        "model-resolution-not-multiple-of-4"])
 def test_bad_model_call_raises_package_error(call, error):
     with pytest.raises(error):
         call()

@@ -35,6 +35,10 @@ class TestTensorData:
         t = Tensor(data)
         assert t.dtype == np.float32 and np.array_equal(t.data, data.astype(np.float32))
 
+    def test_repr_names_shape_dtype_and_grad(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        assert repr(t) == "Tensor(shape=(2, 3), dtype=float64, requires_grad=True)"
+
 
 @pytest.mark.parametrize("call, error", [
     (lambda: reshape_permute(Tensor(np.zeros(6)), (2, 3), ("a", 1)), InvalidShapeError),
@@ -86,6 +90,7 @@ class TestTensorData:
     (lambda: Optimizer([np.ones(2)], AdamW(0.1)), InvalidCallError),
     # shapes that each op's own check refuses
     (lambda: add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4))), InvalidShapeError),
+    (lambda: mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4))), InvalidShapeError),
     (lambda: matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))), InvalidShapeError),
     (lambda: matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5)))), InvalidShapeError),
     (lambda: mean_pool_hw(Tensor(np.zeros((1, 2, 2)))), InvalidShapeError),
@@ -103,7 +108,7 @@ class TestTensorData:
         "conv-array", "conv-list-bias", "batchnorm-none-gamma", "partition-array",
         "reverse-array", "adamw-none-decay", "adamw-nan-lr", "adamw-inf-lr",
         "adamw-negative-lr", "adamw-text-lr", "optimizer-none-params", "optimizer-none-rule",
-        "optimizer-array-param", "add-no-broadcast", "matmul-1d", "matmul-batch-axes",
+        "optimizer-array-param", "add-no-broadcast", "mul-no-broadcast", "matmul-1d", "matmul-batch-axes",
         "pool-3d", "gather-3d", "cross-entropy-3d", "cross-entropy-label-count"])
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
@@ -446,6 +451,11 @@ class TestBackward:
         x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
         backward(sum_all(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
+
+    def test_loss_without_grad_is_a_no_op(self):
+        x = Tensor(np.ones(3))
+        assert backward(sum_all(x)) is None
+        assert x.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)

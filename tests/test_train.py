@@ -7,7 +7,7 @@ import pytest
 from shuffleformer import (AdamW, InvalidConfigError, Optimizer, Rng, Tensor, ToyTrainConfig,
                            TrainingDivergedError, backward, cross_entropy_logits,
                            init_model_params, model_forward, parameter_list, synthetic_dataset,
-                           train_toy, window_means, zero_grads)
+                           train_toy, zero_grads)
 
 
 def fast_config(**overrides):
@@ -33,7 +33,7 @@ def test_overfits_small_set():
 
 def test_loss_decreases_over_moving_windows():
     result = train_toy(fast_config(steps=40))
-    means = window_means(result.losses, 10)
+    means = [np.mean(result.losses[i:i + 10]) for i in range(0, 40, 10)]
     assert len(means) == 4
     assert all(later < earlier for earlier, later in zip(means, means[1:]))
     assert means[-1] < 0.5 * means[0]
@@ -101,17 +101,6 @@ def test_bad_seed_rejected_at_construction(value):
 def test_bad_architecture_rejected_at_construction():
     with pytest.raises(InvalidConfigError):
         fast_config(window=3)
-
-
-def test_window_means_tail():
-    assert window_means([1.0, 2.0, 3.0, 4.0, 5.0], 2) == [1.5, 3.5, 5.0]
-
-
-@pytest.mark.parametrize("values, window", [(None, 2), ([1.0], 0)],
-                         ids=["no-values", "zero-window"])
-def test_window_means_bad_input_rejected(values, window):
-    with pytest.raises(InvalidConfigError):
-        window_means(values, window)
 
 
 def _held_arrays(fn, seen: set) -> list:

@@ -36,36 +36,32 @@ _MLP_TAIL = _RELEASE_X + (
 # code with a vjp that writes it over the forward's GELU(h) instead
 _GELU_CONV = (
     "    out, grad_x, grad_w = kernel(_gelu_blocks(h_data))\n"
-    "    out += bias.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
     "        return _gelu_conv_vjp(g, h_data, grad_x, grad_w, np.empty_like(h_data))\n")
 _GELU_CONV_KEEPS_ACT = (
     "    act = _gelu_blocks(h_data)\n"
     "    out, grad_x, grad_w = kernel(act)\n"
-    "    out += bias.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
     "        return _gelu_conv_vjp(g, h_data, grad_x, grad_w, act)\n")
 # mlp_conv2d's forward and the start of its vjp, which rebuilds the hidden map
 # from x, and the same code with a vjp that reads a copy kept from the forward
 _MLP_CONV = (
-    "    h = hidden()[0]\n"
+    "    h = first(x_data)[0]\n"
     "    second = _pointwise(Tensor(h), w2, b2)\n"
     "    out, grad_x2, grad_w2 = second(_gelu_blocks(h, out=h))\n"
     "    del h\n"
-    "    out += b2.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
-    "        h, grad_x1, grad_w1 = hidden()\n")
+    "        h, grad_x1, grad_w1 = first(x_data)\n")
 _MLP_CONV_KEEPS_HIDDEN = (
-    "    kept = hidden()[0]\n"
+    "    kept = first(x_data)[0]\n"
     "    second = _pointwise(Tensor(kept), w2, b2)\n"
     "    out, grad_x2, grad_w2 = second(_gelu_blocks(kept))\n"
-    "    out += b2.data[None, :, None, None]\n"
     "\n"
     "    def vjp(g):\n"
-    "        h, grad_x1, grad_w1 = kept.copy(), *hidden()[1:]\n")
+    "        h, grad_x1, grad_w1 = kept.copy(), *first(x_data)[1:]\n")
 
 MUTANTS = [
     # the block equations: x = WMSA(BN(z)) + z, y = NWC(x), z' = MLP(BN(y)) + y
